@@ -17,7 +17,7 @@ from .embedding import (DistortionReport, PlanarSection, SphericalEmbedding,
                         distortion_report, harmonic_sphere_map, load_embedding,
                         locate, pull_back_path, push_forward_point,
                         save_embedding)
-from .quorums import (AccessStrategy, DataType, QuorumSystemKind,
+from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
                       write_quorum)
 from .loadsim import (Metrics, Workload, charge, discrete_robustness,

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import SphericalEmbedding, locate_many
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError, DegenerateInput, OutOfRange
 from .quorums import (DataType, QuorumSystemKind, is_read_pure, is_write_pure,
-                      read_quorum, write_quorum)
-from .sphere import (GeodesicPolyline, SphericalCircle, SphericalCurve,
-                     circle_with_radius, perpendicular_basis, sample,
-                     spiral_for)
+                      mixed_read, mixed_write, read_quorum, write_quorum)
+from .sphere import (UNIT_TOL, GeodesicPolyline, SphericalCircle,
+                     SphericalCurve, circle_crossings, sample)
 
 RASTER_STEP_FACTOR = 0.25  # sampling step as a fraction of the median edge length
 
@@ -137,78 +136,45 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
                 raise ConfigError(f"node id {i} outside deployment of {n_nodes}")
 
 
-def _curve_with_start(curve: SphericalCurve, start) -> SphericalCurve:
-    if isinstance(curve, SphericalCircle) and curve.start is None:
-        return SphericalCircle(axis=curve.axis, rho=curve.rho, start=start)
-    return curve
+def _mixing_angles(k: int) -> np.ndarray:
+    """Deterministic quadrature nodes over the mixing angle."""
+    return 2 * np.pi * (np.arange(k) + 0.5) / k
 
 
 def _mixed_write_family(kind: QuorumSystemKind, node, k: int):
-    """Deterministic quadrature over the write mixing parameter."""
-    e1, e2 = perpendicular_basis(node)
-    curves = []
-    for j in range(k):
-        psi = 2 * np.pi * (j + 0.5) / k
-        if kind.name == "QGm" or (kind.name == "GeoQuorum" and kind.dual):
-            axis = np.cos(psi) * e1 + np.sin(psi) * e2
-            curves.append(SphericalCircle(axis=axis, rho=np.pi / 2, start=np.asarray(node, float)))
-        elif kind.name == "GeoQuorum":
-            center = (np.cos(kind.r_w) * np.asarray(node, float)
-                      + np.sin(kind.r_w) * (np.cos(psi) * e1 + np.sin(psi) * e2))
-            rho = kind.r_w
-            if rho > np.pi / 2:
-                center, rho = -center, np.pi - rho
-            base = circle_with_radius(center, rho)
-            curves.append(SphericalCircle(axis=base.axis, rho=base.rho,
-                                          start=np.asarray(node, float)))
-        else:
-            raise ConfigError(f"{kind.name} write strategy is pure")
-    return curves
+    return [mixed_write(kind, node, psi) for psi in _mixing_angles(k)]
 
 
 def _mixed_read_family(kind: QuorumSystemKind, node, hash_point, k: int):
-    curves = []
-    for j in range(k):
-        psi = 2 * np.pi * (j + 0.5) / k
-        if kind.name in ("QG", "QGm"):
-            e1, e2 = perpendicular_basis(hash_point)
-            axis = np.cos(psi) * e1 + np.sin(psi) * e2
-            curves.append(SphericalCircle(axis=axis, rho=np.pi / 2,
-                                          start=np.asarray(hash_point, float)))
-        elif kind.name == "GeoQuorum" and not kind.dual:
-            curves.append(spiral_for(node, kind.a, psi))
-        elif kind.name == "GeoQuorum" and kind.dual:
-            e1, e2 = perpendicular_basis(node)
-            center = (np.cos(kind.r_w) * np.asarray(node, float)
-                      + np.sin(kind.r_w) * (np.cos(psi) * e1 + np.sin(psi) * e2))
-            rho = kind.r_w
-            if rho > np.pi / 2:
-                center, rho = -center, np.pi - rho
-            base = circle_with_radius(center, rho)
-            curves.append(SphericalCircle(axis=base.axis, rho=base.rho,
-                                          start=np.asarray(node, float)))
-        else:
-            raise ConfigError(f"{kind.name} read strategy is pure")
-    return curves
+    return [mixed_read(kind, node, hash_point, psi) for psi in _mixing_angles(k)]
 
 
-def _first_hit_truncate(read_poly: GeodesicPolyline,
-                        write_polys: list) -> GeodesicPolyline:
-    """Cut the read polyline at its first crossing with any write polyline."""
-    a = read_poly.points
-    n_a = np.cross(a[:-1], a[1:])
+def _first_hit_truncate(read: SphericalCurve, writes: list,
+                        step: float) -> GeodesicPolyline:
+    """Sample the read curve and cut it at its first crossing with any write.
+
+    Every write/read pair has a circle. Against a circle write the read keeps
+    its first segment that straddles the circle or starts on it (within
+    UNIT_TOL). Spiral writes (dual GeoQuorum, passed as their samples) meet a
+    circle read: their crossings with it are placed along the read by their
+    angle about its axis, in which sample() spaces a circle's samples evenly
+    from the first.
+    """
+    poly = sample(read, step)
+    a = poly.points
     cut = len(a)
-    for wp in write_polys:
-        b = wp.points
-        n_b = np.cross(b[:-1], b[1:])
-        s_a = np.where((a @ n_b.T) >= 0, 1.0, -1.0)
-        cross_a = s_a[:-1] * s_a[1:] < 0                    # (|a|-1, |b|-1)
-        s_b = np.where((b @ n_a.T) >= 0, 1.0, -1.0)
-        cross_b = (s_b[:-1] * s_b[1:] < 0).T                # (|a|-1, |b|-1)
-        hits = np.where((cross_a & cross_b).any(axis=1))[0]
+    for w in writes:
+        if isinstance(w, SphericalCircle):
+            f, seg, _ = circle_crossings(w, poly, step)
+            hits = np.concatenate([seg, np.flatnonzero(np.abs(f) <= UNIT_TOL)])
+        else:
+            _, _, pts = circle_crossings(read, w, step)
+            u = a[0] - (a[0] @ read.axis) * read.axis
+            ang = np.mod(np.arctan2(pts @ np.cross(read.axis, u), pts @ u), 2 * np.pi)
+            hits = (ang / (2 * np.pi) * (len(a) - 1)).astype(int)
         if len(hits):
-            cut = min(cut, int(hits[0]) + 2)  # keep the crossing segment
-    return GeodesicPolyline(points=a[:cut], step=read_poly.step, closed=False)
+            cut = min(cut, int(hits.min()) + 2)  # keep the crossing segment
+    return GeodesicPolyline(points=a[:cut], step=step, closed=False)
 
 
 def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
@@ -229,12 +195,12 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
 
     for data in workload.data_types:
         _validate_nodes(data, n_nodes)
-        write_polys: list[GeodesicPolyline] = []  # realized writes, for first_hit
+        write_curves: list[SphericalCurve] = []  # realized writes, for first_hit
 
         def charge_curve(curve, weight, keep=False):
             poly = sample(curve, step)
-            if keep:
-                write_polys.append(poly)
+            if keep:  # a spiral is kept as its samples, so no read resamples it
+                write_curves.append(curve if isinstance(curve, SphericalCircle) else poly)
             charge(load, _traverse(poly, emb), emb, weight)
 
         keep_writes = read_termination == "first_hit"
@@ -257,9 +223,10 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
 
         # reads
         def charge_read(curve, weight):
-            poly = sample(curve, step)
             if read_termination == "first_hit":
-                poly = _first_hit_truncate(poly, write_polys)
+                poly = _first_hit_truncate(curve, write_curves, step)
+            else:
+                poly = sample(curve, step)
             charge(load, _traverse(poly, emb), emb, weight)
 
         if workload.mode == "expected" and kind.name in ("QG", "QGm"):
@@ -316,7 +283,7 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
         try:
             wq = write_quorum(kind, writer, data, rng)
             rq = read_quorum(kind, reader, data, rng)
-        except Exception:
+        except DegenerateInput:
             continue
         wt = rasterize(wq, emb)
         rt = rasterize(rq, emb)

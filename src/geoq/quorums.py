@@ -107,18 +107,6 @@ class DataType:
         object.__setattr__(self, "queriers", tuple(self.queriers))
 
 
-@dataclass(frozen=True)
-class AccessStrategy:
-    """Access rate plus either a pure curve choice or a seeded mixed draw."""
-
-    rate: float
-    mixed: bool
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise OutOfRange("access rate must be nonnegative")
-
-
 def hash_location(data_id: str, seed: int, override=None) -> np.ndarray:
     """Deterministic, approximately uniform sphere point for a data id.
 
@@ -136,23 +124,24 @@ def hash_location(data_id: str, seed: int, override=None) -> np.ndarray:
     return np.array([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _random_great_circle_through(point, rng) -> SphericalCircle:
-    """Uniform-orientation great circle through a fixed point."""
+def _great_circle_at(point, psi: float) -> SphericalCircle:
+    """Great circle through `point` whose axis lies at angle psi in the
+    point's perpendicular plane."""
+    point = require_unit(point)
     e1, e2 = perpendicular_basis(point)
-    psi = rng.uniform(0.0, 2.0 * np.pi)
     axis = np.cos(psi) * e1 + np.sin(psi) * e2
-    return SphericalCircle(axis=axis, rho=np.pi / 2, start=np.asarray(point, float).copy())
+    return SphericalCircle(axis=axis, rho=np.pi / 2, start=point.copy())
 
 
-def _random_circle_through(point, rho: float, rng) -> SphericalCircle:
-    """Uniform choice among circles of geodesic radius rho through a point.
+def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
+    """Circle of geodesic radius rho through `point`, centred at angle psi
+    around it.
 
     Radii above pi/2 are expressed as the complementary circle around the
     antipodal center, which is the identical point set.
     """
     point = require_unit(point)
     e1, e2 = perpendicular_basis(point)
-    psi = rng.uniform(0.0, 2.0 * np.pi)
     center = (np.cos(rho) * point
               + np.sin(rho) * (np.cos(psi) * e1 + np.sin(psi) * e2))
     if rho > np.pi / 2:
@@ -161,13 +150,27 @@ def _random_circle_through(point, rho: float, rng) -> SphericalCircle:
     return SphericalCircle(axis=circ.axis, rho=circ.rho, start=point.copy())
 
 
-def _geo_write(node, kind: QuorumSystemKind, rng) -> SphericalCurve:
-    return _random_circle_through(node, kind.r_w, rng)
+def mixed_write(kind: QuorumSystemKind, writer, psi: float) -> SphericalCurve:
+    """Write curve of a mixed strategy at mixing angle psi; write_quorum draws
+    psi uniformly, expected mode takes it at quadrature nodes."""
+    if kind.name == "QGm":
+        return _great_circle_at(writer, psi)
+    if kind.name == "GeoQuorum":
+        if kind.dual:
+            return spiral_for(writer, kind.a, psi)
+        return _circle_at(writer, kind.r_w, psi)
+    raise OutOfRange(f"{kind.name} write strategy is pure")
 
 
-def _geo_read(node, kind: QuorumSystemKind, rng) -> SphericalCurve:
-    theta0 = rng.uniform(0.0, 2.0 * np.pi)
-    return spiral_for(node, kind.a, theta0)
+def mixed_read(kind: QuorumSystemKind, reader, hash_point, psi: float) -> SphericalCurve:
+    """Read curve of a mixed strategy at mixing angle psi (see mixed_write)."""
+    if kind.name in ("QG", "QGm"):
+        return _great_circle_at(hash_point, psi)
+    if kind.name == "GeoQuorum":
+        if kind.dual:
+            return _circle_at(reader, kind.r_w, psi)
+        return spiral_for(reader, kind.a, psi)
+    raise OutOfRange(f"{kind.name} read strategy is pure")
 
 
 def write_quorum(kind: QuorumSystemKind, writer, data: DataType, rng) -> SphericalCurve:
@@ -175,30 +178,22 @@ def write_quorum(kind: QuorumSystemKind, writer, data: DataType, rng) -> Spheric
     writer = require_unit(writer)
     if kind.name in ("QG", "QL"):
         return great_circle_through(writer, data.hash_point)
-    if kind.name == "QGm":
-        return _random_great_circle_through(writer, rng)
     if kind.name == "QLd":
         return latitude_circle(data.hash_point, writer)
-    if kind.name == "GeoQuorum":
-        if kind.dual:
-            return _geo_read(writer, kind, rng)
-        return _geo_write(writer, kind, rng)
+    if kind.name in ("QGm", "GeoQuorum"):
+        return mixed_write(kind, writer, rng.uniform(0.0, 2.0 * np.pi))
     raise OutOfRange(f"unhandled kind {kind.name}")
 
 
 def read_quorum(kind: QuorumSystemKind, reader, data: DataType, rng) -> SphericalCurve:
     """Curve contacted by a read access from `reader` for `data`."""
     reader = require_unit(reader)
-    if kind.name in ("QG", "QGm"):
-        return _random_great_circle_through(data.hash_point, rng)
     if kind.name == "QL":
         return latitude_circle(data.hash_point, reader)
     if kind.name == "QLd":
         return great_circle_through(reader, data.hash_point)
-    if kind.name == "GeoQuorum":
-        if kind.dual:
-            return _geo_write(reader, kind, rng)
-        return _geo_read(reader, kind, rng)
+    if kind.name in ("QG", "QGm", "GeoQuorum"):
+        return mixed_read(kind, reader, data.hash_point, rng.uniform(0.0, 2.0 * np.pi))
     raise OutOfRange(f"unhandled kind {kind.name}")
 
 

@@ -246,61 +246,24 @@ def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:
     raise TypeError(f"not a spherical curve: {type(curve)!r}")
 
 
-def _on_segment(a, b, p, slack_factor: float = 0.75) -> bool:
-    """True when p lies on the geodesic arc from a to b (with slack for the
-    chord-vs-arc gap of sampled curves)."""
-    seg = geodesic_distance(a, b)
-    excess = geodesic_distance(a, p) + geodesic_distance(p, b) - seg
-    return excess <= slack_factor * seg + 1e-12
+def circle_crossings(circle: SphericalCircle, curve: SphericalCurve, step: float):
+    """Where `curve`, sampled at `step`, crosses the exact `circle`.
 
-
-def _crossing_points(A: np.ndarray, B: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Transversal crossings between polylines A and B (arrays of unit points).
-
-    A segment pair crosses when each polyline straddles the other's segment
-    plane (strict sign change; boundary zeros are pushed to +1 so exact
-    tangency is not double counted). Work is chunked over B's segments so the
-    sign matrices stay bounded regardless of curve length.
+    A circle (n, rho) is the plane section p.n = cos rho of the sphere, so the
+    sampled curve crosses it on each segment whose ends lie on opposite sides
+    of that plane; a sample within UNIT_TOL of the plane counts as on the
+    positive side. Returns (offsets, segments, points): the signed offset
+    p.n - cos rho of every sample, the indices of the crossing segments in
+    curve order, and the crossing points, interpolated linearly in the offset
+    along each segment and put back on the sphere.
     """
-    if len(A) < 2 or len(B) < 2:
-        return np.zeros((0, 3))
-    if len(A) > len(B):  # keep the dense matrices (|A| x chunk)-shaped and small
-        A, B = B, A
-    nA = np.cross(A[:-1], A[1:])
-    tol_a = 1e-9 * np.linalg.norm(nA, axis=1)                 # points this close to a
-    pts = []                                                  # plane count as "on it"
-    m1 = len(B) - 1
-    for lo in range(0, m1, chunk):
-        hi = min(lo + chunk, m1)
-        Bc = B[lo:hi + 1]
-        nBc = np.cross(Bc[:-1], Bc[1:])
-        tol_b = 1e-9 * np.linalg.norm(nBc, axis=1)
-        posB = (Bc @ nA.T) >= -tol_a[None, :]     # (chunk+1, |A|-1) bool side flags
-        crossB = posB[:-1] ^ posB[1:]             # (chunk, |A|-1)
-        posA = (A @ nBc.T) >= -tol_b[None, :]     # (|A|, chunk)
-        crossA = posA[:-1] ^ posA[1:]             # (|A|-1, chunk)
-        hits = np.argwhere(crossA & crossB.T)
-        for i, j0 in hits:
-            j = j0 + lo
-            d = np.cross(nA[i], np.cross(B[j], B[j + 1]))
-            nd = np.linalg.norm(d)
-            mid = A[i] + A[i + 1] + B[j] + B[j + 1]
-            if nd < 1e-14:
-                p = mid / np.linalg.norm(mid)
-            else:
-                d = d / nd
-                p = d if float(d @ mid) > 0 else -d
-            # the straddle tests use full great-circle planes; confirm the
-            # candidate actually lies on both segments (angle-sum containment)
-            if not (_on_segment(A[i], A[i + 1], p) and _on_segment(B[j], B[j + 1], p)):
-                # try the antipodal representative before discarding
-                p = -p
-                if not (_on_segment(A[i], A[i + 1], p) and _on_segment(B[j], B[j + 1], p)):
-                    continue
-            pts.append(p)
-    if not pts:
-        return np.zeros((0, 3))
-    return np.array(pts)
+    pts = sample(curve, step).points
+    f = pts @ circle.axis - np.cos(circle.rho)
+    pos = f >= -UNIT_TOL
+    seg = np.flatnonzero(pos[:-1] != pos[1:])
+    t = np.clip(f[seg] / (f[seg] - f[seg + 1]), 0.0, 1.0)[:, None]
+    p = pts[seg] + t * (pts[seg + 1] - pts[seg])
+    return f, seg, p / np.linalg.norm(p, axis=1, keepdims=True)
 
 
 def _merge_points(pts: np.ndarray, merge_tol: float) -> np.ndarray:
@@ -323,8 +286,11 @@ def _merge_points(pts: np.ndarray, merge_tol: float) -> np.ndarray:
 def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
                         step: float = DEFAULT_STEP,
                         merge_tol: float = DEFAULT_MERGE_TOL):
-    """Count transversal crossings of two sampled curves.
+    """Count the transversal crossings of a circle with another curve.
 
+    One argument must be a SphericalCircle (the first one is taken when both
+    are); the other curve is sampled at `step` and its crossings are the sign
+    changes of p.n - cos rho against the exact circle (`circle_crossings`).
     Returns (count, points). Crossings closer than merge_tol merge into one;
     exact tangency (no sign change) is not counted, which undercounts
     conservatively.
@@ -333,8 +299,12 @@ def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
         raise OutOfRange("step must be positive")
     if merge_tol > 2 * step * (1 + 1e-9):
         raise OutOfRange("merge_tol must not exceed 2 * step")
-    A = sample(c1, step).points
-    B = sample(c2, step).points
-    pts = _crossing_points(A, B)
+    if isinstance(c1, SphericalCircle):
+        circle, other = c1, c2
+    elif isinstance(c2, SphericalCircle):
+        circle, other = c2, c1
+    else:
+        raise DegenerateInput("count_intersections needs a SphericalCircle argument")
+    _, _, pts = circle_crossings(circle, other, step)
     merged = _merge_points(pts, merge_tol)
     return len(merged), merged

@@ -3,7 +3,11 @@ import pytest
 
 import geoq
 from geoq.errors import ConfigError, OutOfRange
-from geoq.loadsim import raster_step
+from geoq.loadsim import (_first_hit_truncate, _mixed_write_family,
+                          raster_step)
+from geoq.sphere import SphericalSpiral, circle_crossings
+
+from conftest import random_unit
 
 
 def _workload(emb, n_contrib=20, n_query=6, r=4.0, seed=1, **kw):
@@ -148,6 +152,62 @@ class TestRun:
         with pytest.raises(ConfigError):
             geoq.run(geoq.Workload(data_types=(data,), write_rate_r=1.0),
                      geoq.QuorumSystemKind.qg(), emb400, np.random.default_rng(0))
+
+
+class TestFirstHit:
+    STEP = 0.01
+
+    def _pairs(self, kind, seed, n):
+        rng = np.random.default_rng(seed)
+        data = geoq.DataType("d0", random_unit(rng))
+        for _ in range(n):
+            yield (geoq.write_quorum(kind, random_unit(rng), data, rng),
+                   geoq.read_quorum(kind, random_unit(rng), data, rng))
+
+    def test_geoquorum_cut_straddles_write_circle(self):
+        # the cut falls on the write circle itself: the last kept segment
+        # straddles it and no earlier one does (its antipodal image, where a
+        # great-circle plane test through the segment also fires, is no hit)
+        kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
+        for write, read in self._pairs(kind, 11, 30):
+            kept = _first_hit_truncate(read, [write], self.STEP).points
+            full = geoq.sample(read, self.STEP).points
+            assert len(kept) < len(full)
+            side = kept @ write.axis >= np.cos(write.rho)
+            assert side[-1] != side[-2]
+            assert np.all(side[:-1] == side[0])
+
+    def test_qg_read_stops_at_the_hash(self):
+        # every QG write passes the hash, where each QG read starts
+        kind = geoq.QuorumSystemKind.qg()
+        for write, read in self._pairs(kind, 12, 30):
+            kept = _first_hit_truncate(read, [write], self.STEP).points
+            assert len(kept) == 2
+
+    def test_dual_read_cut_at_write_spiral(self):
+        kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
+        pairs = list(self._pairs(kind, 13, 12))
+        writes = [w for w, _ in pairs[:4]]
+        for _, read in pairs:
+            assert isinstance(read, geoq.SphericalCircle)
+            kept = _first_hit_truncate(read, writes, self.STEP).points
+            full = geoq.sample(read, self.STEP).points
+            crossings = np.vstack([circle_crossings(read, w, self.STEP)[2] for w in writes])
+            # the read sample nearest to the first crossing along the read
+            first = int(np.min(np.argmax(crossings @ full.T, axis=1)))
+            assert len(kept) < len(full)
+            assert len(kept) - 1 in (first, first + 1)
+
+    def test_dual_write_family_is_writer_spirals(self):
+        kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
+        node = random_unit(np.random.default_rng(14))
+        family = _mixed_write_family(kind, node, 8)
+        assert len(family) == 8
+        for c in family:
+            assert isinstance(c, SphericalSpiral)
+            assert c.a == kind.a
+            start = c.points(np.array([c.theta_range()[0]]))[0]
+            assert np.allclose(start, node, atol=1e-12)
 
 
 class TestLinearLoadStructure:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import geoq
@@ -276,6 +278,40 @@ class TestCountIntersections:
         eq = geoq.circle_with_radius([0, 0, 1], np.pi / 2)
         with pytest.raises(OutOfRange):
             geoq.count_intersections(eq, eq, step=0.01, merge_tol=0.05)
+
+    def test_needs_a_circle(self):
+        sp = geoq.spiral_for([0, 0, 1], 0.2, 0.0)
+        with pytest.raises(DegenerateInput):
+            geoq.count_intersections(sp, sp)
+
+
+STEP = np.pi / 200
+_angle = st.floats(0.0, 2 * np.pi)
+_radius = st.one_of(st.just(np.pi / 2), st.floats(0.05 * np.pi, 0.5 * np.pi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lat=st.floats(-1.0, 1.0), lon=_angle, rho1=_radius, rho2=_radius,
+       theta=st.floats(0.0, np.pi), azimuth=_angle)
+def test_circle_pairs_match_closed_form(lat, lon, rho1, rho2, theta, azimuth):
+    """Two circles whose axes are theta apart cross twice when
+    |rho1 - rho2| < theta < rho1 + rho2 and never otherwise, in either
+    argument order, at points on both circles. Pairs within one step of
+    tangency are not drawn."""
+    lo, hi = abs(rho1 - rho2), rho1 + rho2
+    assume(abs(theta - lo) > STEP and abs(theta - hi) > STEP)
+    r = np.sqrt(1.0 - lat * lat)
+    a1 = np.array([r * np.cos(lon), r * np.sin(lon), lat])
+    e1, e2 = perpendicular_basis(a1)
+    a2 = np.cos(theta) * a1 + np.sin(theta) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    c1, c2 = geoq.circle_with_radius(a1, rho1), geoq.circle_with_radius(a2, rho2)
+    expected = 2 if lo < theta < hi else 0
+    n12, pts = geoq.count_intersections(c1, c2, step=STEP, merge_tol=2 * STEP)
+    n21, _ = geoq.count_intersections(c2, c1, step=STEP, merge_tol=2 * STEP)
+    assert n12 == expected
+    assert n21 == n12
+    for axis, rho in ((a1, rho1), (a2, rho2)):
+        assert np.all(np.abs(np.arccos(np.clip(pts @ axis, -1, 1)) - rho) <= STEP)
 
 
 class TestLatitudeMeanLength:
