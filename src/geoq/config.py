@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
+from .quorums import KIND_NAMES
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
         """A copy with one sweep parameter replaced (used by cmd_sweep)."""
         if name == "kind":
             kind = str(value)
-            if kind not in ("QG", "QGm", "QL", "QLd", "GeoQuorum"):
+            if kind not in KIND_NAMES:
                 raise ConfigError(f"unknown system kind {kind!r}")
             return replace(self, kind=kind)
         if name == "a":
@@ -214,7 +215,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("nodes must be at least 16")
     if not cfg.r_values:
         raise ConfigError("r_values must be non-empty")
-    if cfg.kind not in ("QG", "QGm", "QL", "QLd", "GeoQuorum"):
+    if cfg.kind not in KIND_NAMES:
         raise ConfigError(f"unknown system kind {cfg.kind!r}")
     if cfg.mode not in ("montecarlo", "expected"):
         raise ConfigError(f"unknown workload mode {cfg.mode!r}")

@@ -73,6 +73,7 @@ class SphericalEmbedding:
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
     _kdtree: cKDTree | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
+    _edge_normals: np.ndarray | None = field(default=None, repr=False)
     _orient: float = field(default=0.0, repr=False)
     _median_edge: float = field(default=0.0, repr=False)
 
@@ -113,12 +114,25 @@ class SphericalEmbedding:
             self._median_edge = float(np.median(np.concatenate(lens)))
         return self._median_edge
 
-    def kdtree(self) -> cKDTree:
-        if self._kdtree is None:
+    def tri_centroids(self) -> np.ndarray:
+        """Unit directions of the triangle centroids."""
+        if self._tri_centroids is None:
             cent = self.positions[self.mesh.triangles].mean(axis=1)
             self._tri_centroids = cent / np.linalg.norm(cent, axis=1, keepdims=True)
-            self._kdtree = cKDTree(self._tri_centroids)
+        return self._tri_centroids
+
+    def kdtree(self) -> cKDTree:
+        if self._kdtree is None:
+            self._kdtree = cKDTree(self.tri_centroids())
         return self._kdtree
+
+    def edge_normals(self) -> np.ndarray:
+        """edge_normals[t, i] = orient * (v[i+1] x v[i+2]): the inward normal
+        of the plane of triangle t's edge opposite vertex i."""
+        if self._edge_normals is None:
+            v = self.positions[self.mesh.triangles]
+            self._edge_normals = self.orientation() * np.cross(v[:, [1, 2, 0]], v[:, [2, 0, 1]])
+        return self._edge_normals
 
     def neighbors(self) -> np.ndarray:
         """neighbors[t, i] = triangle across the edge opposite vertex i (-1 at none)."""
@@ -138,19 +152,8 @@ class SphericalEmbedding:
             self._neighbors = nb
         return self._neighbors
 
-    def vertex_areas(self) -> np.ndarray:
-        tri = self.mesh.triangles
-        p = self.positions
-        ar = 0.5 * np.linalg.norm(np.cross(p[tri[:, 1]] - p[tri[:, 0]],
-                                           p[tri[:, 2]] - p[tri[:, 0]]), axis=1)
-        m = np.zeros(self.mesh.n_vertices)
-        for k in range(3):
-            np.add.at(m, tri[:, k], ar / 3.0)
-        return m
-
     def area_centroid(self) -> np.ndarray:
-        m = self.vertex_areas()
-        return (m[:, None] * self.positions).sum(axis=0) / m.sum()
+        return _area_centroid(self.mesh.triangles, self.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +425,7 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     P = sys_.positions(u_int, th)
     for _ in range(24):
         m = None
-        c = _area_centroid(sys_, P)
+        c = _area_centroid(sys_.dbl.triangles, P)
         c[2] = 0.0  # z component vanishes by symmetry
         nc = float(np.linalg.norm(c))
         if nc < 5e-7 and ginf < tol:
@@ -430,7 +433,7 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         guard = 0
         while nc > 5e-8 and guard < 300:
             P = _conformal_dilate(P, -c / nc, 1.0 - 0.8 * min(nc, 1.0))
-            c = _area_centroid(sys_, P)
+            c = _area_centroid(sys_.dbl.triangles, P)
             c[2] = 0.0
             nc = float(np.linalg.norm(c))
             guard += 1
@@ -448,8 +451,9 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     return emb
 
 
-def _area_centroid(sys_: _System, P) -> np.ndarray:
-    tri = sys_.dbl.triangles
+def _area_centroid(tri, P) -> np.ndarray:
+    """Centroid of the vertices P, each weighted by a third of the flat area
+    of every triangle in `tri` incident to it."""
     ar = 0.5 * np.linalg.norm(np.cross(P[tri[:, 1]] - P[tri[:, 0]],
                                        P[tri[:, 2]] - P[tri[:, 0]]), axis=1)
     m = np.zeros(len(P))
@@ -469,91 +473,99 @@ def embedding_residual(emb: SphericalEmbedding) -> float:
 # ---------------------------------------------------------------------------
 # point location and transport
 
-def _containment(emb: SphericalEmbedding, tris, p, tol=1e-10):
-    """Boolean mask: which of the candidate triangles contain p (gnomonically)."""
-    tv = emb.mesh.triangles[tris]
-    a, b, c = emb.positions[tv[:, 0]], emb.positions[tv[:, 1]], emb.positions[tv[:, 2]]
-    orient = emb.orientation()
-    s1 = np.einsum("ij,ij->i", np.cross(a, b), p[None, :].repeat(len(tv), 0)) * orient
-    s2 = np.einsum("ij,ij->i", np.cross(b, c), p[None, :].repeat(len(tv), 0)) * orient
-    s3 = np.einsum("ij,ij->i", np.cross(c, a), p[None, :].repeat(len(tv), 0)) * orient
-    hemi = ((a + b + c) @ p) > 0
-    return (s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol) & hemi
+LOCATE_TOL = 1e-10  # slack of the containment predicate and of the walk's side tests
+
+
+def _locate_test(emb: SphericalEmbedding, tris, p):
+    """Edge sides of points p in triangles tris, and which triangles contain p.
+
+    sides[..., i] = edge_normals[t, i] . p is >= 0 where p lies on the inner
+    side of the edge opposite vertex i (the edge neighbors()[t, i] shares). A
+    triangle contains p (gnomonically) when all three sides are >= -LOCATE_TOL
+    and p lies in the hemisphere of its centroid. Returns (sides, contains).
+    """
+    sides = np.einsum("...ij,...j->...i", emb.edge_normals()[tris], p)
+    hemi = np.einsum("...j,...j->...", emb.tri_centroids()[tris], p) > 0
+    return sides, (sides >= -LOCATE_TOL).all(axis=-1) & hemi
+
+
+def walk(emb: SphericalEmbedding, tris, p, q):
+    """Walk the geodesic chords p[i] -> q[i] across the mesh, each from the
+    triangle tris[i] that contains p[i] to the first triangle that contains
+    q[i] by `locate`'s predicate.
+
+    A chord leaves its triangle through the edge it crosses outward: the edge
+    u -> w, in the triangle's positive order, with u right of the chord's great
+    circle, w left of it and q outside the edge. A vertex within LOCATE_TOL of
+    the great circle counts on both sides, so a chord through a vertex turns
+    about it; when no edge qualifies, the chord leaves through the edge q lies
+    furthest outside.
+
+    Returns (ends, entered): the triangle each chord stops in, and every
+    triangle entered on the way. Raises NotFound past n_triangles steps.
+    """
+    nb = emb.neighbors()
+    cur = np.array(tris, dtype=int).reshape(-1)
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    m = np.cross(p, q)   # a point x lies left of the chord where m . x > 0
+    m *= emb.orientation() / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-300)
+    active = np.arange(len(cur))
+    entered = [np.zeros(0, dtype=int)]
+    steps = 0
+    while True:
+        sides, contains = _locate_test(emb, cur[active], q[active])
+        active, sides = active[~contains], sides[~contains]
+        if len(active) == 0:
+            return cur, np.concatenate(entered)
+        if steps == emb.mesh.n_triangles:
+            raise NotFound(f"{len(active)} chord(s) did not arrive within "
+                           f"{steps} steps; embedding may be folded")
+        left = np.einsum("nij,nj->ni", emb.positions[emb.mesh.triangles[cur[active]]], m[active])
+        crossed = ((left[:, [1, 2, 0]] <= LOCATE_TOL) & (left[:, [2, 0, 1]] >= -LOCATE_TOL)
+                   & (sides < -LOCATE_TOL))
+        # among the crossed edges (all edges if none is), the one q is furthest outside
+        exits = np.argmin(np.where(crossed.any(axis=1, keepdims=True) & ~crossed,
+                                   np.inf, sides), axis=1)
+        cur[active] = nb[cur[active], exits]
+        entered.append(cur[active])
+        steps += 1
 
 
 def locate(p, emb: SphericalEmbedding, hint: int | None = None) -> int:
-    """Triangle whose gnomonic projection contains p; walks from hint if given."""
+    """Triangle whose gnomonic projection contains p.
+
+    With a hint triangle, walks the chord from its centroid to p. Without one,
+    or if that walk fails, tests the triangles with the 16 nearest centroids,
+    then every triangle.
+    """
     p = np.asarray(p, dtype=float)
     if hint is not None:
-        t = _walk(emb, p, hint)
-        if t >= 0:
-            return t
+        try:
+            return int(walk(emb, [hint], emb.tri_centroids()[hint], p)[0][0])
+        except NotFound:
+            pass
     k = min(16, emb.mesh.n_triangles)
-    _, cand = emb.kdtree().query(p, k=k)
-    cand = np.atleast_1d(cand)
-    mask = _containment(emb, cand, p)
-    if mask.any():
-        return int(cand[np.argmax(mask)])
-    full = np.arange(emb.mesh.n_triangles)
-    mask = _containment(emb, full, p)
-    if mask.any():
-        return int(full[np.argmax(mask)])
+    for cand in (np.atleast_1d(emb.kdtree().query(p, k=k)[1]),
+                 np.arange(emb.mesh.n_triangles)):
+        contains = _locate_test(emb, cand, p)[1]
+        if contains.any():
+            return int(cand[np.argmax(contains)])
     raise NotFound("no triangle contains the query point; embedding may be folded")
 
 
-def _walk(emb: SphericalEmbedding, p, start: int, max_steps: int = 400) -> int:
-    nb = emb.neighbors()
-    tri = emb.mesh.triangles
-    pos = emb.positions
-    orient = emb.orientation()
-    t = start
-    for _ in range(max_steps):
-        tv = tri[t]
-        a, b, c = pos[tv[0]], pos[tv[1]], pos[tv[2]]
-        # edge planes opposite each vertex
-        s = np.array([
-            orient * float(np.cross(b, c) @ p),   # opposite vertex 0
-            orient * float(np.cross(c, a) @ p),   # opposite vertex 1
-            orient * float(np.cross(a, b) @ p),   # opposite vertex 2
-        ])
-        if (s >= -1e-10).all() and float((a + b + c) @ p) > 0:
-            return t
-        step = int(np.argmin(s))
-        nxt = nb[t, step]
-        if nxt < 0:
-            return -1
-        t = nxt
-    return -1
-
-
 def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
-    """Vectorized location of many points (nearest-centroid candidates with
-    chained-walk fallback)."""
+    """Vectorized location of many points: each is tested against the
+    triangles with its 12 nearest centroids, and a miss goes to `locate`,
+    hinted with the preceding point's triangle."""
     pts = np.asarray(points, dtype=float)
     k = min(12, emb.mesh.n_triangles)
     _, cand = emb.kdtree().query(pts, k=k)
     cand = np.atleast_2d(cand)
-    tri = emb.mesh.triangles
-    pos = emb.positions
-    orient = emb.orientation()
-    tv = tri[cand]                                   # (n, k, 3)
-    a = pos[tv[..., 0]]
-    b = pos[tv[..., 1]]
-    c = pos[tv[..., 2]]
-    pp = pts[:, None, :]
-    s1 = np.einsum("nkj,nkj->nk", np.cross(a, b), np.broadcast_to(pp, a.shape)) * orient
-    s2 = np.einsum("nkj,nkj->nk", np.cross(b, c), np.broadcast_to(pp, a.shape)) * orient
-    s3 = np.einsum("nkj,nkj->nk", np.cross(c, a), np.broadcast_to(pp, a.shape)) * orient
-    hemi = np.einsum("nkj,nkj->nk", a + b + c, np.broadcast_to(pp, a.shape)) > 0
-    ok = (s1 >= -1e-10) & (s2 >= -1e-10) & (s3 >= -1e-10) & hemi
-    out = np.full(len(pts), -1, dtype=int)
-    has = ok.any(axis=1)
-    out[has] = cand[np.arange(len(pts)), np.argmax(ok, axis=1)][has]
-    misses = np.where(~has)[0]
-    last = int(out[has][0]) if has.any() else 0
-    for i in misses:
-        out[i] = locate(pts[i], emb, hint=last)
-        last = int(out[i])
+    contains = _locate_test(emb, cand, pts[:, None, :])[1]
+    out = np.where(contains.any(axis=1),
+                   cand[np.arange(len(pts)), np.argmax(contains, axis=1)], -1)
+    for i in np.flatnonzero(out < 0):
+        out[i] = locate(pts[i], emb, hint=int(out[i - 1]) if i else None)
     return out
 
 

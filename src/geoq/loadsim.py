@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import SphericalEmbedding, locate_many
+from .embedding import SphericalEmbedding, locate_many, walk
 from .errors import ConfigError, DegenerateInput, OutOfRange
 from .quorums import (DataType, QuorumSystemKind, is_read_pure, is_write_pure,
                       mixed_read, mixed_write, read_quorum, write_quorum)
@@ -24,73 +24,32 @@ def raster_step(emb: SphericalEmbedding) -> float:
     return RASTER_STEP_FACTOR * emb.median_edge_length()
 
 
-def _fill_gaps(pts, tids, emb, depth: int = 10, corner_levels: int = 2):
-    """Bisect between consecutive samples whose triangles differ, so grazed
-    triangles shorter than the sampling step still get collected.
-
-    Adjacent-triangle gaps are still refined for the first few levels: the
-    curve may clip a third triangle at the corner shared by the pair.
-    Midpoint locations are batched per refinement round.
-    """
-    nb = emb.neighbors()
-    seen = set(int(t) for t in tids)
-    gaps_p1, gaps_p2, gaps_t1, gaps_t2 = [], [], [], []
-    for i in range(len(pts) - 1):
-        if tids[i] != tids[i + 1]:
-            gaps_p1.append(pts[i])
-            gaps_p2.append(pts[i + 1])
-            gaps_t1.append(int(tids[i]))
-            gaps_t2.append(int(tids[i + 1]))
-    for level in range(depth):
-        if not gaps_p1:
-            break
-        p1 = np.asarray(gaps_p1)
-        p2 = np.asarray(gaps_p2)
-        t1 = np.asarray(gaps_t1)
-        t2 = np.asarray(gaps_t2)
-        mid = p1 + p2
-        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
-        tm = locate_many(mid, emb)
-        gaps_p1, gaps_p2, gaps_t1, gaps_t2 = [], [], [], []
-        for k in range(len(tm)):
-            m = int(tm[k])
-            if m not in seen:
-                seen.add(m)
-            elif (m in (t1[k], t2[k]) and t2[k] in nb[t1[k]]
-                  and level >= corner_levels):
-                continue  # adjacent pair probed past corner depth: stop
-            if m != t1[k]:
-                gaps_p1.append(p1[k]); gaps_p2.append(mid[k])
-                gaps_t1.append(t1[k]); gaps_t2.append(m)
-            if m != t2[k]:
-                gaps_p1.append(mid[k]); gaps_p2.append(p2[k])
-                gaps_t1.append(m); gaps_t2.append(t2[k])
-    return np.array(sorted(seen), dtype=int)
-
-
-def _traverse(poly: GeodesicPolyline, emb: SphericalEmbedding) -> np.ndarray:
-    tids = locate_many(poly.points, emb)
-    return _fill_gaps(poly.points, tids, emb)
-
-
 def rasterize(curve: SphericalCurve, emb: SphericalEmbedding,
               step: float | None = None) -> np.ndarray:
-    """Sorted unique indices of mesh triangles traversed by the curve."""
+    """Sorted unique indices of the mesh triangles that the geodesic segments
+    between the curve's samples pass through: the triangle of every sample,
+    and every triangle walked through between consecutive samples that lie in
+    different triangles."""
     if step is None:
         step = raster_step(emb)
-    return _traverse(sample(curve, step), emb)
+    pts = sample(curve, step).points
+    tids = locate_many(pts, emb)
+    gaps = np.flatnonzero(tids[:-1] != tids[1:])
+    _, entered = walk(emb, tids[gaps], pts[gaps], pts[gaps + 1])
+    return np.unique(np.concatenate([tids, entered]))
+
+
+def _charged_nodes(triangles, emb: SphericalEmbedding) -> np.ndarray:
+    """Sorted ids of the physical nodes incident to the triangles."""
+    verts = np.unique(emb.mesh.triangles[np.asarray(triangles, dtype=int)].ravel())
+    return np.unique(emb.mesh.original_vertex(verts))
 
 
 def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight: float) -> np.ndarray:
     """Add `weight` once to every physical node incident to the triangles."""
     if weight < 0:
         raise OutOfRange("charge weight must be nonnegative")
-    tris = np.asarray(triangles, dtype=int)
-    if len(tris) == 0:
-        return load
-    verts = np.unique(emb.mesh.triangles[tris].ravel())
-    nodes = np.unique(emb.mesh.original_vertex(verts))
-    load[nodes] += weight
+    load[_charged_nodes(triangles, emb)] += weight
     return load
 
 
@@ -201,7 +160,7 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
             poly = sample(curve, step)
             if keep:  # a spiral is kept as its samples, so no read resamples it
                 write_curves.append(curve if isinstance(curve, SphericalCircle) else poly)
-            charge(load, _traverse(poly, emb), emb, weight)
+            charge(load, rasterize(poly, emb, step), emb, weight)
 
         keep_writes = read_termination == "first_hit"
         # writes
@@ -227,7 +186,7 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
                 poly = _first_hit_truncate(curve, write_curves, step)
             else:
                 poly = sample(curve, step)
-            charge(load, _traverse(poly, emb), emb, weight)
+            charge(load, rasterize(poly, emb, step), emb, weight)
 
         if workload.mode == "expected" and kind.name in ("QG", "QGm"):
             # the read family depends only on the hash; share it across queriers
@@ -285,10 +244,8 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
             rq = read_quorum(kind, reader, data, rng)
         except DegenerateInput:
             continue
-        wt = rasterize(wq, emb)
-        rt = rasterize(rq, emb)
-        wv = np.unique(emb.mesh.original_vertex(np.unique(emb.mesh.triangles[wt].ravel())))
-        rv = np.unique(emb.mesh.original_vertex(np.unique(emb.mesh.triangles[rt].ravel())))
+        wv = _charged_nodes(rasterize(wq, emb), emb)
+        rv = _charged_nodes(rasterize(rq, emb), emb)
         shared = len(np.intersect1d(wv, rv, assume_unique=True))
         best = shared if best is None else min(best, shared)
     return int(best) if best is not None else 0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoq
 from geoq.embedding import (embedding_from_text, embedding_to_text,
-                            locate_many, push_forward_point,
-                            spherical_barycentric)
+                            locate_many, push_forward_point)
 from geoq.errors import DegenerateMesh, NoConvergence
 from geoq.sphere import GeodesicPolyline
 
@@ -67,16 +68,18 @@ class TestLocate:
             c /= np.linalg.norm(c)
             assert geoq.locate(c, emb400) == t
 
-    def test_hint_independence(self, emb400):
-        rng = np.random.default_rng(11)
-        for p in random_unit(rng, 20):
-            t0 = geoq.locate(p, emb400)
-            t1 = geoq.locate(p, emb400, hint=0)
-            t2 = geoq.locate(p, emb400, hint=emb400.mesh.n_triangles - 1)
-            # points on edges may match several triangles; verify containment
-            for t in (t0, t1, t2):
-                w = spherical_barycentric(emb400, t, p)
-                assert w.min() > -1e-8
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lat=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2 * np.pi),
+           hint=st.integers(0, 10**6))
+    def test_hint_independence(self, emb400, lat, lon, hint):
+        # whatever the hint triangle, the located triangle contains p
+        r = np.sqrt(1.0 - lat * lat)
+        p = np.array([r * np.cos(lon), r * np.sin(lon), lat])
+        t = geoq.locate(p, emb400, hint=hint % emb400.mesh.n_triangles)
+        v = emb400.positions[emb400.mesh.triangles[t]]
+        sides = [np.cross(v[i], v[(i + 1) % 3]) @ p * emb400.orientation() for i in range(3)]
+        assert min(sides) >= -1e-10
+        assert v.sum(axis=0) @ p > 0
 
     def test_matches_exhaustive_scan(self, emb400):
         rng = np.random.default_rng(12)

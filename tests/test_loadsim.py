@@ -20,7 +20,48 @@ def _workload(emb, n_contrib=20, n_query=6, r=4.0, seed=1, **kw):
     return geoq.Workload(data_types=(data,), write_rate_r=r, **kw)
 
 
+def _segment_oracle(curve, emb, step):
+    """Brute force: the triangles that strictly contain a sample of the curve,
+    and both triangles at every edge a chord between consecutive samples
+    strictly crosses on the near side."""
+    pts = geoq.sample(curve, step).points
+    tri, pos, orient = emb.mesh.triangles, emb.positions, emb.orientation()
+    a, b, c = pos[tri[:, 0]], pos[tri[:, 1]], pos[tri[:, 2]]
+    sides = [orient * (np.cross(u, w) @ pts.T) for u, w in ((b, c), (c, a), (a, b))]
+    inside = (sides[0] > 0) & (sides[1] > 0) & (sides[2] > 0) & ((a + b + c) @ pts.T > 0)
+    found = set(np.flatnonzero(inside.any(axis=1)).tolist())
+    nb = emb.neighbors()
+    t, i = np.nonzero(nb > np.arange(len(tri))[:, None])   # each edge once
+    u, w = pos[tri[t, (i + 1) % 3]], pos[tri[t, (i + 2) % 3]]
+    n_edge = np.cross(u, w)
+    p, q = pts[:-1], pts[1:]
+    n_chord = np.cross(p, q)
+    for lo in range(0, len(p), 256):
+        sl = slice(lo, lo + 256)
+        chord_straddles = (n_edge @ p[sl].T) * (n_edge @ q[sl].T) < 0
+        edge_straddles = (u @ n_chord[sl].T) * (w @ n_chord[sl].T) < 0
+        near = (u + w) @ (p[sl] + q[sl]).T > 0
+        e = np.flatnonzero((chord_straddles & edge_straddles & near).any(axis=1))
+        found |= set(t[e].tolist()) | set(nb[t[e], i[e]].tolist())
+    return found
+
+
 class TestRasterize:
+    def test_matches_segment_oracle(self, emb400):
+        rng = np.random.default_rng(21)
+        curves = []
+        for _ in range(6):
+            p, q = random_unit(rng, 2)
+            curves.append(geoq.great_circle_through(p, q))
+            curves.append(geoq.circle_with_radius(random_unit(rng),
+                                                  rng.uniform(0.05, 0.5) * np.pi))
+        for a in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
+            curves.append(geoq.spiral_for(random_unit(rng), a, rng.uniform(0, 2 * np.pi)))
+        step = raster_step(emb400)
+        for curve in curves:
+            assert set(geoq.rasterize(curve, emb400).tolist()) == _segment_oracle(
+                curve, emb400, step)
+
     def test_tiny_circle_single_triangle(self, emb400):
         t = 37
         c = emb400.positions[emb400.mesh.triangles[t]].mean(axis=0)
