@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config, preset
-from .embedding import (SphericalEmbedding, distortion_report, harmonic_sphere_map,
-                        load_embedding, save_embedding)
+from .embedding import (SOLVER_VERSION, SphericalEmbedding, distortion_report,
+                        harmonic_sphere_map, load_embedding, save_embedding)
 from .errors import ConfigError, GeoqError, NoConvergence
 from .loadsim import Metrics, Workload, run as run_workload
 from .mesh import (PlanarMesh, double_cover, generate_deployment, load_mesh,
@@ -56,7 +56,7 @@ def cache_dir(cfg: ExperimentConfig, out: Path) -> Path:
 def _mesh_digest(mesh_text: str, cfg: ExperimentConfig) -> str:
     h = hashlib.blake2b(digest_size=12)
     h.update(mesh_text.encode())
-    h.update(f"{cfg.solver_tol}:{cfg.solver_max_iters}".encode())
+    h.update(f"{cfg.solver_tol}:{cfg.solver_max_iters}:{SOLVER_VERSION}".encode())
     return h.hexdigest()
 
 

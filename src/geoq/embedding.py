@@ -8,9 +8,10 @@ boundary-on-equator property hold exactly at every iterate.
 
 Phases: (A) L-BFGS with three boundary angles pinned (fixes the residual
 Moebius gauge and blocks collapse), (B) damped Newton polish that refuses
-steps introducing boundary folds or flipped triangles, (C) alternation of
-exact conformal recentering with short Newton re-solves until the
-area-weighted centroid is driven under tolerance.
+steps introducing boundary folds or flipped triangles, (C) recentering
+rounds until the area-weighted centroid and the residual are under
+tolerance: each round takes one Newton step on the two-parameter equatorial
+Moebius dilation that zeroes the centroid, then a short Newton re-solve.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ from .sphere import GeodesicPolyline
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
+# Hashed into the CLI's embedding cache key; raise it whenever a change to the
+# solver changes the embedding it returns for the same mesh and settings.
+SOLVER_VERSION = 2
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
 
 _Z = np.array([1.0, 1.0, -1.0])
@@ -347,13 +351,19 @@ def _newton(sys_: _System, u_int, th, iters: int, grad_target: float = 1e-12):
     return u_int, th, float(np.abs(g).max())
 
 
-def _conformal_dilate(P, axis, s):
-    """Moebius dilation toward `axis`: tan(theta'/2) = s tan(theta/2)."""
+def _conformal_dilate(P, v):
+    """Moebius dilation by the equatorial vector v = (vx, vy): toward the axis
+    v/|v| with tan(theta'/2) = exp(-|v|) tan(theta/2). An equatorial axis keeps
+    the equator and the z-reflection symmetry."""
+    nv = float(np.hypot(v[0], v[1]))
+    if nv < 1e-300:   # the identity: exp(-|v|) rounds to 1; v/|v| may not be unit
+        return P
+    axis = np.array([v[0], v[1], 0.0]) / nv
     cu = P @ axis
     w = P - cu[:, None] * axis[None, :]
     wn = np.linalg.norm(w, axis=1)
     theta = np.arctan2(wn, cu)
-    tp = 2.0 * np.arctan(s * np.tan(theta / 2.0))
+    tp = 2.0 * np.arctan(np.exp(-nv) * np.tan(theta / 2.0))
     what = np.zeros_like(w)
     ok = wn > 1e-12
     what[ok] = w[ok] / wn[ok, None]
@@ -407,8 +417,11 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         return E, sys_.pack_grad(gI, gth)
 
     x0 = np.concatenate([u0.ravel(), sys_.arc_param[sys_.free_b]])
+    # scipy hands the iterate's result (with .fun) only to a callback whose
+    # one parameter is named intermediate_result
     res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   callback=lambda xk: energy_trace.append(objective(xk)[0]),
+                   callback=lambda intermediate_result: energy_trace.append(
+                       intermediate_result.fun),
                    options=dict(maxiter=max_iters, maxfun=2 * max_iters,
                                 ftol=1e-16, gtol=1e-12, maxcor=40))
     u_int = res.x[:2 * sys_.nI].reshape(sys_.nI, 2)
@@ -421,22 +434,18 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         sys_.pin_val = th[sys_.pin_pos].copy()
     u_int, th, ginf = _newton(sys_, u_int, th, iters=40)
 
-    # recentering rounds: exact equatorial dilations + short re-solves
+    # recentering (phase C): the centroid's z part vanishes by symmetry; the
+    # Jacobian of its xy part in the dilation vector is a forward difference
+    tri = sys_.dbl.triangles
     P = sys_.positions(u_int, th)
     for _ in range(24):
-        m = None
-        c = _area_centroid(sys_.dbl.triangles, P)
-        c[2] = 0.0  # z component vanishes by symmetry
-        nc = float(np.linalg.norm(c))
-        if nc < 5e-7 and ginf < tol:
+        c = _area_centroid(tri, P)[:2]
+        if np.linalg.norm(c) < 5e-7 and ginf < tol:
             break
-        guard = 0
-        while nc > 5e-8 and guard < 300:
-            P = _conformal_dilate(P, -c / nc, 1.0 - 0.8 * min(nc, 1.0))
-            c = _area_centroid(sys_.dbl.triangles, P)
-            c[2] = 0.0
-            nc = float(np.linalg.norm(c))
-            guard += 1
+        h = 1e-2
+        J = np.column_stack([(_area_centroid(tri, _conformal_dilate(P, e))[:2] - c) / h
+                             for e in ((h, 0.0), (0.0, h))])
+        P = _conformal_dilate(P, -np.linalg.solve(J, c))
         u_int, th = sys_.coords_from_positions(P)
         sys_.pin_val = th[sys_.pin_pos].copy()
         u_int, th, ginf = _newton(sys_, u_int, th, iters=8)
@@ -667,42 +676,32 @@ def _spherical_angles(pos, tris):
     return np.stack([ang(a, b, c), ang(b, c, a), ang(c, a, b)], axis=1)
 
 
+def _dilatation(emb: SphericalEmbedding) -> np.ndarray:
+    """Per-triangle quasi-conformal dilatation: the singular-value ratio of the
+    linear map from the planar triangle to the embedded one, each in an
+    orthonormal frame of its plane; inf where either triangle is degenerate."""
+    tris = emb.mesh.triangles
+    p2, p3 = emb.mesh.planar[tris], emb.positions[tris]
+    src = np.stack([p2[:, 1] - p2[:, 0], p2[:, 2] - p2[:, 0]], axis=2)  # (n, 2, 2) edge columns
+    dst = np.stack([p3[:, 1] - p3[:, 0], p3[:, 2] - p3[:, 0]], axis=2)  # (n, 3, 2)
+    n = np.cross(dst[:, :, 0], dst[:, :, 1])
+    nn = np.linalg.norm(n, axis=1)
+    ok = (nn >= 1e-300) & (np.linalg.det(src) != 0)
+    f1 = dst[ok, :, 0] / np.linalg.norm(dst[ok, :, 0], axis=1, keepdims=True)
+    frame = np.stack([f1, np.cross(n[ok] / nn[ok, None], f1)], axis=1)  # (m, 2, 3) rows
+    sv = np.linalg.svd(frame @ dst[ok] @ np.linalg.inv(src[ok]), compute_uv=False)
+    dil = np.full(len(tris), np.inf)
+    dil[ok] = sv[:, 0] / np.maximum(sv[:, 1], 1e-300)
+    return dil
+
+
 def distortion_report(emb: SphericalEmbedding) -> DistortionReport:
     """Per-triangle angle distortion (planar vs spherical) and dilatation."""
     tris = emb.mesh.triangles
     ap = _planar_angles(emb.mesh.planar, tris)
     asph = _spherical_angles(emb.positions, tris)
     rel = (np.abs(asph - ap) / ap).mean(axis=1)
-    # quasi-conformal dilatation from angle pairs: ratio of singular values of
-    # the per-triangle linear map, computed from edge vectors
-    p2 = emb.mesh.planar
-    e1p = p2[tris[:, 1]] - p2[tris[:, 0]]
-    e2p = p2[tris[:, 2]] - p2[tris[:, 0]]
-    a3 = emb.positions[tris[:, 0]]
-    e1s = emb.positions[tris[:, 1]] - a3
-    e2s = emb.positions[tris[:, 2]] - a3
-    # orthonormal frame of the planar triangle and the embedded triangle
-    dil = np.empty(len(tris))
-    for i in range(len(tris)):
-        m_src = np.stack([e1p[i], e2p[i]], axis=1)
-        f1 = e1s[i] / (np.linalg.norm(e1s[i]) + 1e-300)
-        n = np.cross(e1s[i], e2s[i])
-        nn = np.linalg.norm(n)
-        if nn < 1e-300:
-            dil[i] = np.inf
-            continue
-        f2 = np.cross(n / nn, f1)
-        m_dst = np.stack([
-            [float(e1s[i] @ f1), float(e2s[i] @ f1)],
-            [float(e1s[i] @ f2), float(e2s[i] @ f2)],
-        ])
-        try:
-            j = m_dst @ np.linalg.inv(m_src)
-        except np.linalg.LinAlgError:
-            dil[i] = np.inf
-            continue
-        sv = np.linalg.svd(j, compute_uv=False)
-        dil[i] = sv[0] / max(sv[1], 1e-300)
+    dil = _dilatation(emb)
     finite = dil[np.isfinite(dil)]
     return DistortionReport(
         mean_angle_error=float(rel.mean()),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geoq
+from geoq import cli
 from geoq.cli import CSV_COLUMNS, cmd_generate, cmd_map, cmd_run, cmd_sweep, main
 from geoq.config import (ExperimentConfig, config_from_text, config_to_text,
                          preset)
@@ -105,6 +106,13 @@ class TestMapCache:
         cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2)
         cmd_map(cfg, tmp_path / "out")
         assert any(cdir.glob("emb_*.txt"))
+
+    def test_digest_covers_solver_version(self, monkeypatch):
+        # a changed solver must not be served an embedding cached by the old one
+        cfg = small_cfg()
+        before = cli._mesh_digest("mesh", cfg)
+        monkeypatch.setattr(cli, "SOLVER_VERSION", cli.SOLVER_VERSION + 1)
+        assert cli._mesh_digest("mesh", cfg) != before
 
 
 def strip_runtime(csv_text: str) -> str:

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoq
-from geoq.embedding import (embedding_from_text, embedding_to_text,
-                            locate_many, push_forward_point)
+from geoq.embedding import (_conformal_dilate, _dilatation, embedding_from_text,
+                            embedding_to_text, locate_many, push_forward_point)
 from geoq.errors import DegenerateMesh, NoConvergence
 from geoq.sphere import GeodesicPolyline
 
 from conftest import SQUARE, random_unit
+
+_Z = np.array([1.0, 1.0, -1.0])
 
 
 class TestInvariants:
@@ -39,6 +43,21 @@ class TestInvariants:
         e = emb400.energy_trace
         assert len(e) > 10
         assert all(e[i + 1] <= e[i] * (1 + 1e-9) for i in range(len(e) - 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_equatorial_dilation(self, vx, vy, seed):
+        # unit norms, the equator kept, commutes with the z-reflection, and
+        # v then -v is the identity
+        rng = np.random.default_rng(seed)
+        P = np.vstack([random_unit(rng, 30), np.eye(3), -np.eye(3)])
+        P[:10, 2] = 0.0
+        P[:10] /= np.linalg.norm(P[:10], axis=1, keepdims=True)
+        Q = _conformal_dilate(P, (vx, vy))
+        assert np.abs(np.linalg.norm(Q, axis=1) - 1.0).max() < 1e-12
+        assert np.all(Q[:10, 2] == 0.0)
+        assert np.array_equal(_conformal_dilate(P * _Z, (vx, vy)), Q * _Z)
+        assert np.abs(_conformal_dilate(Q, (-vx, -vy)) - P).max() < 1e-12
 
     def test_region_center_maps_near_pole(self):
         # 4-fold symmetric deployment; the center vertex lands near the pole
@@ -135,6 +154,34 @@ class TestDistortion:
         assert rep.mean_dilatation >= 1.0
         assert rep.max_dilatation >= rep.mean_dilatation
         assert rep.percentiles[90] >= rep.percentiles[50]
+
+    def test_dilatation_matches_loop(self, emb400):
+        # the per-triangle loop the vectorised dilatation replaced, as reference;
+        # one spherical triangle collapsed to an edge reads inf in both
+        pos = emb400.positions.copy()
+        t0 = emb400.mesh.triangles[0]
+        pos[t0[2]] = pos[t0[0]]
+        for emb in (emb400, dataclasses.replace(emb400, positions=pos)):
+            tris = emb.mesh.triangles
+            p2, p3 = emb.mesh.planar, emb.positions
+            ref = np.empty(len(tris))
+            for i, (a, b, c) in enumerate(tris):
+                m_src = np.stack([p2[b] - p2[a], p2[c] - p2[a]], axis=1)
+                e1s, e2s = p3[b] - p3[a], p3[c] - p3[a]
+                f1 = e1s / (np.linalg.norm(e1s) + 1e-300)
+                n = np.cross(e1s, e2s)
+                nn = np.linalg.norm(n)
+                if nn < 1e-300:
+                    ref[i] = np.inf
+                    continue
+                f2 = np.cross(n / nn, f1)
+                m_dst = np.array([[e1s @ f1, e2s @ f1], [e1s @ f2, e2s @ f2]])
+                sv = np.linalg.svd(m_dst @ np.linalg.inv(m_src), compute_uv=False)
+                ref[i] = sv[0] / max(sv[1], 1e-300)
+            got = _dilatation(emb)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert np.allclose(got[np.isfinite(ref)], ref[np.isfinite(ref)], rtol=1e-12, atol=0)
+        assert np.isinf(got[0])
 
     def test_refinement_reduces_distortion(self, emb400, emb800):
         d400 = geoq.distortion_report(emb400).mean_angle_error
