@@ -21,7 +21,8 @@ from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
                       write_quorum)
 from .loadsim import (Metrics, Workload, charge, discrete_robustness,
-                      rasterize, run)
+                      rasterize, rasterize_polylines, run,
+                      stack_polylines)
 from .config import ExperimentConfig, load_config, preset, save_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

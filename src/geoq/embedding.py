@@ -77,7 +77,7 @@ class SphericalEmbedding:
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
     _kdtree: cKDTree | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
-    _edge_normals: np.ndarray | None = field(default=None, repr=False)
+    _planes: np.ndarray | None = field(default=None, repr=False)
     _orient: float = field(default=0.0, repr=False)
     _median_edge: float = field(default=0.0, repr=False)
 
@@ -88,9 +88,6 @@ class SphericalEmbedding:
     def node_positions(self) -> np.ndarray:
         """Sphere positions of the physical nodes (original-copy vertices)."""
         return self.positions[:self.mesh.n_original]
-
-    def triangle_positions(self, t) -> np.ndarray:
-        return self.positions[self.mesh.triangles[t]]
 
     def orientation(self) -> float:
         """Sign of the (shared) signed triple product of triangle vertices."""
@@ -130,13 +127,16 @@ class SphericalEmbedding:
             self._kdtree = cKDTree(self.tri_centroids())
         return self._kdtree
 
-    def edge_normals(self) -> np.ndarray:
-        """edge_normals[t, i] = orient * (v[i+1] x v[i+2]): the inward normal
-        of the plane of triangle t's edge opposite vertex i."""
-        if self._edge_normals is None:
+    def planes(self) -> np.ndarray:
+        """planes[t] is 3 x 4: column i is orient * (v[i+1] x v[i+2]), the
+        inward normal of the plane of triangle t's edge opposite vertex i, and
+        column 3 the unit direction of its centroid."""
+        if self._planes is None:
             v = self.positions[self.mesh.triangles]
-            self._edge_normals = self.orientation() * np.cross(v[:, [1, 2, 0]], v[:, [2, 0, 1]])
-        return self._edge_normals
+            normals = self.orientation() * np.cross(v[:, [1, 2, 0]], v[:, [2, 0, 1]])
+            self._planes = np.concatenate([normals, self.tri_centroids()[:, None]],
+                                          axis=1).transpose(0, 2, 1).copy()
+        return self._planes
 
     def neighbors(self) -> np.ndarray:
         """neighbors[t, i] = triangle across the edge opposite vertex i (-1 at none)."""
@@ -485,59 +485,95 @@ def embedding_residual(emb: SphericalEmbedding) -> float:
 LOCATE_TOL = 1e-10  # slack of the containment predicate and of the walk's side tests
 
 
+# p @ planes[t] > _INSIDE: every edge side >= -LOCATE_TOL, the centroid side > 0
+_INSIDE = np.array([np.nextafter(-LOCATE_TOL, -np.inf)] * 3 + [0.0])
+
+
 def _locate_test(emb: SphericalEmbedding, tris, p):
-    """Edge sides of points p in triangles tris, and which triangles contain p.
+    """Edge sides of the points p[..., k, :] in the triangles tris[...], and
+    which of the points each triangle contains.
 
-    sides[..., i] = edge_normals[t, i] . p is >= 0 where p lies on the inner
-    side of the edge opposite vertex i (the edge neighbors()[t, i] shares). A
-    triangle contains p (gnomonically) when all three sides are >= -LOCATE_TOL
-    and p lies in the hemisphere of its centroid. Returns (sides, contains).
+    sides[..., k, i] = edge normal i of the triangle . p is >= 0 where p lies
+    on the inner side of the edge opposite vertex i (the edge neighbors()[t, i]
+    shares). A triangle contains p (gnomonically) when all three sides are
+    >= -LOCATE_TOL and p lies in the hemisphere of its centroid. Returns
+    (sides, contains).
     """
-    sides = np.einsum("...ij,...j->...i", emb.edge_normals()[tris], p)
-    hemi = np.einsum("...j,...j->...", emb.tri_centroids()[tris], p) > 0
-    return sides, (sides >= -LOCATE_TOL).all(axis=-1) & hemi
+    s = np.matmul(p, emb.planes()[tris])
+    return s[..., :3], (s > _INSIDE).all(axis=-1)
 
 
-def walk(emb: SphericalEmbedding, tris, p, q):
-    """Walk the geodesic chords p[i] -> q[i] across the mesh, each from the
-    triangle tris[i] that contains p[i] to the first triangle that contains
-    q[i] by `locate`'s predicate.
+def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
+    """Walk polylines across the mesh, chord after chord.
+
+    Polyline c is points[offsets[c]:offsets[c + 1]]; its walk starts in the
+    triangle tris[c], which contains its first point. Each chord walks from
+    the triangle the previous chord stopped in to the first triangle that
+    contains its end point by `locate`'s predicate. Every iteration moves
+    each polyline past the leading points, of the next `lookahead`, that its
+    current triangle contains, then takes one step on the chord to the first
+    point it does not contain, so the iterations follow the triangles crossed
+    rather than the points. The result does not depend on `lookahead`.
 
     A chord leaves its triangle through the edge it crosses outward: the edge
     u -> w, in the triangle's positive order, with u right of the chord's great
-    circle, w left of it and q outside the edge. A vertex within LOCATE_TOL of
-    the great circle counts on both sides, so a chord through a vertex turns
-    about it; when no edge qualifies, the chord leaves through the edge q lies
-    furthest outside.
+    circle, w left of it and its end point outside the edge. A vertex within
+    LOCATE_TOL of the great circle counts on both sides, so a chord through a
+    vertex turns about it; when no edge qualifies, the chord leaves through
+    the edge its end point lies furthest outside.
 
-    Returns (ends, entered): the triangle each chord stops in, and every
-    triangle entered on the way. Raises NotFound past n_triangles steps.
+    Returns (ends, owner, entered): the triangle each polyline stops in, and
+    every triangle entered on the way, in walking order, with the polyline
+    that entered it. Raises NotFound when one chord takes more than
+    n_triangles steps.
     """
-    nb = emb.neighbors()
-    cur = np.array(tris, dtype=int).reshape(-1)
-    p, q = np.atleast_2d(p), np.atleast_2d(q)
-    m = np.cross(p, q)   # a point x lies left of the chord where m . x > 0
-    m *= emb.orientation() / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-300)
-    active = np.arange(len(cur))
-    entered = [np.zeros(0, dtype=int)]
-    steps = 0
-    while True:
-        sides, contains = _locate_test(emb, cur[active], q[active])
-        active, sides = active[~contains], sides[~contains]
-        if len(active) == 0:
-            return cur, np.concatenate(entered)
-        if steps == emb.mesh.n_triangles:
-            raise NotFound(f"{len(active)} chord(s) did not arrive within "
-                           f"{steps} steps; embedding may be folded")
-        left = np.einsum("nij,nj->ni", emb.positions[emb.mesh.triangles[cur[active]]], m[active])
-        crossed = ((left[:, [1, 2, 0]] <= LOCATE_TOL) & (left[:, [2, 0, 1]] >= -LOCATE_TOL)
-                   & (sides < -LOCATE_TOL))
-        # among the crossed edges (all edges if none is), the one q is furthest outside
-        exits = np.argmin(np.where(crossed.any(axis=1, keepdims=True) & ~crossed,
-                                   np.inf, sides), axis=1)
-        cur[active] = nb[cur[active], exits]
-        entered.append(cur[active])
-        steps += 1
+    nb, corners = emb.neighbors(), emb.positions[emb.mesh.triangles]
+    ends = np.array(tris, dtype=int).reshape(-1)
+    points = np.atleast_2d(points)
+    offsets = np.asarray(offsets, dtype=int)
+    # m[i]: the unit normal of chord i -> i + 1; x lies left of it where m . x > 0.
+    # Built column by column: np.cross copies both inputs.
+    a, b = points[:-1], points[1:]
+    m = np.empty_like(a)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[:, j] * b[:, k], a[:, k] * b[:, j], out=m[:, i])
+    m *= (emb.orientation()
+          / np.maximum(np.sqrt(np.einsum("ij,ij->i", m, m)), 1e-300))[:, None]
+    window = np.arange(lookahead)
+    # the walking polylines: index, triangle, next point, last point, steps on this chord
+    ids = np.flatnonzero(offsets[1:] - offsets[:-1] > 1)
+    cur, nxt, last = ends[ids], offsets[ids] + 1, offsets[ids + 1] - 1
+    steps = np.zeros(len(ids), dtype=int)
+    owner, entered = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    while len(ids):
+        # a window index past the last point repeats it, and so adds no skip
+        sides, contains = _locate_test(emb, cur,
+                                       points[np.minimum(nxt[:, None] + window, last[:, None])])
+        skip = np.logical_and.accumulate(contains, axis=1).sum(axis=1)
+        nxt += skip
+        steps[skip > 0] = 0
+        go = np.flatnonzero(skip < lookahead)
+        if len(go):
+            if steps[go].max() == emb.mesh.n_triangles:
+                raise NotFound(f"a chord did not arrive within {emb.mesh.n_triangles} "
+                               f"steps; embedding may be folded")
+            t, s = cur[go], sides[go, skip[go]]
+            left = np.einsum("nij,nj->ni", corners[t], m[nxt[go] - 1])[:, [1, 2, 0, 1]]
+            crossed = ((left[:, :3] <= LOCATE_TOL) & (left[:, 1:] >= -LOCATE_TOL)
+                       & (s < -LOCATE_TOL))
+            # among the crossed edges (all edges if none is), the one the end is furthest outside
+            exits = np.argmin(np.where(crossed | ~crossed.any(axis=1, keepdims=True),
+                                       s, np.inf), axis=1)
+            cur[go] = nb[t, exits]
+            steps[go] += 1
+            owner.append(ids[go])
+            entered.append(cur[go])
+        done = nxt > last
+        if done.any():
+            ends[ids[done]] = cur[done]
+            keep = ~done
+            ids, cur, nxt, last, steps = ids[keep], cur[keep], nxt[keep], last[keep], steps[keep]
+    return ends, np.concatenate(owner), np.concatenate(entered)
 
 
 def locate(p, emb: SphericalEmbedding, hint: int | None = None) -> int:
@@ -550,13 +586,14 @@ def locate(p, emb: SphericalEmbedding, hint: int | None = None) -> int:
     p = np.asarray(p, dtype=float)
     if hint is not None:
         try:
-            return int(walk(emb, [hint], emb.tri_centroids()[hint], p)[0][0])
+            chord = np.stack([emb.tri_centroids()[hint], p])
+            return int(walk(emb, [hint], chord, [0, 2])[0][0])
         except NotFound:
             pass
     k = min(16, emb.mesh.n_triangles)
     for cand in (np.atleast_1d(emb.kdtree().query(p, k=k)[1]),
                  np.arange(emb.mesh.n_triangles)):
-        contains = _locate_test(emb, cand, p)[1]
+        contains = _locate_test(emb, cand, p[None])[1][:, 0]
         if contains.any():
             return int(cand[np.argmax(contains)])
     raise NotFound("no triangle contains the query point; embedding may be folded")
@@ -570,7 +607,7 @@ def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
     k = min(12, emb.mesh.n_triangles)
     _, cand = emb.kdtree().query(pts, k=k)
     cand = np.atleast_2d(cand)
-    contains = _locate_test(emb, cand, pts[:, None, :])[1]
+    contains = _locate_test(emb, cand, pts[:, None, None, :])[1][..., 0]
     out = np.where(contains.any(axis=1),
                    cand[np.arange(len(pts)), np.argmax(contains, axis=1)], -1)
     for i in np.flatnonzero(out < 0):

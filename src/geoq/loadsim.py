@@ -1,55 +1,110 @@
 """Rasterize quorum curves onto the embedded mesh and account per-node load.
 
+A run builds its access curves in access order, samples each once and
+rasterizes them in batches: one point location per curve, for its first
+sample, then one walk that moves every curve along its samples, each chord
+starting in the triangle where the previous one stopped.
+
 Charging rule: every vertex of every triangle traversed by an access's curve
 receives the access weight once (set semantics per access); loads of mirror
-copies accrue to the physical (original) vertex.
+copies accrue to the physical (original) vertex. Weights are added in access
+order, so loads do not depend on how the accesses are batched.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .embedding import SphericalEmbedding, locate_many, walk
 from .errors import ConfigError, DegenerateInput, OutOfRange
-from .quorums import (DataType, QuorumSystemKind, is_read_pure, is_write_pure,
-                      mixed_read, mixed_write, read_quorum, write_quorum)
+from .quorums import (DataType, QuorumSystemKind, is_read_pure, is_read_shared,
+                      is_write_pure, mixed_read, mixed_write, read_quorum,
+                      write_quorum)
 from .sphere import (UNIT_TOL, GeodesicPolyline, SphericalCircle,
                      SphericalCurve, circle_crossings, sample)
 
 RASTER_STEP_FACTOR = 0.25  # sampling step as a fraction of the median edge length
+# Samples per edge length: about how many consecutive samples one triangle
+# holds, so one walk iteration tests that many.
+_LOOKAHEAD = math.ceil(1 / RASTER_STEP_FACTOR)
+# Samples rasterized together; bounds a batch's memory (about 100 bytes each).
+_BATCH_SAMPLES = 1 << 17
 
 
 def raster_step(emb: SphericalEmbedding) -> float:
     return RASTER_STEP_FACTOR * emb.median_edge_length()
 
 
+def stack_polylines(polylines):
+    """(points, offsets): the polylines' samples end to end, polyline c being
+    points[offsets[c]:offsets[c + 1]]."""
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in polylines])])
+    return np.concatenate(polylines), offsets
+
+
+def rasterize_polylines(points, offsets, emb: SphericalEmbedding):
+    """(owner, triangles): the unique (polyline, triangle) pairs, sorted by
+    polyline then triangle, of the mesh triangles that the geodesic segments
+    between each polyline's samples pass through. Polyline c is
+    points[offsets[c]:offsets[c + 1]] (see `stack_polylines`).
+
+    Only each polyline's first sample is located; one walk then moves every
+    polyline along its samples (`embedding.walk`), and each charges its first
+    triangle and every triangle it enters.
+    """
+    first = locate_many(points[offsets[:-1]], emb)
+    _, owner, entered = walk(emb, first, points, offsets, lookahead=_LOOKAHEAD)
+    n_tri = emb.mesh.n_triangles
+    key = np.unique(np.concatenate([np.arange(len(first)), owner]) * n_tri
+                    + np.concatenate([first, entered]))
+    return key // n_tri, key % n_tri
+
+
 def rasterize(curve: SphericalCurve, emb: SphericalEmbedding,
               step: float | None = None) -> np.ndarray:
     """Sorted unique indices of the mesh triangles that the geodesic segments
-    between the curve's samples pass through: the triangle of every sample,
-    and every triangle walked through between consecutive samples that lie in
-    different triangles."""
+    between the curve's samples pass through: `rasterize_polylines` of one.
+
+    A curve that starts at a mesh vertex, as writes and reader spirals do, is
+    located in one triangle of the vertex's fan, and its first segment turns
+    about the vertex to the triangle it enters, so the curve also charges the
+    fan triangles it turns through, which meet it only at that vertex. This
+    is kept: starting the walk in the triangle the first segment enters
+    would lower total loads.
+    """
     if step is None:
         step = raster_step(emb)
     pts = sample(curve, step).points
-    tids = locate_many(pts, emb)
-    gaps = np.flatnonzero(tids[:-1] != tids[1:])
-    _, entered = walk(emb, tids[gaps], pts[gaps], pts[gaps + 1])
-    return np.unique(np.concatenate([tids, entered]))
+    return rasterize_polylines(pts, [0, len(pts)], emb)[1]
 
 
-def _charged_nodes(triangles, emb: SphericalEmbedding) -> np.ndarray:
-    """Sorted ids of the physical nodes incident to the triangles."""
-    verts = np.unique(emb.mesh.triangles[np.asarray(triangles, dtype=int)].ravel())
-    return np.unique(emb.mesh.original_vertex(verts))
+def _access_nodes(owner, triangles, emb: SphericalEmbedding):
+    """The unique (access, physical node) pairs of the triangles' vertices,
+    sorted by access then node, as two arrays."""
+    n = emb.n_nodes
+    nodes = emb.mesh.original_vertex(emb.mesh.triangles[np.asarray(triangles, dtype=int)])
+    key = np.unique(np.asarray(owner, dtype=int)[:, None] * n + nodes)
+    return key // n, key % n
 
 
-def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight: float) -> np.ndarray:
-    """Add `weight` once to every physical node incident to the triangles."""
-    if weight < 0:
+def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
+           owner=None) -> np.ndarray:
+    """Add `weight` once to every physical node incident to the triangles.
+
+    With `owner`, triangle i belongs to access owner[i], whose weight is
+    weight[owner[i]]; each access charges its nodes once, and the weights
+    are added in access order, as charging one access at a time would.
+    """
+    weight = np.atleast_1d(np.asarray(weight, dtype=float))
+    if (weight < 0).any():
         raise OutOfRange("charge weight must be nonnegative")
-    load[_charged_nodes(triangles, emb)] += weight
+    if owner is None:
+        owner = np.zeros(len(triangles), dtype=int)
+    access, nodes = _access_nodes(owner, triangles, emb)
+    np.add.at(load, nodes, weight[access])
     return load
 
 
@@ -100,14 +155,6 @@ def _mixing_angles(k: int) -> np.ndarray:
     return 2 * np.pi * (np.arange(k) + 0.5) / k
 
 
-def _mixed_write_family(kind: QuorumSystemKind, node, k: int):
-    return [mixed_write(kind, node, psi) for psi in _mixing_angles(k)]
-
-
-def _mixed_read_family(kind: QuorumSystemKind, node, hash_point, k: int):
-    return [mixed_read(kind, node, hash_point, psi) for psi in _mixing_angles(k)]
-
-
 def _first_hit_truncate(read: SphericalCurve, writes: list,
                         step: float) -> GeodesicPolyline:
     """Sample the read curve and cut it at its first crossing with any write.
@@ -136,6 +183,75 @@ def _first_hit_truncate(read: SphericalCurve, writes: list,
     return GeodesicPolyline(points=a[:cut], step=step, closed=False)
 
 
+def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
+              node_pos, rng, step: float, first_hit: bool):
+    """The data type's accesses in charging order, as (samples, weight): every
+    write, then every read. A first-hit read is cut at its first crossing
+    with this data type's writes."""
+    writes: list[SphericalCurve] = []  # realized writes, for first_hit
+
+    def write(curve, weight):
+        poly = sample(curve, step)
+        if first_hit:  # a spiral is kept as its samples, so no read resamples it
+            writes.append(curve if isinstance(curve, SphericalCircle) else poly)
+        return poly.points, weight
+
+    def read(curve, weight):
+        poly = (_first_hit_truncate(curve, writes, step) if first_hit
+                else sample(curve, step))
+        return poly.points, weight
+
+    expected = workload.mode == "expected"
+    mix = workload.mix_samples
+    for i in data.contributors:
+        node = node_pos[int(i)]
+        if expected and not is_write_pure(kind):
+            for psi in _mixing_angles(mix):
+                yield write(mixed_write(kind, node, psi), workload.write_rate_r / mix)
+        elif expected:
+            yield write(write_quorum(kind, node, data, rng), workload.write_rate_r)
+        else:
+            for _ in range(workload.events):
+                yield write(write_quorum(kind, node, data, rng),
+                            workload.write_rate_r / workload.events)
+
+    if expected and is_read_shared(kind):
+        # the read family depends only on the hash; share it across queriers
+        total = workload.read_rate * len(data.queriers)
+        if total > 0:
+            for psi in _mixing_angles(mix):
+                yield read(mixed_read(kind, None, data.hash_point, psi), total / mix)
+        return
+    for i in data.queriers:
+        node = node_pos[int(i)]
+        if expected and not is_read_pure(kind):
+            for psi in _mixing_angles(mix):
+                yield read(mixed_read(kind, node, data.hash_point, psi),
+                           workload.read_rate / mix)
+        elif expected:
+            yield read(read_quorum(kind, node, data, rng), workload.read_rate)
+        else:
+            for _ in range(workload.events):
+                yield read(read_quorum(kind, node, data, rng),
+                           workload.read_rate / workload.events)
+
+
+def _batches(accesses):
+    """The accesses in consecutive batches of about _BATCH_SAMPLES samples,
+    each as ((points, offsets), weights)."""
+    polylines, weights, size = [], [], 0
+    for pts, weight in accesses:
+        polylines.append(pts)
+        weights.append(weight)
+        size += len(pts)
+        if size >= _BATCH_SAMPLES:
+            batch = stack_polylines(polylines), weights
+            polylines, weights, size = [], [], 0   # free the samples before the walk
+            yield batch
+    if polylines:
+        yield stack_polylines(polylines), weights
+
+
 def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
         rng, read_termination: str = "full",
         robustness_trials: int = 0, robustness_rng=None):
@@ -148,68 +264,19 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
     if read_termination not in ("full", "first_hit"):
         raise ConfigError(f"unknown read_termination {read_termination!r}")
     n_nodes = emb.n_nodes
+    for data in workload.data_types:
+        _validate_nodes(data, n_nodes)
     load = np.zeros(n_nodes)
     node_pos = emb.node_positions()
     step = raster_step(emb)
 
-    for data in workload.data_types:
-        _validate_nodes(data, n_nodes)
-        write_curves: list[SphericalCurve] = []  # realized writes, for first_hit
-
-        def charge_curve(curve, weight, keep=False):
-            poly = sample(curve, step)
-            if keep:  # a spiral is kept as its samples, so no read resamples it
-                write_curves.append(curve if isinstance(curve, SphericalCircle) else poly)
-            charge(load, rasterize(poly, emb, step), emb, weight)
-
-        keep_writes = read_termination == "first_hit"
-        # writes
-        for i in data.contributors:
-            node = node_pos[int(i)]
-            if workload.mode == "expected":
-                if is_write_pure(kind):
-                    charge_curve(write_quorum(kind, node, data, rng),
-                                 workload.write_rate_r, keep=keep_writes)
-                else:
-                    for c in _mixed_write_family(kind, node, workload.mix_samples):
-                        charge_curve(c, workload.write_rate_r / workload.mix_samples,
-                                     keep=keep_writes)
-            else:
-                for _ in range(workload.events):
-                    charge_curve(write_quorum(kind, node, data, rng),
-                                 workload.write_rate_r / workload.events,
-                                 keep=keep_writes)
-
-        # reads
-        def charge_read(curve, weight):
-            if read_termination == "first_hit":
-                poly = _first_hit_truncate(curve, write_curves, step)
-            else:
-                poly = sample(curve, step)
-            charge(load, rasterize(poly, emb, step), emb, weight)
-
-        if workload.mode == "expected" and kind.name in ("QG", "QGm"):
-            # the read family depends only on the hash; share it across queriers
-            total = workload.read_rate * len(data.queriers)
-            if total > 0:
-                for c in _mixed_read_family(kind, None, data.hash_point,
-                                            workload.mix_samples):
-                    charge_read(c, total / workload.mix_samples)
-        else:
-            for i in data.queriers:
-                node = node_pos[int(i)]
-                if workload.mode == "expected":
-                    if is_read_pure(kind):
-                        charge_read(read_quorum(kind, node, data, rng),
-                                    workload.read_rate)
-                    else:
-                        for c in _mixed_read_family(kind, node, data.hash_point,
-                                                    workload.mix_samples):
-                            charge_read(c, workload.read_rate / workload.mix_samples)
-                else:
-                    for _ in range(workload.events):
-                        charge_read(read_quorum(kind, node, data, rng),
-                                    workload.read_rate / workload.events)
+    accesses = chain.from_iterable(
+        _accesses(workload, kind, data, node_pos, rng, step,
+                  read_termination == "first_hit")
+        for data in workload.data_types)
+    for (points, offsets), weights in _batches(accesses):
+        owner, triangles = rasterize_polylines(points, offsets, emb)
+        charge(load, triangles, emb, weights, owner)
 
     rg = rd = None
     if robustness_trials > 0:
@@ -231,6 +298,7 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
     node_pos = emb.node_positions()
+    step = raster_step(emb)
     contributors = data.contributors or tuple(range(emb.n_nodes))
     queriers = data.queriers or tuple(range(emb.n_nodes))
     best = None
@@ -244,8 +312,10 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
             rq = read_quorum(kind, reader, data, rng)
         except DegenerateInput:
             continue
-        wv = _charged_nodes(rasterize(wq, emb), emb)
-        rv = _charged_nodes(rasterize(rq, emb), emb)
-        shared = len(np.intersect1d(wv, rv, assume_unique=True))
+        owner, triangles = rasterize_polylines(
+            *stack_polylines([sample(wq, step).points, sample(rq, step).points]), emb)
+        access, nodes = _access_nodes(owner, triangles, emb)
+        shared = len(np.intersect1d(nodes[access == 0], nodes[access == 1],
+                                    assume_unique=True))
         best = shared if best is None else min(best, shared)
     return int(best) if best is not None else 0

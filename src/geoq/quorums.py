@@ -164,7 +164,7 @@ def mixed_write(kind: QuorumSystemKind, writer, psi: float) -> SphericalCurve:
 
 def mixed_read(kind: QuorumSystemKind, reader, hash_point, psi: float) -> SphericalCurve:
     """Read curve of a mixed strategy at mixing angle psi (see mixed_write)."""
-    if kind.name in ("QG", "QGm"):
+    if is_read_shared(kind):
         return _great_circle_at(hash_point, psi)
     if kind.name == "GeoQuorum":
         if kind.dual:
@@ -203,6 +203,12 @@ def is_write_pure(kind: QuorumSystemKind) -> bool:
 
 def is_read_pure(kind: QuorumSystemKind) -> bool:
     return kind.name in ("QL", "QLd")
+
+
+def is_read_shared(kind: QuorumSystemKind) -> bool:
+    """Whether the read curves depend on the hash point alone, not on the
+    reader, so every querier has the same read family."""
+    return kind.name in ("QG", "QGm")
 
 
 def random_unit(rng, n: int | None = None) -> np.ndarray:

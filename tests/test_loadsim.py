@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import geoq
+import geoq.loadsim
+from geoq.embedding import locate_many, walk
 from geoq.errors import ConfigError, OutOfRange
-from geoq.loadsim import (_first_hit_truncate, _mixed_write_family,
-                          raster_step)
-from geoq.sphere import SphericalSpiral, circle_crossings
+from geoq.loadsim import _first_hit_truncate, _mixing_angles, raster_step
+from geoq.quorums import (is_read_pure, is_read_shared, is_write_pure, mixed_read,
+                          mixed_write)
+from geoq.sphere import SphericalCircle, SphericalSpiral, circle_crossings
 
 from conftest import random_unit
 
@@ -61,6 +64,40 @@ class TestRasterize:
         for curve in curves:
             assert set(geoq.rasterize(curve, emb400).tolist()) == _segment_oracle(
                 curve, emb400, step)
+
+    def test_batch_matches_segment_oracle(self, emb400):
+        # one batched call over curves of every shape gives each its own set
+        rng = np.random.default_rng(22)
+        step = raster_step(emb400)
+        curves = [geoq.great_circle_through(*random_unit(rng, 2)),
+                  geoq.circle_with_radius(random_unit(rng), 0.3 * np.pi)]
+        curves += [geoq.spiral_for(random_unit(rng), a, rng.uniform(0, 2 * np.pi))
+                   for a in (0.05, 0.2, 0.7)]
+        c = emb400.positions[emb400.mesh.triangles[37]].mean(axis=0)
+        curves.append(geoq.circle_with_radius(c / np.linalg.norm(c), 1e-4))
+        data = geoq.DataType("d0", random_unit(rng))
+        kind = geoq.QuorumSystemKind.qg()
+        write = geoq.write_quorum(kind, random_unit(rng), data, rng)
+        read = geoq.read_quorum(kind, random_unit(rng), data, rng)
+        curves.append(_first_hit_truncate(read, [write], step))
+        assert len(curves[-1].points) == 2
+        owner, tris = geoq.rasterize_polylines(*geoq.stack_polylines(
+            [geoq.sample(curve, step).points for curve in curves]), emb400)
+        assert np.all(np.diff(owner) >= 0)
+        for i, curve in enumerate(curves):
+            assert set(tris[owner == i].tolist()) == _segment_oracle(curve, emb400, step)
+        assert tris[owner == 5].tolist() == [37]
+
+    def test_guard_counts_steps_per_chord(self, emb400):
+        # a long spiral takes more steps in all than the mesh has triangles
+        spiral = geoq.spiral_for(random_unit(np.random.default_rng(23)), 0.01, 0.0)
+        step = raster_step(emb400)
+        pts = geoq.sample(spiral, step).points
+        first = locate_many(pts[:1], emb400)
+        _, _, entered = walk(emb400, first, pts, [0, len(pts)])
+        assert len(entered) > emb400.mesh.n_triangles
+        assert set(geoq.rasterize(spiral, emb400).tolist()) == (
+            set(first.tolist()) | set(entered.tolist()))
 
     def test_tiny_circle_single_triangle(self, emb400):
         t = 37
@@ -195,6 +232,81 @@ class TestRun:
                      geoq.QuorumSystemKind.qg(), emb400, np.random.default_rng(0))
 
 
+def _reference_run(wl, kind, emb, rng, read_termination):
+    """run()'s loads, with each access rasterized alone by `rasterize` and
+    charged at once: the order in which run() must add the weights."""
+    step = raster_step(emb)
+    load = np.zeros(emb.n_nodes)
+    node_pos = emb.node_positions()
+    expected, mix = wl.mode == "expected", wl.mix_samples
+    psis = _mixing_angles(mix)
+
+    def charge_one(curve, weight):
+        tris = geoq.rasterize(curve, emb, step)
+        load[np.unique(emb.mesh.original_vertex(emb.mesh.triangles[tris]))] += weight
+
+    for data in wl.data_types:
+        writes = []
+        for i in data.contributors:
+            node = node_pos[i]
+            if expected and not is_write_pure(kind):
+                curves = [(mixed_write(kind, node, psi), wl.write_rate_r / mix) for psi in psis]
+            elif expected:
+                curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r)]
+            else:
+                curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r / wl.events)
+                          for _ in range(wl.events)]
+            for curve, weight in curves:
+                writes.append(curve if isinstance(curve, SphericalCircle)
+                              else geoq.sample(curve, step))
+                charge_one(curve, weight)
+        if expected and is_read_shared(kind):
+            total = wl.read_rate * len(data.queriers)
+            curves = [(mixed_read(kind, None, data.hash_point, psi), total / mix) for psi in psis]
+        else:
+            curves = []
+            for i in data.queriers:
+                node = node_pos[i]
+                if expected and not is_read_pure(kind):
+                    curves += [(mixed_read(kind, node, data.hash_point, psi), wl.read_rate / mix)
+                               for psi in psis]
+                elif expected:
+                    curves.append((geoq.read_quorum(kind, node, data, rng), wl.read_rate))
+                else:
+                    curves += [(geoq.read_quorum(kind, node, data, rng), wl.read_rate / wl.events)
+                               for _ in range(wl.events)]
+        for curve, weight in curves:
+            if read_termination == "first_hit":
+                curve = _first_hit_truncate(curve, writes, step)
+            charge_one(curve, weight)
+    return load
+
+
+class TestBatchedRun:
+    KINDS = (geoq.QuorumSystemKind.qg(), geoq.QuorumSystemKind.qgm(),
+             geoq.QuorumSystemKind.ql(), geoq.QuorumSystemKind.qld(),
+             geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
+             geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True))
+
+    @pytest.mark.parametrize("batch_samples", [None, 3000])
+    @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
+    def test_loads_equal_one_access_at_a_time(self, emb400, mode, batch_samples,
+                                              monkeypatch):
+        # rate 10/3 gives weights whose sums round, so the order is pinned;
+        # 3000-sample batches split every run between charges
+        if batch_samples is not None:
+            monkeypatch.setattr(geoq.loadsim, "_BATCH_SAMPLES", batch_samples)
+        for kind in self.KINDS:
+            for termination in ("full", "first_hit"):
+                wl = _workload(emb400, n_contrib=12, n_query=4, r=10 / 3, mode=mode,
+                               events=2, mix_samples=5)
+                _, load = geoq.run(wl, kind, emb400, np.random.default_rng(31),
+                                   read_termination=termination)
+                ref = _reference_run(wl, kind, emb400, np.random.default_rng(31),
+                                     termination)
+                assert np.array_equal(load, ref), (kind, termination)
+
+
 class TestFirstHit:
     STEP = 0.01
 
@@ -242,7 +354,7 @@ class TestFirstHit:
     def test_dual_write_family_is_writer_spirals(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
         node = random_unit(np.random.default_rng(14))
-        family = _mixed_write_family(kind, node, 8)
+        family = [mixed_write(kind, node, psi) for psi in _mixing_angles(8)]
         assert len(family) == 8
         for c in family:
             assert isinstance(c, SphericalSpiral)

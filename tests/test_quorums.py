@@ -3,7 +3,7 @@ import pytest
 
 import geoq
 from geoq.errors import OutOfRange
-from geoq.quorums import is_write_pure
+from geoq.quorums import is_read_shared, is_write_pure
 from geoq.sphere import SphericalCircle, SphericalSpiral
 
 from conftest import random_unit
@@ -176,6 +176,24 @@ class TestReadQuorum:
         r = geoq.read_quorum(kind, random_unit(rng), _data(), rng)
         assert isinstance(w, SphericalSpiral)
         assert isinstance(r, SphericalCircle)
+
+
+    @pytest.mark.parametrize("kind", [
+        geoq.QuorumSystemKind.qg(),
+        geoq.QuorumSystemKind.qgm(),
+        geoq.QuorumSystemKind.ql(),
+        geoq.QuorumSystemKind.qld(),
+        geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
+    ])
+    def test_shared_reads_ignore_the_reader(self, kind):
+        # a shared read family is the same for every reader at the same draw
+        data = _data((0.6, -0.64, 0.48))
+        readers = random_unit(np.random.default_rng(11), 2)
+        curves = [geoq.sample(geoq.read_quorum(kind, r, data, np.random.default_rng(12)),
+                              0.05).points for r in readers]
+        same = curves[0].shape == curves[1].shape and np.allclose(*curves)
+        assert is_read_shared(kind) == same
+        assert is_read_shared(kind) == (kind.name in ("QG", "QGm"))
 
 
 class TestIntersectionGuarantee:
