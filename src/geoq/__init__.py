@@ -13,9 +13,8 @@ from .sphere import (GeodesicPolyline, SphericalCircle, SphericalSpiral,
                      sample, spiral_for, unit_vector)
 from .mesh import (DoubledMesh, PlanarMesh, double_cover, generate_deployment,
                    load_mesh, point_in_polygon, save_mesh, triangulate)
-from .embedding import (DistortionReport, PlanarSection, SphericalEmbedding,
-                        distortion_report, harmonic_sphere_map, load_embedding,
-                        locate, pull_back_path, push_forward_point,
+from .embedding import (DistortionReport, SphericalEmbedding, distortion_report,
+                        harmonic_sphere_map, load_embedding, locate,
                         save_embedding)
 from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
@@ -23,7 +22,7 @@ from .quorums import (DataType, QuorumSystemKind,
 from .loadsim import (Metrics, Workload, charge, discrete_robustness,
                       rasterize, rasterize_polylines, run,
                       stack_polylines)
-from .config import ExperimentConfig, load_config, preset, save_config
+from .config import ExperimentConfig, load_config, preset
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

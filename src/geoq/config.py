@@ -234,11 +234,6 @@ def load_config(path) -> ExperimentConfig:
         return config_from_text(fh.read())
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_text(cfg))
-
-
 # ---------------------------------------------------------------------------
 # presets
 

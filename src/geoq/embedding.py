@@ -1,4 +1,4 @@
-"""Harmonic embedding of the doubled mesh on the unit sphere, plus transport.
+"""Harmonic embedding of the doubled mesh on the unit sphere, and point location.
 
 The solve minimizes the cotangent-weighted Dirichlet energy of the sphere map
 directly, in a symmetric parameterization: the upper copy is tracked through
@@ -25,7 +25,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
 from .mesh import DoubledMesh, PlanarMesh, mesh_from_text, mesh_to_text
-from .sphere import GeodesicPolyline
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
@@ -480,7 +479,7 @@ def embedding_residual(emb: SphericalEmbedding) -> float:
 
 
 # ---------------------------------------------------------------------------
-# point location and transport
+# point location
 
 LOCATE_TOL = 1e-10  # slack of the containment predicate and of the walk's side tests
 
@@ -576,33 +575,19 @@ def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
     return ends, np.concatenate(owner), np.concatenate(entered)
 
 
-def locate(p, emb: SphericalEmbedding, hint: int | None = None) -> int:
-    """Triangle whose gnomonic projection contains p.
-
-    With a hint triangle, walks the chord from its centroid to p. Without one,
-    or if that walk fails, tests the triangles with the 16 nearest centroids,
-    then every triangle.
-    """
-    p = np.asarray(p, dtype=float)
-    if hint is not None:
-        try:
-            chord = np.stack([emb.tri_centroids()[hint], p])
-            return int(walk(emb, [hint], chord, [0, 2])[0][0])
-        except NotFound:
-            pass
-    k = min(16, emb.mesh.n_triangles)
-    for cand in (np.atleast_1d(emb.kdtree().query(p, k=k)[1]),
-                 np.arange(emb.mesh.n_triangles)):
-        contains = _locate_test(emb, cand, p[None])[1][:, 0]
-        if contains.any():
-            return int(cand[np.argmax(contains)])
-    raise NotFound("no triangle contains the query point; embedding may be folded")
+def locate(p, emb: SphericalEmbedding) -> int:
+    """Triangle whose gnomonic projection contains p: the first of all
+    triangles, by index, that `_locate_test` finds containing it."""
+    contains = _locate_test(emb, np.arange(emb.mesh.n_triangles),
+                            np.asarray(p, dtype=float)[None])[1][:, 0]
+    if not contains.any():
+        raise NotFound("no triangle contains the query point; embedding may be folded")
+    return int(np.argmax(contains))
 
 
 def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
     """Vectorized location of many points: each is tested against the
-    triangles with its 12 nearest centroids, and a miss goes to `locate`,
-    hinted with the preceding point's triangle."""
+    triangles with its 12 nearest centroids, and a miss goes to `locate`."""
     pts = np.asarray(points, dtype=float)
     k = min(12, emb.mesh.n_triangles)
     _, cand = emb.kdtree().query(pts, k=k)
@@ -611,70 +596,8 @@ def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
     out = np.where(contains.any(axis=1),
                    cand[np.arange(len(pts)), np.argmax(contains, axis=1)], -1)
     for i in np.flatnonzero(out < 0):
-        out[i] = locate(pts[i], emb, hint=int(out[i - 1]) if i else None)
+        out[i] = locate(pts[i], emb)
     return out
-
-
-def spherical_barycentric(emb: SphericalEmbedding, t: int, p) -> np.ndarray:
-    """Gnomonic barycentric weights of p inside triangle t (sum to one)."""
-    tv = emb.mesh.triangles[t]
-    m = emb.positions[tv].T  # columns a, b, c
-    w = np.linalg.solve(m, np.asarray(p, dtype=float))
-    s = w.sum()
-    if abs(s) < 1e-300:
-        raise NotFound("degenerate barycentric solve")
-    return w / s
-
-
-@dataclass(frozen=True)
-class PlanarSection:
-    """One contiguous piece of a pulled-back curve, on one side of the double."""
-
-    points: np.ndarray
-    mirrored: bool
-
-
-def pull_back_path(poly: GeodesicPolyline, emb: SphericalEmbedding) -> list[PlanarSection]:
-    """Map a spherical polyline back to the planar region, split at equator
-    crossings (side changes of the containing triangles)."""
-    pts = poly.points
-    tids = locate_many(pts, emb)
-    planar = np.empty((len(pts), 2))
-    for i, (p, t) in enumerate(zip(pts, tids)):
-        w = spherical_barycentric(emb, int(t), p)
-        planar[i] = w @ emb.mesh.planar[emb.mesh.triangles[int(t)]]
-    sides = emb.mesh.side[tids]
-    sections = []
-    start = 0
-    for i in range(1, len(pts) + 1):
-        if i == len(pts) or sides[i] != sides[start]:
-            sections.append(PlanarSection(points=planar[start:i].copy(),
-                                          mirrored=bool(sides[start])))
-            start = i
-    return sections
-
-
-def push_forward_point(planar_pt, emb: SphericalEmbedding, mirrored: bool = False) -> np.ndarray:
-    """Map a planar point to its sphere position through the embedding."""
-    src = emb.mesh.source
-    q = np.asarray(planar_pt, dtype=float)
-    tris = src.triangles
-    v = src.vertices
-    a, b, c = v[tris[:, 0]], v[tris[:, 1]], v[tris[:, 2]]
-    d = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-         - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    wa = ((b[:, 0] - q[0]) * (c[:, 1] - q[1]) - (b[:, 1] - q[1]) * (c[:, 0] - q[0])) / d
-    wb = ((c[:, 0] - q[0]) * (a[:, 1] - q[1]) - (c[:, 1] - q[1]) * (a[:, 0] - q[0])) / d
-    wc = 1.0 - wa - wb
-    tol = -1e-9
-    ok = (wa >= tol) & (wb >= tol) & (wc >= tol)
-    if not ok.any():
-        raise NotFound("planar point outside the region")
-    t = int(np.argmax(ok))
-    tri_doubled = t + (emb.mesh.source.n_triangles if mirrored else 0)
-    w = np.array([wa[t], wb[t], wc[t]])
-    p = w @ emb.positions[emb.mesh.triangles[tri_doubled]]
-    return p / np.linalg.norm(p)
 
 
 # ---------------------------------------------------------------------------

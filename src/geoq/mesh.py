@@ -222,13 +222,12 @@ class DoubledMesh:
 
     planar carries each doubled vertex's source coordinates (mirror copies
     share their original's coordinates); copy_map is the mirror involution
-    (boundary vertices map to themselves); side is True for mirrored triangles.
+    (boundary vertices map to themselves).
     """
 
     planar: np.ndarray
     triangles: np.ndarray
     copy_map: np.ndarray
-    side: np.ndarray
     boundary: np.ndarray
     n_original: int
     source: PlanarMesh
@@ -272,11 +271,8 @@ def double_cover(mesh: PlanarMesh) -> DoubledMesh:
     t_mirror = mirror[mesh.triangles][:, [0, 2, 1]]  # reversed orientation
     triangles = np.vstack([mesh.triangles, t_mirror])
     planar = np.vstack([mesh.vertices, mesh.vertices[interior]])
-    side = np.zeros(len(triangles), bool)
-    side[mesh.n_triangles:] = True
     return DoubledMesh(planar=planar, triangles=triangles, copy_map=copy_map,
-                       side=side, boundary=mesh.boundary.copy(),
-                       n_original=n, source=mesh)
+                       boundary=mesh.boundary.copy(), n_original=n, source=mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .sphere import (SphericalCircle, SphericalCurve, circle_with_radius,
-                     count_intersections, geodesic_distance,
+from .sphere import (DEFAULT_STEP, SphericalCircle, SphericalCurve,
+                     circle_with_radius, count_intersections, geodesic_distance,
                      great_circle_through, latitude_circle,
                      perpendicular_basis, require_unit, spiral_for)
 
@@ -223,15 +223,10 @@ def _far_enough(p, q, eps=1e-6) -> bool:
 
 
 def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rng,
-                         step: float | None = None,
-                         merge_tol: float | None = None) -> int:
+                         step: float = DEFAULT_STEP) -> int:
     """Minimum write/read curve intersection count over sampled access pairs."""
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
-    kwargs = {}
-    if step is not None:
-        kwargs["step"] = step
-        kwargs["merge_tol"] = merge_tol if merge_tol is not None else 2 * step
     best = None
     for _ in range(trials):
         while True:
@@ -244,6 +239,6 @@ def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rn
                 break
         wq = write_quorum(kind, writer, data, rng)
         rq = read_quorum(kind, reader, data, rng)
-        n, _ = count_intersections(wq, rq, **kwargs)
+        n, _ = count_intersections(wq, rq, step=step, merge_tol=2 * step)
         best = n if best is None else min(best, n)
     return int(best)

@@ -131,10 +131,6 @@ class SphericalSpiral:
         lo, hi = self.phi_range
         return lo / self.a, hi / self.a
 
-    def loop_spacing(self) -> float:
-        """Latitude gap between consecutive loops."""
-        return 2 * self.a * np.pi
-
 
 @dataclass(frozen=True)
 class GeodesicPolyline:

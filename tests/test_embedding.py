@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import geoq
 from geoq.embedding import (_conformal_dilate, _dilatation, embedding_from_text,
-                            embedding_to_text, locate_many, push_forward_point)
+                            embedding_to_text, locate_many)
 from geoq.errors import DegenerateMesh, NoConvergence
-from geoq.sphere import GeodesicPolyline
 
 from conftest import SQUARE, random_unit
 
@@ -88,62 +87,37 @@ class TestLocate:
             assert geoq.locate(c, emb400) == t
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(lat=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2 * np.pi),
-           hint=st.integers(0, 10**6))
-    def test_hint_independence(self, emb400, lat, lon, hint):
-        # whatever the hint triangle, the located triangle contains p
+    @given(lat=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2 * np.pi))
+    def test_located_triangle_contains_point(self, emb400, lat, lon):
+        # the exhaustive scan returns a triangle that contains p
         r = np.sqrt(1.0 - lat * lat)
         p = np.array([r * np.cos(lon), r * np.sin(lon), lat])
-        t = geoq.locate(p, emb400, hint=hint % emb400.mesh.n_triangles)
+        t = geoq.locate(p, emb400)
         v = emb400.positions[emb400.mesh.triangles[t]]
         sides = [np.cross(v[i], v[(i + 1) % 3]) @ p * emb400.orientation() for i in range(3)]
         assert min(sides) >= -1e-10
         assert v.sum(axis=0) @ p > 0
 
-    def test_matches_exhaustive_scan(self, emb400):
+    def test_matches_exhaustive_scan(self, emb400, monkeypatch):
+        # enough points that some miss their 12 nearest centroids and go to `locate`
+        fallbacks = []
+        exhaustive = geoq.embedding.locate
+
+        def counted(p, emb):
+            fallbacks.append(p)
+            return exhaustive(p, emb)
+
+        monkeypatch.setattr(geoq.embedding, "locate", counted)
         rng = np.random.default_rng(12)
-        pts = random_unit(rng, 400)
+        pts = random_unit(rng, 20000)
         tids = locate_many(pts, emb400)
-        tris = emb400.mesh.triangles
-        pos = emb400.positions
-        orient = emb400.orientation()
-        a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-        nab, nbc, nca = np.cross(a, b), np.cross(b, c), np.cross(c, a)
-        for p, t in zip(pts, tids):
-            s = np.minimum(np.minimum(nab @ p, nbc @ p), nca @ p) * orient
-            hemi = (a + b + c) @ p > 0
-            brute = np.where((s >= -1e-10) & hemi)[0]
-            assert t in brute
-
-
-class TestTransport:
-    def test_upper_polyline_single_section(self, emb400):
-        circ = geoq.circle_with_radius([0, 0, 1], 0.3)
-        poly = geoq.sample(circ, 0.02)
-        sections = geoq.pull_back_path(poly, emb400)
-        assert len(sections) == 1
-        assert not sections[0].mirrored
-
-    def test_orthogonal_great_circle_two_sections(self, emb400):
-        gc = geoq.great_circle_through([1, 0, 0], [0, 0, 1])
-        poly = geoq.sample(gc, 0.02)
-        sections = geoq.pull_back_path(poly, emb400)
-        sides = [s.mirrored for s in sections]
-        # closed curve sampled from the start point: up to 3 runs, 2 sides
-        assert len(set(sides)) == 2
-        assert 2 <= len(sections) <= 3
-
-    def test_round_trip(self, emb400):
-        rng = np.random.default_rng(13)
-        src = emb400.mesh.source
-        diam = np.linalg.norm(src.vertices.max(0) - src.vertices.min(0))
-        inner = src.vertices[(np.abs(src.vertices - 0.5) < 0.35).all(axis=1)]
-        for q in inner[rng.permutation(len(inner))[:10]]:
-            p = push_forward_point(q, emb400)
-            poly = GeodesicPolyline(points=np.array([p, p]), step=0.01)
-            sections = geoq.pull_back_path(poly, emb400)
-            err = np.linalg.norm(sections[0].points[0] - q)
-            assert err < 0.01 * diam
+        assert fallbacks
+        # the brute-force predicate, evaluated for the triangle each point got
+        a, b, c = np.moveaxis(emb400.positions[emb400.mesh.triangles[tids]], 1, 0)
+        s = np.minimum.reduce([np.einsum("ij,ij->i", np.cross(u, v), pts)
+                               for u, v in ((a, b), (b, c), (c, a))])
+        assert np.all(s * emb400.orientation() >= -1e-10)
+        assert np.all(np.einsum("ij,ij->i", a + b + c, pts) > 0)
 
 
 class TestDistortion:
