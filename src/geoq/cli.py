@@ -23,7 +23,7 @@ from .embedding import (SOLVER_VERSION, SphericalEmbedding, distortion_report,
 from .errors import ConfigError, GeoqError, NoConvergence
 from .loadsim import Metrics, Workload, run as run_workload
 from .mesh import (PlanarMesh, double_cover, generate_deployment, load_mesh,
-                   save_mesh, triangulate)
+                   mesh_to_text, save_mesh, triangulate)
 from .quorums import DataType, QuorumSystemKind, hash_location
 from .svgplot import heatmap_svg
 
@@ -98,7 +98,6 @@ def ensure_embedding(cfg: ExperimentConfig, seed: int, out: Path,
         mesh = build_mesh(cfg, seed)
         out.mkdir(parents=True, exist_ok=True)
         save_mesh(mesh, mpath)
-    from .mesh import mesh_to_text
     digest = _mesh_digest(mesh_to_text(mesh), cfg)
     cdir = cache_dir(cfg, out)
     cpath = cdir / f"emb_{digest}.txt"

@@ -24,7 +24,8 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
-from .mesh import DoubledMesh, PlanarMesh, mesh_from_text, mesh_to_text
+from .mesh import (DoubledMesh, PlanarMesh, chord_edges, mesh_from_text,
+                   mesh_to_text)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
@@ -60,6 +61,11 @@ def cot_weights(points, triangles, n_vertices: int, floor: float | None = None):
     return m
 
 
+def _triple_products(P, tri) -> np.ndarray:
+    """Signed triple product p0 . (p1 x p2) of every triangle's vertices."""
+    return np.einsum("ij,ij->i", P[tri[:, 0]], np.cross(P[tri[:, 1]], P[tri[:, 2]]))
+
+
 @dataclass
 class SphericalEmbedding:
     """Doubled mesh with unit-sphere vertex positions.
@@ -91,16 +97,12 @@ class SphericalEmbedding:
     def orientation(self) -> float:
         """Sign of the (shared) signed triple product of triangle vertices."""
         if self._orient == 0.0:
-            tri = self.mesh.triangles
-            p = self.positions
-            det = np.einsum("ij,ij->i", p[tri[:, 0]], np.cross(p[tri[:, 1]], p[tri[:, 2]]))
+            det = _triple_products(self.positions, self.mesh.triangles)
             self._orient = 1.0 if np.median(det) > 0 else -1.0
         return self._orient
 
     def flipped_triangles(self, tol: float = 1e-12) -> np.ndarray:
-        tri = self.mesh.triangles
-        p = self.positions
-        det = np.einsum("ij,ij->i", p[tri[:, 0]], np.cross(p[tri[:, 1]], p[tri[:, 2]]))
+        det = _triple_products(self.positions, self.mesh.triangles)
         return np.where(self.orientation() * det < -tol)[0]
 
     def median_edge_length(self) -> float:
@@ -291,8 +293,7 @@ def _fold_count(th) -> int:
 
 
 def _flip_count(sys_: _System, P) -> int:
-    tri = sys_.dbl.triangles
-    det = np.einsum("ij,ij->i", P[tri[:, 0]], np.cross(P[tri[:, 1]], P[tri[:, 2]]))
+    det = _triple_products(P, sys_.dbl.triangles)
     return int(min((det > 1e-14).sum(), (det < -1e-14).sum()))
 
 
@@ -394,8 +395,6 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     Raises NoConvergence (carrying the best embedding) if the stationarity
     residual stays above tol.
     """
-    from .mesh import chord_edges
-
     ch = chord_edges(dbl.source)
     if ch:
         raise DegenerateMesh(
@@ -521,13 +520,12 @@ def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
     vertex turns about it; when no edge qualifies, the chord leaves through
     the edge its end point lies furthest outside.
 
-    Returns (ends, owner, entered): the triangle each polyline stops in, and
-    every triangle entered on the way, in walking order, with the polyline
-    that entered it. Raises NotFound when one chord takes more than
-    n_triangles steps.
+    Returns (owner, entered): every triangle entered on the way, in walking
+    order, with the polyline that entered it. Raises NotFound when one chord
+    takes more than n_triangles steps.
     """
     nb, corners = emb.neighbors(), emb.positions[emb.mesh.triangles]
-    ends = np.array(tris, dtype=int).reshape(-1)
+    tris = np.array(tris, dtype=int).reshape(-1)
     points = np.atleast_2d(points)
     offsets = np.asarray(offsets, dtype=int)
     # m[i]: the unit normal of chord i -> i + 1; x lies left of it where m . x > 0.
@@ -541,7 +539,7 @@ def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
     window = np.arange(lookahead)
     # the walking polylines: index, triangle, next point, last point, steps on this chord
     ids = np.flatnonzero(offsets[1:] - offsets[:-1] > 1)
-    cur, nxt, last = ends[ids], offsets[ids] + 1, offsets[ids + 1] - 1
+    cur, nxt, last = tris[ids], offsets[ids] + 1, offsets[ids + 1] - 1
     steps = np.zeros(len(ids), dtype=int)
     owner, entered = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     while len(ids):
@@ -567,12 +565,10 @@ def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
             steps[go] += 1
             owner.append(ids[go])
             entered.append(cur[go])
-        done = nxt > last
-        if done.any():
-            ends[ids[done]] = cur[done]
-            keep = ~done
+        keep = nxt <= last
+        if not keep.all():
             ids, cur, nxt, last, steps = ids[keep], cur[keep], nxt[keep], last[keep], steps[keep]
-    return ends, np.concatenate(owner), np.concatenate(entered)
+    return np.concatenate(owner), np.concatenate(entered)
 
 
 def locate(p, emb: SphericalEmbedding) -> int:
@@ -684,7 +680,7 @@ def embedding_to_text(emb: SphericalEmbedding) -> str:
 
 
 def embedding_from_text(text: str) -> SphericalEmbedding:
-    from .mesh import double_cover
+    from .mesh import double_cover  # at call time: perfbench times mesh.double_cover by wrapping it
 
     rows = [ln for ln in text.splitlines() if ln.strip()]
     nv, nf, nb = (int(x) for x in rows[0].split())

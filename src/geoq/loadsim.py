@@ -20,8 +20,8 @@ import numpy as np
 
 from .embedding import SphericalEmbedding, locate_many, walk
 from .errors import ConfigError, DegenerateInput, OutOfRange
-from .quorums import (DataType, QuorumSystemKind, is_read_pure, is_read_shared,
-                      is_write_pure, mixed_read, mixed_write, read_quorum,
+from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed,
+                      is_read_shared, mixing_angles, quorum_curve, read_quorum,
                       write_quorum)
 from .sphere import (UNIT_TOL, GeodesicPolyline, SphericalCircle,
                      SphericalCurve, circle_crossings, sample)
@@ -56,7 +56,7 @@ def rasterize_polylines(points, offsets, emb: SphericalEmbedding):
     triangle and every triangle it enters.
     """
     first = locate_many(points[offsets[:-1]], emb)
-    _, owner, entered = walk(emb, first, points, offsets, lookahead=_LOOKAHEAD)
+    owner, entered = walk(emb, first, points, offsets, lookahead=_LOOKAHEAD)
     n_tri = emb.mesh.n_triangles
     key = np.unique(np.concatenate([np.arange(len(first)), owner]) * n_tri
                     + np.concatenate([first, entered]))
@@ -150,11 +150,6 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
                 raise ConfigError(f"node id {i} outside deployment of {n_nodes}")
 
 
-def _mixing_angles(k: int) -> np.ndarray:
-    """Deterministic quadrature nodes over the mixing angle."""
-    return 2 * np.pi * (np.arange(k) + 0.5) / k
-
-
 def _first_hit_truncate(read: SphericalCurve, writes: list,
                         step: float) -> GeodesicPolyline:
     """Sample the read curve and cut it at its first crossing with any write.
@@ -180,60 +175,41 @@ def _first_hit_truncate(read: SphericalCurve, writes: list,
             hits = (ang / (2 * np.pi) * (len(a) - 1)).astype(int)
         if len(hits):
             cut = min(cut, int(hits.min()) + 2)  # keep the crossing segment
-    return GeodesicPolyline(points=a[:cut], step=step, closed=False)
+    return GeodesicPolyline(points=a[:cut])
 
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
               node_pos, rng, step: float, first_hit: bool):
     """The data type's accesses in charging order, as (samples, weight): every
-    write, then every read. A first-hit read is cut at its first crossing
-    with this data type's writes."""
+    write, then every read. An accessor's curves are `events` draws in Monte
+    Carlo mode; in expected mode, the mixing quadrature of a mixed strategy or
+    the one curve of a pure one. A first-hit read is cut at its first
+    crossing with this data type's writes."""
     writes: list[SphericalCurve] = []  # realized writes, for first_hit
-
-    def write(curve, weight):
-        poly = sample(curve, step)
-        if first_hit:  # a spiral is kept as its samples, so no read resamples it
-            writes.append(curve if isinstance(curve, SphericalCircle) else poly)
-        return poly.points, weight
-
-    def read(curve, weight):
-        poly = (_first_hit_truncate(curve, writes, step) if first_hit
-                else sample(curve, step))
-        return poly.points, weight
-
     expected = workload.mode == "expected"
-    mix = workload.mix_samples
-    for i in data.contributors:
-        node = node_pos[int(i)]
-        if expected and not is_write_pure(kind):
-            for psi in _mixing_angles(mix):
-                yield write(mixed_write(kind, node, psi), workload.write_rate_r / mix)
-        elif expected:
-            yield write(write_quorum(kind, node, data, rng), workload.write_rate_r)
-        else:
-            for _ in range(workload.events):
-                yield write(write_quorum(kind, node, data, rng),
-                            workload.write_rate_r / workload.events)
-
-    if expected and is_read_shared(kind):
-        # the read family depends only on the hash; share it across queriers
-        total = workload.read_rate * len(data.queriers)
-        if total > 0:
-            for psi in _mixing_angles(mix):
-                yield read(mixed_read(kind, None, data.hash_point, psi), total / mix)
-        return
-    for i in data.queriers:
-        node = node_pos[int(i)]
-        if expected and not is_read_pure(kind):
-            for psi in _mixing_angles(mix):
-                yield read(mixed_read(kind, node, data.hash_point, psi),
-                           workload.read_rate / mix)
-        elif expected:
-            yield read(read_quorum(kind, node, data, rng), workload.read_rate)
-        else:
-            for _ in range(workload.events):
-                yield read(read_quorum(kind, node, data, rng),
-                           workload.read_rate / workload.events)
+    for role, accessors, rate, draw in (
+            ("write", data.contributors, workload.write_rate_r, write_quorum),
+            ("read", data.queriers, workload.read_rate, read_quorum)):
+        nodes = [node_pos[int(i)] for i in accessors]
+        if expected and role == "read" and is_read_shared(kind):
+            # the read family depends only on the hash; share it across queriers
+            rate *= len(nodes)
+            nodes = [None] if rate > 0 else []
+        for node in nodes:
+            if expected and is_mixed(kind, role):
+                curves = [quorum_curve(kind, role, node, data.hash_point, psi)
+                          for psi in mixing_angles(workload.mix_samples)]
+            else:
+                curves = [draw(kind, node, data, rng)
+                          for _ in range(1 if expected else workload.events)]
+            for curve in curves:
+                if role == "read" and first_hit:
+                    poly = _first_hit_truncate(curve, writes, step)
+                else:
+                    poly = sample(curve, step)
+                    if first_hit:  # a spiral is kept as its samples, so no read resamples it
+                        writes.append(curve if isinstance(curve, SphericalCircle) else poly)
+                yield poly.points, rate / len(curves)
 
 
 def _batches(accesses):
@@ -281,7 +257,6 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
     rg = rd = None
     if robustness_trials > 0:
         rr = robustness_rng if robustness_rng is not None else rng
-        from .quorums import geometric_robustness
         coarse = max(step, np.pi / 400)
         rg = geometric_robustness(kind, workload.data_types[0], robustness_trials,
                                   rr, step=coarse)

@@ -11,6 +11,11 @@ Kinds:
   GeoQuorum write mixed-uniform over radius-R_W circles through the writer;
             read spiral from the reader with random phase. The dual flag
             swaps the two roles.
+
+Every strategy is one family of curves over a mixing angle psi,
+`quorum_curve(kind, role, node, hash_point, psi)`; a pure strategy ignores
+psi. Monte Carlo accesses draw psi uniformly (`write_quorum`, `read_quorum`),
+expected mode takes it at quadrature nodes (`mixing_angles`).
 """
 from __future__ import annotations
 
@@ -150,65 +155,62 @@ def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
     return SphericalCircle(axis=circ.axis, rho=circ.rho, start=point.copy())
 
 
-def mixed_write(kind: QuorumSystemKind, writer, psi: float) -> SphericalCurve:
-    """Write curve of a mixed strategy at mixing angle psi; write_quorum draws
-    psi uniformly, expected mode takes it at quadrature nodes."""
-    if kind.name == "QGm":
-        return _great_circle_at(writer, psi)
-    if kind.name == "GeoQuorum":
-        if kind.dual:
-            return spiral_for(writer, kind.a, psi)
-        return _circle_at(writer, kind.r_w, psi)
-    raise OutOfRange(f"{kind.name} write strategy is pure")
+ROLES = ("write", "read")
 
 
-def mixed_read(kind: QuorumSystemKind, reader, hash_point, psi: float) -> SphericalCurve:
-    """Read curve of a mixed strategy at mixing angle psi (see mixed_write)."""
-    if is_read_shared(kind):
-        return _great_circle_at(hash_point, psi)
-    if kind.name == "GeoQuorum":
-        if kind.dual:
-            return _circle_at(reader, kind.r_w, psi)
-        return spiral_for(reader, kind.a, psi)
-    raise OutOfRange(f"{kind.name} read strategy is pure")
-
-
-def write_quorum(kind: QuorumSystemKind, writer, data: DataType, rng) -> SphericalCurve:
-    """Curve contacted by a write access from `writer` for `data`."""
-    writer = require_unit(writer)
-    if kind.name in ("QG", "QL"):
-        return great_circle_through(writer, data.hash_point)
-    if kind.name == "QLd":
-        return latitude_circle(data.hash_point, writer)
-    if kind.name in ("QGm", "GeoQuorum"):
-        return mixed_write(kind, writer, rng.uniform(0.0, 2.0 * np.pi))
-    raise OutOfRange(f"unhandled kind {kind.name}")
-
-
-def read_quorum(kind: QuorumSystemKind, reader, data: DataType, rng) -> SphericalCurve:
-    """Curve contacted by a read access from `reader` for `data`."""
-    reader = require_unit(reader)
-    if kind.name == "QL":
-        return latitude_circle(data.hash_point, reader)
-    if kind.name == "QLd":
-        return great_circle_through(reader, data.hash_point)
-    if kind.name in ("QG", "QGm", "GeoQuorum"):
-        return mixed_read(kind, reader, data.hash_point, rng.uniform(0.0, 2.0 * np.pi))
-    raise OutOfRange(f"unhandled kind {kind.name}")
-
-
-def is_write_pure(kind: QuorumSystemKind) -> bool:
-    return kind.name in ("QG", "QL", "QLd")
-
-
-def is_read_pure(kind: QuorumSystemKind) -> bool:
-    return kind.name in ("QL", "QLd")
+def is_mixed(kind: QuorumSystemKind, role: str) -> bool:
+    """Whether the strategy draws a mixing angle psi: QGm writes, QG and QGm
+    reads, and both GeoQuorum roles. A pure strategy ignores psi."""
+    if role not in ROLES:
+        raise OutOfRange(f"unknown quorum role {role!r}")
+    return kind.name in (("QGm", "GeoQuorum") if role == "write"
+                         else ("QG", "QGm", "GeoQuorum"))
 
 
 def is_read_shared(kind: QuorumSystemKind) -> bool:
     """Whether the read curves depend on the hash point alone, not on the
     reader, so every querier has the same read family."""
     return kind.name in ("QG", "QGm")
+
+
+def quorum_curve(kind: QuorumSystemKind, role: str, node, hash_point,
+                 psi: float) -> SphericalCurve:
+    """The curve of `role` ("write" or "read") from `node` for data hashed at
+    `hash_point`, at mixing angle psi. Pure strategies ignore psi and shared
+    reads ignore the node, which may then be None."""
+    if not is_mixed(kind, role):  # also validates the role
+        if (kind.name, role) in (("QL", "read"), ("QLd", "write")):
+            return latitude_circle(hash_point, node)
+        return great_circle_through(node, hash_point)
+    write = role == "write"
+    if kind.name == "GeoQuorum":
+        if write != kind.dual:
+            return _circle_at(node, kind.r_w, psi)
+        return spiral_for(node, kind.a, psi)
+    return _great_circle_at(node if write else hash_point, psi)
+
+
+def mixing_angles(k: int) -> np.ndarray:
+    """Deterministic quadrature nodes over the mixing angle: expected mode's
+    counterpart of the uniform draw in write_quorum/read_quorum."""
+    return 2 * np.pi * (np.arange(k) + 0.5) / k
+
+
+def _draw(kind: QuorumSystemKind, role: str, node, data: DataType, rng) -> SphericalCurve:
+    """One access's curve; draws psi uniformly only for a mixed strategy."""
+    node = require_unit(node)
+    psi = rng.uniform(0.0, 2.0 * np.pi) if is_mixed(kind, role) else 0.0
+    return quorum_curve(kind, role, node, data.hash_point, psi)
+
+
+def write_quorum(kind: QuorumSystemKind, writer, data: DataType, rng) -> SphericalCurve:
+    """Curve contacted by a write access from `writer` for `data`."""
+    return _draw(kind, "write", writer, data, rng)
+
+
+def read_quorum(kind: QuorumSystemKind, reader, data: DataType, rng) -> SphericalCurve:
+    """Curve contacted by a read access from `reader` for `data`."""
+    return _draw(kind, "read", reader, data, rng)
 
 
 def random_unit(rng, n: int | None = None) -> np.ndarray:

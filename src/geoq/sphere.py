@@ -89,10 +89,6 @@ class SphericalCircle:
         if not (0.0 < self.rho <= np.pi / 2 + 1e-12):
             raise OutOfRange(f"circle radius must be in (0, pi/2], got {self.rho}")
 
-    @property
-    def is_great(self) -> bool:
-        return abs(self.rho - np.pi / 2) < 1e-9
-
     def circumference(self) -> float:
         return 2 * np.pi * np.sin(self.rho)
 
@@ -134,11 +130,9 @@ class SphericalSpiral:
 
 @dataclass(frozen=True)
 class GeodesicPolyline:
-    """Ordered samples along a curve with target geodesic spacing `step`."""
+    """Ordered samples along a curve."""
 
     points: np.ndarray
-    step: float
-    closed: bool = False
 
     def length(self) -> float:
         p = self.points
@@ -217,7 +211,7 @@ def _sample_circle(circle: SphericalCircle, step: float) -> GeodesicPolyline:
     pts = (np.cos(circle.rho) * circle.axis[None, :]
            + np.sin(circle.rho) * (np.cos(t)[:, None] * e1[None, :]
                                    + np.sin(t)[:, None] * e2[None, :]))
-    return GeodesicPolyline(points=pts, step=step, closed=True)
+    return GeodesicPolyline(points=pts)
 
 
 def _sample_spiral(spiral: SphericalSpiral, step: float) -> GeodesicPolyline:
@@ -225,7 +219,7 @@ def _sample_spiral(spiral: SphericalSpiral, step: float) -> GeodesicPolyline:
     speed_max = np.sqrt(spiral.a ** 2 + 1.0)  # |C'(theta)| = sqrt(a^2 + cos^2 phi)
     n = max(int(np.ceil((t1 - t0) * speed_max / step)), 8)
     theta = np.linspace(t0, t1, n + 1)
-    return GeodesicPolyline(points=spiral.points(theta), step=step, closed=False)
+    return GeodesicPolyline(points=spiral.points(theta))
 
 
 def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:

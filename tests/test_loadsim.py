@@ -5,9 +5,8 @@ import geoq
 import geoq.loadsim
 from geoq.embedding import locate_many, walk
 from geoq.errors import ConfigError, OutOfRange
-from geoq.loadsim import _first_hit_truncate, _mixing_angles, raster_step
-from geoq.quorums import (is_read_pure, is_read_shared, is_write_pure, mixed_read,
-                          mixed_write)
+from geoq.loadsim import _first_hit_truncate, raster_step
+from geoq.quorums import is_mixed, is_read_shared, mixing_angles, quorum_curve
 from geoq.sphere import SphericalCircle, SphericalSpiral, circle_crossings
 
 from conftest import random_unit
@@ -94,7 +93,7 @@ class TestRasterize:
         step = raster_step(emb400)
         pts = geoq.sample(spiral, step).points
         first = locate_many(pts[:1], emb400)
-        _, _, entered = walk(emb400, first, pts, [0, len(pts)])
+        _, entered = walk(emb400, first, pts, [0, len(pts)])
         assert len(entered) > emb400.mesh.n_triangles
         assert set(geoq.rasterize(spiral, emb400).tolist()) == (
             set(first.tolist()) | set(entered.tolist()))
@@ -239,7 +238,7 @@ def _reference_run(wl, kind, emb, rng, read_termination):
     load = np.zeros(emb.n_nodes)
     node_pos = emb.node_positions()
     expected, mix = wl.mode == "expected", wl.mix_samples
-    psis = _mixing_angles(mix)
+    psis = mixing_angles(mix)
 
     def charge_one(curve, weight):
         tris = geoq.rasterize(curve, emb, step)
@@ -249,8 +248,9 @@ def _reference_run(wl, kind, emb, rng, read_termination):
         writes = []
         for i in data.contributors:
             node = node_pos[i]
-            if expected and not is_write_pure(kind):
-                curves = [(mixed_write(kind, node, psi), wl.write_rate_r / mix) for psi in psis]
+            if expected and is_mixed(kind, "write"):
+                curves = [(quorum_curve(kind, "write", node, data.hash_point, psi),
+                           wl.write_rate_r / mix) for psi in psis]
             elif expected:
                 curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r)]
             else:
@@ -262,14 +262,15 @@ def _reference_run(wl, kind, emb, rng, read_termination):
                 charge_one(curve, weight)
         if expected and is_read_shared(kind):
             total = wl.read_rate * len(data.queriers)
-            curves = [(mixed_read(kind, None, data.hash_point, psi), total / mix) for psi in psis]
+            curves = [(quorum_curve(kind, "read", None, data.hash_point, psi), total / mix)
+                      for psi in psis]
         else:
             curves = []
             for i in data.queriers:
                 node = node_pos[i]
-                if expected and not is_read_pure(kind):
-                    curves += [(mixed_read(kind, node, data.hash_point, psi), wl.read_rate / mix)
-                               for psi in psis]
+                if expected and is_mixed(kind, "read"):
+                    curves += [(quorum_curve(kind, "read", node, data.hash_point, psi),
+                                wl.read_rate / mix) for psi in psis]
                 elif expected:
                     curves.append((geoq.read_quorum(kind, node, data, rng), wl.read_rate))
                 else:
@@ -354,7 +355,7 @@ class TestFirstHit:
     def test_dual_write_family_is_writer_spirals(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
         node = random_unit(np.random.default_rng(14))
-        family = [mixed_write(kind, node, psi) for psi in _mixing_angles(8)]
+        family = [quorum_curve(kind, "write", node, None, psi) for psi in mixing_angles(8)]
         assert len(family) == 8
         for c in family:
             assert isinstance(c, SphericalSpiral)

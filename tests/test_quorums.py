@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import geoq
 from geoq.errors import OutOfRange
-from geoq.quorums import is_read_shared, is_write_pure
+from geoq.quorums import KIND_NAMES, ROLES, is_mixed, is_read_shared, quorum_curve
 from geoq.sphere import SphericalCircle, SphericalSpiral
 
 from conftest import random_unit
@@ -104,7 +106,7 @@ class TestWriteQuorum:
             c2 = geoq.write_quorum(kind, w, data, np.random.default_rng(999))
             assert np.allclose(c1.axis, c2.axis)
             assert c1.rho == c2.rho
-            assert is_write_pure(kind)
+            assert not is_mixed(kind, "write")
 
     def test_qgm_axis_uniform_around_writer(self):
         # the random great-circle axis is uniform on the circle of directions
@@ -133,7 +135,7 @@ class TestWriteQuorum:
             c1 = geoq.write_quorum(kind, w, data, np.random.default_rng(42))
             c2 = geoq.write_quorum(kind, w, data, np.random.default_rng(42))
             assert np.allclose(c1.axis, c2.axis)
-            assert not is_write_pure(kind)
+            assert is_mixed(kind, "write")
 
 
 class TestReadQuorum:
@@ -194,6 +196,37 @@ class TestReadQuorum:
         same = curves[0].shape == curves[1].shape and np.allclose(*curves)
         assert is_read_shared(kind) == same
         assert is_read_shared(kind) == (kind.name in ("QG", "QGm"))
+
+
+_psi = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(KIND_NAMES), dual=st.booleans(), role=st.sampled_from(ROLES),
+       psi1=_psi, psi2=_psi, seed=st.integers(0, 2 ** 32 - 1))
+def test_psi_and_rng_draws_follow_is_mixed(name, dual, role, psi1, psi2, seed):
+    """quorum_curve depends on psi exactly when the strategy is mixed, and
+    write_quorum/read_quorum advance the rng by one uniform draw exactly then:
+    the rng stream that Monte Carlo loads rest on."""
+    assume(0.01 < abs(psi1 - psi2) < 2 * np.pi - 0.01)
+    kind = geoq.QuorumSystemKind(name, dual=dual, **(
+        {"r_w": 0.2 * np.pi, "a": 0.2} if name == "GeoQuorum" else {}))
+    node, hash_point = random_unit(np.random.default_rng(seed), 2)
+    assume(0.01 < geoq.geodesic_distance(node, hash_point) < np.pi - 0.01)
+    mixed = is_mixed(kind, role)
+
+    def points(curve):
+        return geoq.sample(curve, 0.05).points
+
+    a, b = (points(quorum_curve(kind, role, node, hash_point, psi)) for psi in (psi1, psi2))
+    assert (a.shape == b.shape and np.array_equal(a, b)) == (not mixed)
+
+    quorum = geoq.write_quorum if role == "write" else geoq.read_quorum
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = quorum(kind, node, geoq.DataType("d0", hash_point), rng)
+    psi = ref.uniform(0.0, 2.0 * np.pi) if mixed else 0.0
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(points(drawn), points(quorum_curve(kind, role, node, hash_point, psi)))
 
 
 class TestIntersectionGuarantee:

@@ -67,7 +67,7 @@ class TestGreatCircle:
 class TestCircleWithRadius:
     def test_great_circle_limit(self):
         c = geoq.circle_with_radius([0, 0, 1], np.pi / 2)
-        assert c.is_great
+        assert c.rho == np.pi / 2
         pts = geoq.sample(c, 0.01).points
         assert np.abs(pts[:, 2]).max() < 1e-9
 
