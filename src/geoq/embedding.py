@@ -24,8 +24,8 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
-from .mesh import (DoubledMesh, PlanarMesh, chord_edges, mesh_from_text,
-                   mesh_to_text)
+from .mesh import (DoubledMesh, PlanarMesh, chord_edges, edge_table, mesh_from_text,
+                   mesh_to_text, triangle_neighbors)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
@@ -107,13 +107,11 @@ class SphericalEmbedding:
 
     def median_edge_length(self) -> float:
         if self._median_edge == 0.0:
-            tri = self.mesh.triangles
+            et = edge_table(self.mesh.triangles)
+            s = et.slots()
             p = self.positions
-            lens = []
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                d = np.clip(np.einsum("ij,ij->i", p[tri[:, a]], p[tri[:, b]]), -1, 1)
-                lens.append(np.arccos(d))
-            self._median_edge = float(np.median(np.concatenate(lens)))
+            d = np.clip(np.einsum("ij,ij->i", p[et.tail[s]], p[et.head[s]]), -1, 1)
+            self._median_edge = float(np.median(np.arccos(d)))
         return self._median_edge
 
     def tri_centroids(self) -> np.ndarray:
@@ -142,19 +140,7 @@ class SphericalEmbedding:
     def neighbors(self) -> np.ndarray:
         """neighbors[t, i] = triangle across the edge opposite vertex i (-1 at none)."""
         if self._neighbors is None:
-            tri = self.mesh.triangles
-            edge_to_tris: dict = {}
-            for t, tv in enumerate(tri):
-                for i in range(3):
-                    a, b = int(tv[(i + 1) % 3]), int(tv[(i + 2) % 3])
-                    edge_to_tris.setdefault((min(a, b), max(a, b)), []).append((t, i))
-            nb = -np.ones((len(tri), 3), dtype=int)
-            for pair in edge_to_tris.values():
-                if len(pair) == 2:
-                    (t1, i1), (t2, i2) = pair
-                    nb[t1, i1] = t2
-                    nb[t2, i2] = t1
-            self._neighbors = nb
+            self._neighbors = triangle_neighbors(self.mesh.triangles)
         return self._neighbors
 
     def area_centroid(self) -> np.ndarray:
@@ -169,12 +155,9 @@ class _System:
 
     def __init__(self, dbl: DoubledMesh):
         self.dbl = dbl
-        n = dbl.n_original
-        on_b = np.zeros(n, bool)
-        on_b[dbl.boundary] = True
         self.boundary = dbl.boundary
-        self.interior = np.where(~on_b)[0]
-        self.mirror_ids = n + np.arange(len(self.interior))
+        self.interior = dbl.copy_map[dbl.n_original:]
+        self.mirror_ids = np.arange(dbl.n_original, dbl.n_vertices)
         self.nI, self.nB = len(self.interior), len(dbl.boundary)
         self.Vd = dbl.n_vertices
         self.W = cot_weights(dbl.planar, dbl.triangles, self.Vd, floor=WEIGHT_FLOOR)
@@ -694,10 +677,7 @@ def embedding_from_text(text: str) -> SphericalEmbedding:
     dbl = double_cover(mesh)
     P = np.empty((dbl.n_vertices, 3))
     P[:nv] = upper
-    on_b = np.zeros(nv, bool)
-    on_b[dbl.boundary] = True
-    interior = np.where(~on_b)[0]
-    P[nv:] = upper[interior] * _Z
+    P[nv:] = upper[dbl.copy_map[nv:]] * _Z
     emb = SphericalEmbedding(mesh=dbl, positions=P, residual=float("nan"))
     emb.residual = embedding_residual(emb)
     return emb

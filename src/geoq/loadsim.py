@@ -235,7 +235,9 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
 
     read_termination="first_hit" truncates each read curve at its first
     intersection with a write quorum of the same data type; "full" charges the
-    entire curve.
+    entire curve. A pure strategy's accessor at the hash point or its
+    antipode raises DegenerateInput: its great circle (QG and QL writes, QLd
+    reads) or latitude circle (QL reads, QLd writes) is undefined there.
     """
     if read_termination not in ("full", "first_hit"):
         raise ConfigError(f"unknown read_termination {read_termination!r}")

@@ -1,5 +1,8 @@
 """Planar triangulations, deployments, and the doubled (genus-0) mesh.
 
+All mesh topology (edge counts, the boundary loop, chord edges and triangle
+neighbours) is read from one sorted edge table, `edge_table`.
+
 The doubled mesh glues the region to its orientation-reversed copy along the
 boundary loop; interior vertices are duplicated, boundary vertices shared. A
 valid input mesh must not contain an interior edge joining two boundary
@@ -92,48 +95,82 @@ class PlanarMesh:
         return len(self.triangles)
 
     def edge_count(self) -> int:
-        return len(_edge_multiplicity(self.triangles))
+        return len(edge_table(self.triangles).first)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.edge_count() + self.n_triangles
 
 
-def _edge_multiplicity(triangles) -> dict:
-    edges: dict[tuple[int, int], int] = {}
-    for t in np.asarray(triangles):
-        for i in range(3):
-            a, b = int(t[(i + 1) % 3]), int(t[(i + 2) % 3])
-            key = (a, b) if a < b else (b, a)
-            edges[key] = edges.get(key, 0) + 1
-    return edges
+@dataclass(frozen=True)
+class EdgeTable:
+    """The edges of a triangle list, one slot per triangle side.
+
+    Slot 3t + i is the side of triangle t opposite its vertex i, directed
+    tail -> head as the triangle runs. `order` sorts the slots by the edge
+    key min * n + max, stably, so each edge's slots stay in triangle order:
+    unique edge e (in key order) owns order[first[e]:first[e] + count[e]].
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+    def slots(self, multiplicity: int | None = None, k: int = 0) -> np.ndarray:
+        """The k-th slot of every edge, or of every edge that occurs exactly
+        `multiplicity` times, in key order."""
+        first = self.first if multiplicity is None else self.first[self.count == multiplicity]
+        return self.order[first + k]
+
+
+def edge_table(triangles) -> EdgeTable:
+    """Sort the sides of a triangle list into its edge table."""
+    tri = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    tail, head = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+    n = tri.max(initial=0) + 1
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return EdgeTable(tail, head, order, first, np.diff(first, append=len(key)))
+
+
+def triangle_neighbors(triangles) -> np.ndarray:
+    """neighbors[t, i] = the triangle across the side opposite vertex i: the
+    other slot of an edge that occurs exactly twice, else -1."""
+    et = edge_table(triangles)
+    s, u = et.slots(2), et.slots(2, 1)
+    nb = np.full(len(et.tail), -1)
+    nb[s], nb[u] = u // 3, s // 3
+    return nb.reshape(-1, 3)
 
 
 def _boundary_loop(triangles) -> np.ndarray:
-    """Order boundary edges (multiplicity one) into a single simple loop."""
-    edges = _edge_multiplicity(triangles)
-    bedges = [e for e, c in edges.items() if c == 1]
-    if not bedges:
+    """The boundary of CCW triangles as one counter-clockwise vertex loop.
+
+    The boundary sides (edges that occur once) run counter-clockwise in
+    their triangles, so the loop chains them tail to head. It starts at the
+    smaller end of the first boundary side in slot order, or one vertex
+    further on if that side runs into it.
+    """
+    et = edge_table(triangles)
+    s = et.slots(1)
+    if not len(s):
         raise DegenerateInput("mesh has no boundary")
-    nbr: dict[int, list[int]] = {}
-    for a, b in bedges:
-        nbr.setdefault(a, []).append(b)
-        nbr.setdefault(b, []).append(a)
-    if any(len(v) != 2 for v in nbr.values()):
+    tail, head = et.tail[s], et.head[s]
+    if not np.array_equal(np.unique(tail), np.sort(head)):  # in- and out-degree 1
         raise DegenerateInput("boundary is not a simple loop")
-    loop = [bedges[0][0]]
-    prev = None
-    while True:
-        cur = loop[-1]
-        nxt = [x for x in nbr[cur] if x != prev]
-        prev = cur
-        if nxt[0] == loop[0]:
-            break
-        loop.append(nxt[0])
-        if len(loop) > len(bedges) + 1:
-            raise DegenerateInput("boundary is not a single loop")
-    if len(loop) != len(bedges):
+    succ = np.zeros(tail.max() + 1, dtype=int)
+    succ[tail] = head
+    a, b = et.tail[s.min()], et.head[s.min()]
+    # loop[k] is the start's k-th successor; hop jumps len(loop) sides
+    loop, hop = np.array([a if a < b else succ[b]]), succ
+    while len(loop) < len(s):
+        loop, hop = np.concatenate([loop, hop[loop]]), hop[hop]
+    loop = loop[:len(s)]
+    if len(np.unique(loop)) < len(s):
         raise DegenerateInput("boundary has more than one loop")
-    return np.array(loop, dtype=int)
+    return loop
 
 
 def _orient_ccw(vertices, triangles):
@@ -148,21 +185,13 @@ def _orient_ccw(vertices, triangles):
     return t
 
 
-def _loop_ccw(vertices, loop) -> np.ndarray:
-    pts = vertices[loop]
-    area2 = float(np.dot(pts[:, 0], np.roll(pts[:, 1], -1)) - np.dot(pts[:, 1], np.roll(pts[:, 0], -1)))
-    return loop if area2 > 0 else loop[::-1].copy()
-
-
 def chord_edges(mesh: PlanarMesh) -> list[tuple[int, int]]:
-    """Interior edges joining two boundary vertices (illegal for doubling)."""
-    on_b = np.zeros(mesh.n_vertices, bool)
-    on_b[mesh.boundary] = True
-    out = []
-    for (a, b), c in _edge_multiplicity(mesh.triangles).items():
-        if c == 2 and on_b[a] and on_b[b]:
-            out.append((a, b))
-    return out
+    """Interior edges joining two boundary vertices (illegal for doubling),
+    in order of first occurrence."""
+    et = edge_table(mesh.triangles)
+    s = np.sort(et.slots(2))
+    ab = np.sort(np.c_[et.tail[s], et.head[s]], axis=1)
+    return [tuple(e) for e in ab[np.isin(ab, mesh.boundary).all(axis=1)].tolist()]
 
 
 def validate_mesh(mesh: PlanarMesh) -> None:
@@ -210,8 +239,7 @@ def triangulate(points, boundary=None) -> PlanarMesh:
         T = T[point_in_polygon(cent, poly)]
         if len(T) == 0:
             raise DegenerateInput("no triangles remain inside the polygon")
-    loop = _loop_ccw(pts, _boundary_loop(T))
-    mesh = PlanarMesh(vertices=pts, triangles=T, boundary=loop)
+    mesh = PlanarMesh(vertices=pts, triangles=T, boundary=_boundary_loop(T))
     validate_mesh(mesh)
     return mesh
 
@@ -258,16 +286,10 @@ def double_cover(mesh: PlanarMesh) -> DoubledMesh:
     """Glue the mesh to its orientation-reversed copy along the boundary."""
     validate_mesh(mesh)
     n = mesh.n_vertices
-    on_b = np.zeros(n, bool)
-    on_b[mesh.boundary] = True
-    interior = np.where(~on_b)[0]
+    interior = np.setdiff1d(np.arange(n), mesh.boundary)
     mirror = np.arange(n)
-    mirror_ids = n + np.arange(len(interior))
-    mirror[interior] = mirror_ids
-    vd = n + len(interior)
-    copy_map = np.arange(vd)
-    copy_map[:n] = mirror
-    copy_map[mirror_ids] = interior
+    mirror[interior] = n + np.arange(len(interior))
+    copy_map = np.concatenate([mirror, interior])
     t_mirror = mirror[mesh.triangles][:, [0, 2, 1]]  # reversed orientation
     triangles = np.vstack([mesh.triangles, t_mirror])
     planar = np.vstack([mesh.vertices, mesh.vertices[interior]])

@@ -77,22 +77,6 @@ class QuorumSystemKind:
         return int(np.floor(self.r_w / (self.a * np.pi) + 1e-9))
 
     @classmethod
-    def qg(cls):
-        return cls("QG")
-
-    @classmethod
-    def qgm(cls):
-        return cls("QGm")
-
-    @classmethod
-    def ql(cls):
-        return cls("QL")
-
-    @classmethod
-    def qld(cls):
-        return cls("QLd")
-
-    @classmethod
     def geoquorum(cls, r_w: float, a: float, dual: bool = False):
         return cls("GeoQuorum", r_w=float(r_w), a=float(a), dual=dual)
 

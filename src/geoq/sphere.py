@@ -170,9 +170,9 @@ def latitude_circle(axis, through) -> SphericalCircle:
     """
     axis = require_unit(axis)
     through = require_unit(through)
-    polar = geodesic_distance(axis, through)
-    if polar < UNIT_TOL or polar > np.pi - UNIT_TOL:
+    if np.linalg.norm(np.cross(axis, through)) < UNIT_TOL:
         raise DegenerateInput("point coincides with the circle axis or its antipode")
+    polar = geodesic_distance(axis, through)
     if polar > np.pi / 2:
         axis, polar = -axis, np.pi - polar
     return SphericalCircle(axis=axis, rho=polar, start=through.copy())

@@ -247,7 +247,7 @@ def test_criterion_6_hash_concentration_structure():
                              contributors=tuple(int(i) for i in sel[:n]),
                              queriers=tuple(int(i) for i in sel[1000:1020]))
         wl = geoq.Workload(data_types=(data,), write_rate_r=r, mode="expected")
-        m, load = geoq.run(wl, geoq.QuorumSystemKind.qg(), emb,
+        m, load = geoq.run(wl, geoq.QuorumSystemKind("QG"), emb,
                            np.random.default_rng(6))
         loads.append(m.system_load)
         # a physical node is charged through either of its copies, so its
@@ -269,9 +269,9 @@ def test_criterion_6_hash_concentration_structure():
 def _comparison_runs():
     """Mean system/total loads per kind over 10 seeds and r in {4, 10}."""
     kinds = {
-        "QG": geoq.QuorumSystemKind.qg(),
-        "QGm": geoq.QuorumSystemKind.qgm(),
-        "QL": geoq.QuorumSystemKind.ql(),
+        "QG": geoq.QuorumSystemKind("QG"),
+        "QGm": geoq.QuorumSystemKind("QGm"),
+        "QL": geoq.QuorumSystemKind("QL"),
         "GeoQuorum": geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
     }
     out = {}

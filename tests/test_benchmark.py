@@ -1,21 +1,34 @@
-"""The benchmark's tracer still finds and counts the calls it hooks in geoq."""
+"""Every benchmark workload runs one checked round, and the tracer still finds
+and counts the calls it hooks in geoq."""
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_montecarlo_round():
+def _bench(workload: str, trace: int) -> dict:
     res = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "montecarlo", "--seed", "1",
-         "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=False)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.strip().splitlines()[-1])
     assert out["correct"] is True
     assert out["failed"] == 0
+    return out
+
+
+@pytest.mark.parametrize("workload", ("embed", "montecarlo", "expected", "intersect"))
+def test_workload_round(workload):
+    _bench(workload, trace=0)
+
+
+def test_traced_montecarlo_round():
+    out = _bench("montecarlo", trace=1)
     metrics = {name: m["value"] for name, m in out["metrics"].items()}
     # every access curve is sampled once and only its first sample is located
     assert metrics["sphere.sample.calls"] > 0

@@ -1,4 +1,5 @@
 import xml.dom.minidom
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ class TestMain:
         bad.write_text("nodes = nope\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run"]) == 2
+
+    def test_exit_code_accessor_on_hash_point(self, tmp_path, monkeypatch, capsys):
+        # a QL querier at the hash point has no latitude circle
+        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+        cfg = small_cfg(repetitions=1, nodes=200, kind="QL", contributors=10, queriers=5)
+        emb = cli.ensure_embedding(cfg, cfg.seed, tmp_path / "o", quiet=True)
+        querier = cli._workload_for(cfg, cfg.seed, 4.0, emb).data_types[0].queriers[0]
+        hash_point = tuple(emb.node_positions()[querier].tolist())
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(replace(cfg, hash_override=hash_point)))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_exit_code_no_convergence(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache_nc"))

@@ -4,13 +4,17 @@ import pytest
 import geoq
 import geoq.loadsim
 from geoq.embedding import locate_many, walk
-from geoq.errors import ConfigError, OutOfRange
+from geoq.errors import ConfigError, DegenerateInput, OutOfRange
 from geoq.loadsim import _first_hit_truncate, raster_step
-from geoq.quorums import is_mixed, is_read_shared, mixing_angles, quorum_curve
+from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
 from geoq.sphere import SphericalCircle, SphericalSpiral, circle_crossings
 
 from conftest import random_unit
 
+# (kind, role) of every pure strategy: a great or latitude circle fixed by the
+# node and the hash point
+PURE_ACCESSES = [(name, role) for name in ("QG", "QL", "QLd") for role in ROLES
+                 if not is_mixed(geoq.QuorumSystemKind(name), role)]
 
 def _workload(emb, n_contrib=20, n_query=6, r=4.0, seed=1, **kw):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
@@ -75,7 +79,7 @@ class TestRasterize:
         c = emb400.positions[emb400.mesh.triangles[37]].mean(axis=0)
         curves.append(geoq.circle_with_radius(c / np.linalg.norm(c), 1e-4))
         data = geoq.DataType("d0", random_unit(rng))
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         write = geoq.write_quorum(kind, random_unit(rng), data, rng)
         read = geoq.read_quorum(kind, random_unit(rng), data, rng)
         curves.append(_first_hit_truncate(read, [write], step))
@@ -151,13 +155,13 @@ class TestCharge:
 class TestRun:
     def test_metrics_match_load(self, emb400):
         wl = _workload(emb400)
-        m, load = geoq.run(wl, geoq.QuorumSystemKind.qg(), emb400,
+        m, load = geoq.run(wl, geoq.QuorumSystemKind("QG"), emb400,
                            np.random.default_rng(1))
         assert m.system_load == pytest.approx(load.max())
         assert m.total_load == pytest.approx(load.sum())
 
     def test_rate_linearity_and_determinism(self, emb400):
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         totals = {}
         for r in (4.0, 8.0, 12.0):
             wl = _workload(emb400, r=r)
@@ -170,7 +174,7 @@ class TestRun:
         assert m1 == m2
 
     def test_monotone_in_contributors(self, emb400):
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         base = _workload(emb400, n_contrib=10, mode="expected")
         more_ids = base.data_types[0].contributors + (399,)
         data2 = geoq.DataType("d0", base.data_types[0].hash_point,
@@ -198,10 +202,10 @@ class TestRun:
         data = geoq.DataType("d0", geoq.hash_location("d0", 1),
                              contributors=(), queriers=(5,))
         wl = geoq.Workload(data_types=(data,), write_rate_r=1.0)
-        m, load = geoq.run(wl, geoq.QuorumSystemKind.ql(), emb400,
+        m, load = geoq.run(wl, geoq.QuorumSystemKind("QL"), emb400,
                            np.random.default_rng(4))
         reader = emb400.node_positions()[5]
-        curve = geoq.read_quorum(geoq.QuorumSystemKind.ql(), reader,
+        curve = geoq.read_quorum(geoq.QuorumSystemKind("QL"), reader,
                                  data, np.random.default_rng(4))
         tris = geoq.rasterize(curve, emb400)
         verts = np.unique(emb400.mesh.triangles[tris].ravel())
@@ -222,13 +226,26 @@ class TestRun:
     def test_bad_options(self, emb400):
         wl = _workload(emb400)
         with pytest.raises(ConfigError):
-            geoq.run(wl, geoq.QuorumSystemKind.qg(), emb400,
+            geoq.run(wl, geoq.QuorumSystemKind("QG"), emb400,
                      np.random.default_rng(0), read_termination="sometimes")
         data = geoq.DataType("d0", geoq.hash_location("d0", 1),
                              contributors=(10_000,), queriers=())
         with pytest.raises(ConfigError):
             geoq.run(geoq.Workload(data_types=(data,), write_rate_r=1.0),
-                     geoq.QuorumSystemKind.qg(), emb400, np.random.default_rng(0))
+                     geoq.QuorumSystemKind("QG"), emb400, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0), ids=("hash", "antipode"))
+    @pytest.mark.parametrize("name, role", PURE_ACCESSES)
+    def test_accessor_on_hash_axis_raises(self, emb400, name, role, sign):
+        # node 1's position p has arccos(p . p) ~ 2e-8 > UNIT_TOL: only the
+        # size of p x p, not the polar angle, shows p on its own axis
+        node = 1
+        data = geoq.DataType("d0", sign * emb400.node_positions()[node],
+                             contributors=(node,) if role == "write" else (),
+                             queriers=(node,) if role == "read" else ())
+        with pytest.raises(DegenerateInput):
+            geoq.run(geoq.Workload(data_types=(data,), write_rate_r=1.0),
+                     geoq.QuorumSystemKind(name), emb400, np.random.default_rng(0))
 
 
 def _reference_run(wl, kind, emb, rng, read_termination):
@@ -284,8 +301,8 @@ def _reference_run(wl, kind, emb, rng, read_termination):
 
 
 class TestBatchedRun:
-    KINDS = (geoq.QuorumSystemKind.qg(), geoq.QuorumSystemKind.qgm(),
-             geoq.QuorumSystemKind.ql(), geoq.QuorumSystemKind.qld(),
+    KINDS = (geoq.QuorumSystemKind("QG"), geoq.QuorumSystemKind("QGm"),
+             geoq.QuorumSystemKind("QL"), geoq.QuorumSystemKind("QLd"),
              geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
              geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True))
 
@@ -333,7 +350,7 @@ class TestFirstHit:
 
     def test_qg_read_stops_at_the_hash(self):
         # every QG write passes the hash, where each QG read starts
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         for write, read in self._pairs(kind, 12, 30):
             kept = _first_hit_truncate(read, [write], self.STEP).points
             assert len(kept) == 2
@@ -368,7 +385,7 @@ class TestLinearLoadStructure:
     def test_system_load_linear_in_contributors(self, emb400):
         # write-dominated hash concentration: slope of system load vs
         # contributor count approximates the write rate
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         r = 4.0
         counts = (10, 20, 40)
         loads = []
@@ -392,7 +409,7 @@ class TestLinearLoadStructure:
 
 class TestDiscreteRobustness:
     def test_at_least_geometric(self, emb400):
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         data = geoq.DataType("d0", geoq.hash_location("d0", 4),
                              contributors=tuple(range(50)),
                              queriers=tuple(range(200, 240)))
@@ -416,7 +433,7 @@ class TestDiscreteRobustness:
             assert shared >= n_geo
 
     def test_qg_discrete_at_least_two(self, emb800):
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         data = geoq.DataType("d0", geoq.hash_location("d0", 5),
                              contributors=tuple(range(40)),
                              queriers=tuple(range(100, 140)))
@@ -427,7 +444,7 @@ class TestDiscreteRobustness:
     def test_identical_curves_share_everything(self, emb400):
         # degenerate write/read pair (the same curve): the shared charged set
         # is the whole charged set
-        kind = geoq.QuorumSystemKind.qg()
+        kind = geoq.QuorumSystemKind("QG")
         data = geoq.DataType("d0", geoq.hash_location("d0", 6),
                              contributors=(7,), queriers=(7,))
         curve = geoq.write_quorum(kind, emb400.node_positions()[7], data,

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import geoq
+from geoq.config import IRREGULAR
 from geoq.errors import DegenerateInput
-from geoq.mesh import (chord_edges, corner_anchors, mesh_from_text,
-                       mesh_to_text, ring_points, validate_simple_polygon)
+from geoq.mesh import (_boundary_loop, chord_edges, corner_anchors, mesh_from_text,
+                       mesh_to_text, ring_points, triangle_neighbors,
+                       validate_simple_polygon)
 
 from conftest import SQUARE
 
@@ -151,3 +155,121 @@ class TestMeshIO:
         geoq.save_mesh(mesh, path)
         again = geoq.load_mesh(path)
         assert np.array_equal(again.boundary, mesh.boundary)
+
+
+# ---------------------------------------------------------------------------
+# reference topology: one dict entry per edge, built a triangle side at a time
+
+def _ref_edge_multiplicity(triangles) -> dict:
+    edges: dict[tuple[int, int], int] = {}
+    for t in np.asarray(triangles):
+        for i in range(3):
+            a, b = int(t[(i + 1) % 3]), int(t[(i + 2) % 3])
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+def _ref_boundary_loop(vertices, triangles) -> np.ndarray:
+    """Walk the boundary edges from the smaller end of the first one, then
+    reverse the loop if it runs clockwise."""
+    edges = _ref_edge_multiplicity(triangles)
+    bedges = [e for e, c in edges.items() if c == 1]
+    nbr: dict[int, list[int]] = {}
+    for a, b in bedges:
+        nbr.setdefault(a, []).append(b)
+        nbr.setdefault(b, []).append(a)
+    assert all(len(v) == 2 for v in nbr.values())
+    loop, prev = [bedges[0][0]], None
+    while True:
+        cur = loop[-1]
+        nxt = [x for x in nbr[cur] if x != prev]
+        prev = cur
+        if nxt[0] == loop[0]:
+            break
+        loop.append(nxt[0])
+    assert len(loop) == len(bedges)
+    loop = np.array(loop, dtype=int)
+    pts = vertices[loop]
+    area2 = float(np.dot(pts[:, 0], np.roll(pts[:, 1], -1))
+                  - np.dot(pts[:, 1], np.roll(pts[:, 0], -1)))
+    return loop if area2 > 0 else loop[::-1].copy()
+
+
+def _ref_chord_edges(mesh) -> list[tuple[int, int]]:
+    on_b = np.zeros(mesh.n_vertices, bool)
+    on_b[mesh.boundary] = True
+    return [(a, b) for (a, b), c in _ref_edge_multiplicity(mesh.triangles).items()
+            if c == 2 and on_b[a] and on_b[b]]
+
+
+def _ref_neighbors(triangles) -> np.ndarray:
+    edge_to_tris: dict = {}
+    for t, tv in enumerate(triangles):
+        for i in range(3):
+            a, b = int(tv[(i + 1) % 3]), int(tv[(i + 2) % 3])
+            edge_to_tris.setdefault((min(a, b), max(a, b)), []).append((t, i))
+    nb = -np.ones((len(triangles), 3), dtype=int)
+    for pair in edge_to_tris.values():
+        if len(pair) == 2:
+            (t1, i1), (t2, i2) = pair
+            nb[t1, i1] = t2
+            nb[t2, i2] = t1
+    return nb
+
+
+def _assert_topology_matches_reference(mesh, rng=None):
+    dbl = geoq.double_cover(mesh)
+    assert np.array_equal(mesh.boundary, _ref_boundary_loop(mesh.vertices, mesh.triangles))
+    assert chord_edges(mesh) == _ref_chord_edges(mesh)
+    assert mesh.edge_count() == len(_ref_edge_multiplicity(mesh.triangles))
+    assert dbl.edge_count() == 2 * mesh.edge_count() - len(mesh.boundary)
+    for tri in (mesh.triangles, dbl.triangles):
+        assert np.array_equal(triangle_neighbors(tri), _ref_neighbors(tri))
+    if rng is not None:
+        # the same CCW triangles with the vertices renumbered and listed in
+        # another order, each from another corner: the loop's start depends
+        # on which boundary side comes first and which way it runs
+        ids = rng.permutation(mesh.n_vertices)
+        vertices = np.empty_like(mesh.vertices)
+        vertices[ids] = mesh.vertices
+        tri = ids[mesh.triangles][rng.permutation(mesh.n_triangles)]
+        tri = np.take_along_axis(tri, (np.arange(3) + rng.integers(0, 3, (len(tri), 1))) % 3, 1)
+        assert np.array_equal(_boundary_loop(tri), _ref_boundary_loop(vertices, tri))
+        assert np.array_equal(triangle_neighbors(tri), _ref_neighbors(tri))
+
+
+class TestEdgeTable:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(irregular=st.booleans(), n_nodes=st.integers(30, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, irregular, n_nodes, seed):
+        poly = np.array(IRREGULAR if irregular else SQUARE)
+        try:
+            pts = geoq.generate_deployment(poly, n_nodes, np.random.default_rng(seed))
+        except DegenerateInput:  # too few nodes for the outline's fence
+            assume(False)
+        _assert_topology_matches_reference(geoq.triangulate(pts, boundary=poly),
+                                           np.random.default_rng(seed))
+
+    def test_two_triangle_square(self):
+        # its diagonal is a chord, shared by all four triangles of the double
+        mesh = geoq.triangulate(np.array(SQUARE))
+        _assert_topology_matches_reference(mesh)
+        assert chord_edges(mesh) == [(1, 3)]
+        assert (triangle_neighbors(geoq.double_cover(mesh).triangles) == -1).sum() == 4
+
+    @pytest.mark.parametrize("triangles, message", [
+        ([[0, 1, 2], [2, 3, 4]], "not a simple loop"),     # pinched at vertex 2
+        ([[0, 1, 2], [3, 4, 5]], "more than one loop"),    # two components
+    ], ids=("pinched", "two-components"))
+    def test_boundary_errors(self, triangles, message):
+        with pytest.raises(DegenerateInput, match=message):
+            _boundary_loop(np.array(triangles))
+
+    def test_closed_surface_has_no_boundary(self):
+        rng = np.random.default_rng(10)
+        pts = geoq.generate_deployment(np.array(SQUARE), 60, rng)
+        dbl = geoq.double_cover(geoq.triangulate(pts, boundary=SQUARE))
+        with pytest.raises(DegenerateInput, match="no boundary"):
+            _boundary_loop(dbl.triangles)

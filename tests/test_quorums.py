@@ -61,7 +61,7 @@ class TestWriteQuorum:
         data = _data()
         for _ in range(5):
             w = random_unit(rng)
-            c = geoq.write_quorum(geoq.QuorumSystemKind.qg(), w, data, rng)
+            c = geoq.write_quorum(geoq.QuorumSystemKind("QG"), w, data, rng)
             assert abs(float(c.axis @ w)) < 1e-9
             assert abs(float(c.axis @ data.hash_point)) < 1e-9
 
@@ -85,14 +85,14 @@ class TestWriteQuorum:
     def test_qgm_axis_orthogonal_to_writer(self):
         rng = np.random.default_rng(3)
         w = random_unit(rng)
-        c = geoq.write_quorum(geoq.QuorumSystemKind.qgm(), w, _data(), rng)
+        c = geoq.write_quorum(geoq.QuorumSystemKind("QGm"), w, _data(), rng)
         assert abs(float(c.axis @ w)) < 1e-12
 
     def test_qld_latitude_circle(self):
         rng = np.random.default_rng(4)
         w = random_unit(rng)
         data = _data()
-        c = geoq.write_quorum(geoq.QuorumSystemKind.qld(), w, data, rng)
+        c = geoq.write_quorum(geoq.QuorumSystemKind("QLd"), w, data, rng)
         expect = min(geoq.geodesic_distance(data.hash_point, w),
                      np.pi - geoq.geodesic_distance(data.hash_point, w))
         assert c.rho == pytest.approx(expect, abs=1e-9)
@@ -100,8 +100,8 @@ class TestWriteQuorum:
     def test_pure_strategies_ignore_rng(self):
         data = _data()
         w = geoq.unit_vector([0.3, 0.4, 0.86])
-        for kind in (geoq.QuorumSystemKind.qg(), geoq.QuorumSystemKind.ql(),
-                     geoq.QuorumSystemKind.qld()):
+        for kind in (geoq.QuorumSystemKind("QG"), geoq.QuorumSystemKind("QL"),
+                     geoq.QuorumSystemKind("QLd")):
             c1 = geoq.write_quorum(kind, w, data, np.random.default_rng(1))
             c2 = geoq.write_quorum(kind, w, data, np.random.default_rng(999))
             assert np.allclose(c1.axis, c2.axis)
@@ -119,7 +119,7 @@ class TestWriteQuorum:
         n, bins = 10_000, 20
         angles = np.empty(n)
         for i in range(n):
-            c = geoq.write_quorum(geoq.QuorumSystemKind.qgm(), w, data, rng)
+            c = geoq.write_quorum(geoq.QuorumSystemKind("QGm"), w, data, rng)
             angles[i] = np.arctan2(float(c.axis @ e2), float(c.axis @ e1))
         counts, _ = np.histogram(angles, bins=bins, range=(-np.pi, np.pi))
         expected = n / bins
@@ -130,7 +130,7 @@ class TestWriteQuorum:
     def test_seed_stability_for_mixed(self):
         data = _data()
         w = geoq.unit_vector([0.3, 0.4, 0.86])
-        for kind in (geoq.QuorumSystemKind.qgm(),
+        for kind in (geoq.QuorumSystemKind("QGm"),
                      geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)):
             c1 = geoq.write_quorum(kind, w, data, np.random.default_rng(42))
             c2 = geoq.write_quorum(kind, w, data, np.random.default_rng(42))
@@ -143,7 +143,7 @@ class TestReadQuorum:
         rng = np.random.default_rng(5)
         data = _data()
         reader = geoq.unit_vector([np.sin(np.pi / 3), 0, np.cos(np.pi / 3)])
-        c = geoq.read_quorum(geoq.QuorumSystemKind.ql(), reader, data, rng)
+        c = geoq.read_quorum(geoq.QuorumSystemKind("QL"), reader, data, rng)
         assert c.rho == pytest.approx(np.pi / 3, abs=1e-9)
 
     def test_geoquorum_spiral_endpoints(self):
@@ -160,7 +160,7 @@ class TestReadQuorum:
         rng = np.random.default_rng(7)
         data = _data()
         reader = random_unit(rng)
-        c = geoq.read_quorum(geoq.QuorumSystemKind.qld(), reader, data, rng)
+        c = geoq.read_quorum(geoq.QuorumSystemKind("QLd"), reader, data, rng)
         assert c.rho == pytest.approx(np.pi / 2)
         assert abs(float(c.axis @ reader)) < 1e-9
         assert abs(float(c.axis @ data.hash_point)) < 1e-9
@@ -168,7 +168,7 @@ class TestReadQuorum:
     def test_qg_read_passes_through_hash(self):
         rng = np.random.default_rng(8)
         data = _data((0.6, -0.64, 0.48))
-        c = geoq.read_quorum(geoq.QuorumSystemKind.qg(), random_unit(rng), data, rng)
+        c = geoq.read_quorum(geoq.QuorumSystemKind("QG"), random_unit(rng), data, rng)
         assert abs(float(c.axis @ data.hash_point)) < 1e-9
 
     def test_dual_swaps_roles(self):
@@ -181,10 +181,10 @@ class TestReadQuorum:
 
 
     @pytest.mark.parametrize("kind", [
-        geoq.QuorumSystemKind.qg(),
-        geoq.QuorumSystemKind.qgm(),
-        geoq.QuorumSystemKind.ql(),
-        geoq.QuorumSystemKind.qld(),
+        geoq.QuorumSystemKind("QG"),
+        geoq.QuorumSystemKind("QGm"),
+        geoq.QuorumSystemKind("QL"),
+        geoq.QuorumSystemKind("QLd"),
         geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
     ])
     def test_shared_reads_ignore_the_reader(self, kind):
@@ -231,10 +231,10 @@ def test_psi_and_rng_draws_follow_is_mixed(name, dual, role, psi1, psi2, seed):
 
 class TestIntersectionGuarantee:
     @pytest.mark.parametrize("kind", [
-        geoq.QuorumSystemKind.qg(),
-        geoq.QuorumSystemKind.qgm(),
-        geoq.QuorumSystemKind.ql(),
-        geoq.QuorumSystemKind.qld(),
+        geoq.QuorumSystemKind("QG"),
+        geoq.QuorumSystemKind("QGm"),
+        geoq.QuorumSystemKind("QL"),
+        geoq.QuorumSystemKind("QLd"),
         geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
     ])
     def test_write_read_always_intersect(self, kind):
@@ -253,7 +253,7 @@ class TestIntersectionGuarantee:
 class TestGeometricRobustness:
     def test_qg_at_most_two(self):
         rng = np.random.default_rng(11)
-        r = geoq.geometric_robustness(geoq.QuorumSystemKind.qg(), _data(), 60, rng,
+        r = geoq.geometric_robustness(geoq.QuorumSystemKind("QG"), _data(), 60, rng,
                                       step=np.pi / 300)
         assert 1 <= r <= 2
 
@@ -265,5 +265,5 @@ class TestGeometricRobustness:
 
     def test_trials_validation(self):
         with pytest.raises(OutOfRange):
-            geoq.geometric_robustness(geoq.QuorumSystemKind.qg(), _data(), 0,
+            geoq.geometric_robustness(geoq.QuorumSystemKind("QG"), _data(), 0,
                                       np.random.default_rng(0))
