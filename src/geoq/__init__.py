@@ -13,9 +13,9 @@ from .sphere import (GeodesicPolyline, SphericalCircle, SphericalSpiral,
                      sample, spiral_for, unit_vector)
 from .mesh import (DoubledMesh, PlanarMesh, double_cover, generate_deployment,
                    load_mesh, point_in_polygon, save_mesh, triangulate)
-from .embedding import (DistortionReport, SphericalEmbedding, distortion_report,
-                        harmonic_sphere_map, load_embedding, locate,
-                        save_embedding)
+from .embedding import (DistortionReport, EmbeddingStats, SphericalEmbedding,
+                        distortion_report, harmonic_sphere_map, load_embedding,
+                        locate, save_embedding)
 from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
                       write_quorum)

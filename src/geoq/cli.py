@@ -127,6 +127,8 @@ def cmd_map(cfg: ExperimentConfig, out: Path) -> list[SphericalEmbedding]:
               f"flips={len(emb.flipped_triangles())} "
               f"angle_err_mean={rep_report.mean_angle_error * 100:.2f}% "
               f"residual={emb.residual:.3e}")
+        print(f"map: seed={seed} solver: "
+              f"{emb.stats.summary() if emb.stats else 'cached'}")
         embs.append(emb)
     return embs
 

@@ -6,15 +6,22 @@ stereographic coordinates (interior) and equator angles (boundary), and the
 mirror copy is the z-reflection by construction, so mirror symmetry and the
 boundary-on-equator property hold exactly at every iterate.
 
-Phases: (A) L-BFGS with three boundary angles pinned (fixes the residual
-Moebius gauge and blocks collapse), (B) damped Newton polish that refuses
-steps introducing boundary folds or flipped triangles, (C) recentering
-rounds until the area-weighted centroid and the residual are under
-tolerance: each round takes one Newton step on the two-parameter equatorial
-Moebius dilation that zeroes the centroid, then a short Newton re-solve.
+Phases:
+(A) L-BFGS from the Tutte disk map, with three boundary angles pinned
+    (fixes the residual Moebius gauge and blocks collapse).
+(B) Damped Newton, which refuses steps that add boundary folds or flipped
+    triangles. Probes, short strict Newton runs from L-BFGS iterates, decide
+    when L-BFGS hands the solve over; if Newton then stalls, L-BFGS resumes
+    and Newton polishes its end point (the rule is in harmonic_sphere_map).
+(C) Recentering rounds until the area-weighted centroid and the residual are
+    under tolerance: each round takes one Newton step on the two-parameter
+    equatorial Moebius dilation that zeroes the centroid, then a short Newton
+    re-solve.
+Every solve returns an EmbeddingStats record of what each phase did.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +31,24 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
-from .mesh import (DoubledMesh, PlanarMesh, chord_edges, edge_table, mesh_from_text,
+from .mesh import (DoubledMesh, chord_edges, edge_table, mesh_from_text,
                    mesh_to_text, triangle_neighbors)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
 # Hashed into the CLI's embedding cache key; raise it whenever a change to the
 # solver changes the embedding it returns for the same mesh and settings.
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
+# The handoff probe (phase B; see harmonic_sphere_map and _newton): the first
+# probe's L-BFGS iteration, the largest gap between probes, the Newton steps
+# of a probe, the factor each step must shrink the gradient's max-norm by,
+# and the rejected trial steps a strict Newton run survives.
+PROBE_FIRST = 15
+PROBE_EVERY = 100
+PROBE_STEPS = 3
+PROBE_SHRINK = 0.5
+PROBE_REJECTS = 4
 
 _Z = np.array([1.0, 1.0, -1.0])
 
@@ -67,11 +83,49 @@ def _triple_products(P, tri) -> np.ndarray:
 
 
 @dataclass
+class EmbeddingStats:
+    """What one solve did, phase by phase.
+
+    lbfgs_* sum over the L-BFGS runs (two when a handoff is taken back); the
+    message is the last run's. Newton steps count every Newton run, probes
+    included. seconds maps each phase (setup, lbfgs, probes, newton,
+    recenter) to its wall time; lbfgs excludes the probes run inside it.
+    """
+
+    lbfgs_nit: int = 0
+    lbfgs_nfev: int = 0
+    lbfgs_message: str = ""
+    probes: int = 0
+    probes_failed: int = 0
+    handoff: bool = False
+    resumed: bool = False
+    newton_accepted: int = 0
+    newton_rejected: int = 0
+    folds_repaired: int = 0
+    recenter_rounds: int = 0
+    centroid_norm: float = 0.0
+    seconds: dict = field(default_factory=dict)
+
+    def summary(self) -> str:
+        """The record on one line."""
+        handoff = "resumed" if self.resumed else ("handoff" if self.handoff else "no handoff")
+        secs = " ".join(f"{k}={v:.2f}" for k, v in self.seconds.items())
+        return (f"lbfgs nit={self.lbfgs_nit} nfev={self.lbfgs_nfev} "
+                f"({self.lbfgs_message}); probes={self.probes} "
+                f"failed={self.probes_failed} {handoff}; newton "
+                f"accepted={self.newton_accepted} rejected={self.newton_rejected}; "
+                f"folds_repaired={self.folds_repaired}; recenter "
+                f"rounds={self.recenter_rounds} |c|={self.centroid_norm:.1e}; "
+                f"seconds {secs}")
+
+
+@dataclass
 class SphericalEmbedding:
     """Doubled mesh with unit-sphere vertex positions.
 
     residual is the final stationarity measure (max tangential energy-gradient
-    component over the free degrees of freedom).
+    component over the free degrees of freedom). stats is the solve's record;
+    None for an embedding read from text.
     """
 
     mesh: DoubledMesh
@@ -79,6 +133,7 @@ class SphericalEmbedding:
     residual: float
     energy: float = 0.0
     energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    stats: EmbeddingStats | None = None
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
     _kdtree: cKDTree | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
@@ -218,6 +273,13 @@ class _System:
     def pack_grad(self, gI, gth):
         return np.concatenate([gI.ravel(), gth[self.free_b]])
 
+    def unpack(self, x):
+        """(u_int, th) of an L-BFGS vector, the pins filled in; u_int is a view of x."""
+        th = np.empty(self.nB)
+        th[self.free_b] = x[2 * self.nI:]
+        th[self.pin_pos] = self.pin_val
+        return x[:2 * self.nI].reshape(self.nI, 2), th
+
     def hessian(self, u_int, th, g_P):
         r2 = (u_int ** 2).sum(axis=1)
         f = 2.0 / (1.0 + r2)
@@ -293,45 +355,75 @@ def _repair_folds(th):
     return thw
 
 
-def _newton(sys_: _System, u_int, th, iters: int, grad_target: float = 1e-12):
-    """Damped Newton; accepts only gradient-decreasing, fold/flip-safe steps."""
-    E, gI, gth, g_P = sys_.grad(u_int, th)
+def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
+            grad_target: float = 1e-12, strict: bool = False):
+    """Damped Newton; accepts only gradient-decreasing, fold/flip-safe steps.
+
+    Each iteration factors H + tau I, raising tau tenfold after every rejected
+    trial; the run stalls when 40 trials in a row are rejected. A strict run
+    (a probe, or the Newton finish after a handoff) fails sooner: at its
+    (PROBE_REJECTS + 1)-th rejected trial in all, or at an accepted step that
+    shrinks the gradient's max-norm by less than the factor PROBE_SHRINK. A
+    strict run therefore factors at most iters + PROBE_REJECTS times. Neither
+    u_int nor th is written to. Returns (u_int, th, ginf, ok); ok is False
+    when the run stalled or failed.
+    """
+    _, gI, gth, g_P = sys_.grad(u_int, th)
     g = sys_.pack_grad(gI, gth)
+    ginf = float(np.abs(g).max())
     base_folds = _fold_count(th)
     base_flips = _flip_count(sys_, sys_.positions(u_int, th))
     tau = 1e-6
+    rejected = 0
     eye = sparse.identity(sys_.ndof, format="csc")
     for _ in range(iters):
-        ginf = float(np.abs(g).max())
         if ginf < grad_target:
             break
         H = sys_.hessian(u_int, th, g_P)
-        accepted = False
         for _ in range(40):
-            try:
-                dx = splu(H + tau * eye).solve(-g)
-            except RuntimeError:
-                tau *= 10
-                continue
-            u_new = u_int + dx[:2 * sys_.nI].reshape(sys_.nI, 2)
-            th_new = th.copy()
-            th_new[sys_.free_b] = th[sys_.free_b] + dx[2 * sys_.nI:]
-            if (_fold_count(th_new) > base_folds
-                    or _flip_count(sys_, sys_.positions(u_new, th_new)) > base_flips):
-                tau *= 10
-                continue
-            E_new, gI_new, gth_new, gP_new = sys_.grad(u_new, th_new)
-            g_new = sys_.pack_grad(gI_new, gth_new)
-            if np.abs(g_new).max() < np.abs(g).max():
-                accepted = True
+            step = _trial_step(sys_, H + tau * eye, g, u_int, th, base_folds, base_flips)
+            if step is not None:
                 break
+            stats.newton_rejected += 1
+            rejected += 1
             tau *= 10
-        if not accepted:
-            break
-        u_int, th, E, g, g_P = u_new, th_new, E_new, g_new, gP_new
-        gI, gth = gI_new, gth_new
+            if strict and rejected > PROBE_REJECTS:
+                return u_int, th, ginf, False
+        else:
+            return u_int, th, ginf, False
+        stats.newton_accepted += 1
+        u_int, th, g, g_P = step
+        ginf, last = float(np.abs(g).max()), ginf
+        if strict and ginf > PROBE_SHRINK * last:
+            return u_int, th, ginf, False
         tau = max(tau * 0.25, 1e-14)
-    return u_int, th, float(np.abs(g).max())
+    return u_int, th, ginf, True
+
+
+def _trial_step(sys_: _System, A, g, u_int, th, base_folds: int, base_flips: int):
+    """The step A dx = -g from (u_int, th): the new (u_int, th, g, g_P), or
+    None when A is singular, the step adds boundary folds or flipped
+    triangles, or it does not lower the gradient's max-norm.
+
+    A is symmetric, so its LU takes a minimum-degree ordering of A + A^T and
+    diagonal pivots.
+    """
+    try:
+        dx = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True)).solve(-g)
+    except RuntimeError:
+        return None
+    u_new = u_int + dx[:2 * sys_.nI].reshape(sys_.nI, 2)
+    th_new = th.copy()
+    th_new[sys_.free_b] = th[sys_.free_b] + dx[2 * sys_.nI:]
+    if (_fold_count(th_new) > base_folds
+            or _flip_count(sys_, sys_.positions(u_new, th_new)) > base_flips):
+        return None
+    _, gI, gth, g_P = sys_.grad(u_new, th_new)
+    g_new = sys_.pack_grad(gI, gth)
+    if not np.abs(g_new).max() < np.abs(g).max():
+        return None
+    return u_new, th_new, g_new, g_P
 
 
 def _conformal_dilate(P, v):
@@ -354,8 +446,11 @@ def _conformal_dilate(P, v):
     return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
-def _tutte_disk(mesh: PlanarMesh, sys_: _System) -> np.ndarray:
-    """Barycentric map of the region to the unit disk (positive weights)."""
+def _tutte_start(sys_: _System) -> np.ndarray:
+    """The L-BFGS start: the barycentric map of the region to the unit disk
+    (positive weights), read as stereographic coordinates, with the boundary
+    at its arc-length angles."""
+    mesh = sys_.dbl.source
     n = mesh.n_vertices
     W = cot_weights(mesh.vertices, mesh.triangles, n, floor=None)
     W.data = np.clip(W.data, 1e-3, 1e3)  # positivity for a bijective disk map
@@ -368,12 +463,44 @@ def _tutte_disk(mesh: PlanarMesh, sys_: _System) -> np.ndarray:
     lhs = L[idx][:, idx].tocsc()
     rhs = -L[idx][:, bl] @ disk[bl]
     disk[idx] = splu(lhs).solve(rhs)
-    return disk
+    return np.concatenate([disk[idx].ravel(), sys_.arc_param[sys_.free_b]])
+
+
+def _probe(sys_: _System, x, stats: EmbeddingStats):
+    """A strict Newton run of PROBE_STEPS steps from the L-BFGS vector x (not
+    written to): the (u_int, th) it ends at if it did not fail, else None."""
+    u_int, th, _, ok = _newton(sys_, *sys_.unpack(x), iters=PROBE_STEPS, stats=stats,
+                               strict=True)
+    return (u_int, th) if ok else None
+
+
+class _Laps:
+    """Charges the wall time since the previous lap to a named phase."""
+
+    def __init__(self, seconds: dict):
+        self.seconds, self.t = seconds, time.perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        t = time.perf_counter()
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + t - self.t
+        self.t = t
 
 
 def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> SphericalEmbedding:
     """Compute the symmetric harmonic map of the doubled mesh to the unit sphere.
+
+    L-BFGS runs from the Tutte start and is probed at its iterations 15, 30,
+    60, 120, 220, 320, ...: the gap between probes doubles from PROBE_FIRST
+    until it reaches PROBE_EVERY. Early probes are dense because Newton can
+    often finish from one of the first few dozen iterates; later ones are
+    sparse because a failed probe costs as much as dozens of L-BFGS
+    iterations. A probe that does not fail hands the solve to a strict
+    Newton run from where the probe ended; a failed one leaves L-BFGS and its
+    memory as they were. If that Newton run ends above tol, or with a
+    boundary fold or a flipped triangle, L-BFGS resumes from the iterate it
+    handed off, probes no more, and Newton polishes its end point as without
+    a handoff.
 
     Raises NoConvergence (carrying the best embedding) if the stationarity
     residual stays above tol.
@@ -383,37 +510,63 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         raise DegenerateMesh(
             f"{len(ch)} interior edge(s) join boundary vertices; the doubled "
             f"surface is not simplicial there and cannot be embedded")
+    stats = EmbeddingStats()
+    lap = _Laps(stats.seconds)
     sys_ = _System(dbl)
-    disk = _tutte_disk(dbl.source, sys_)
-    u0 = disk[sys_.interior]
+    x0 = _tutte_start(sys_)
+    lap("setup")
 
     energy_trace: list[float] = []
+    handoff = None
+    next_probe = PROBE_FIRST
 
     def objective(x):
-        uI = x[:2 * sys_.nI].reshape(sys_.nI, 2)
-        th = np.empty(sys_.nB)
-        th[sys_.free_b] = x[2 * sys_.nI:]
-        th[sys_.pin_pos] = sys_.pin_val
-        E, gI, gth, _ = sys_.grad(uI, th)
+        E, gI, gth, _ = sys_.grad(*sys_.unpack(x))
         return E, sys_.pack_grad(gI, gth)
 
-    x0 = np.concatenate([u0.ravel(), sys_.arc_param[sys_.free_b]])
-    # scipy hands the iterate's result (with .fun) only to a callback whose
-    # one parameter is named intermediate_result
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   callback=lambda intermediate_result: energy_trace.append(
-                       intermediate_result.fun),
-                   options=dict(maxiter=max_iters, maxfun=2 * max_iters,
-                                ftol=1e-16, gtol=1e-12, maxcor=40))
-    u_int = res.x[:2 * sys_.nI].reshape(sys_.nI, 2)
-    th = np.empty(sys_.nB)
-    th[sys_.free_b] = res.x[2 * sys_.nI:]
-    th[sys_.pin_pos] = sys_.pin_val
+    # scipy hands the iterate's result (with .x and .fun) only to a callback
+    # whose one parameter is named intermediate_result
+    def callback(intermediate_result):
+        nonlocal handoff, next_probe
+        energy_trace.append(intermediate_result.fun)
+        if stats.handoff or len(energy_trace) < next_probe:
+            return
+        next_probe += min(next_probe, PROBE_EVERY)
+        lap("lbfgs")
+        stats.probes += 1
+        handoff = _probe(sys_, intermediate_result.x, stats)
+        lap("probes")
+        if handoff is not None:
+            raise StopIteration
+        stats.probes_failed += 1
 
-    if _fold_count(th):
-        th = _repair_folds(th)
-        sys_.pin_val = th[sys_.pin_pos].copy()
-    u_int, th, ginf = _newton(sys_, u_int, th, iters=40)
+    def lbfgs(x, iters):
+        res = minimize(objective, x, jac=True, method="L-BFGS-B", callback=callback,
+                       options=dict(maxiter=iters, maxfun=2 * iters,
+                                    ftol=1e-16, gtol=1e-12, maxcor=40))
+        stats.lbfgs_nit += res.nit
+        stats.lbfgs_nfev += res.nfev
+        stats.lbfgs_message = str(res.message)
+        lap("lbfgs")
+        return res
+
+    res = lbfgs(x0, max_iters)
+    if handoff is not None:
+        stats.handoff = True
+        u_int, th, ginf, _ = _newton(sys_, *handoff, iters=40, stats=stats, strict=True)
+        lap("newton")
+        stats.resumed = not (ginf <= tol and _fold_count(th) == 0
+                             and _flip_count(sys_, sys_.positions(u_int, th)) == 0)
+        if stats.resumed:
+            res = lbfgs(res.x, max_iters - stats.lbfgs_nit)
+    if handoff is None or stats.resumed:
+        u_int, th = sys_.unpack(res.x)
+        stats.folds_repaired = _fold_count(th)
+        if stats.folds_repaired:
+            th = _repair_folds(th)
+            sys_.pin_val = th[sys_.pin_pos].copy()
+        u_int, th, ginf, _ = _newton(sys_, u_int, th, iters=40, stats=stats)
+        lap("newton")
 
     # recentering (phase C): the centroid's z part vanishes by symmetry; the
     # Jacobian of its xy part in the dilation vector is a forward difference
@@ -423,19 +576,22 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         c = _area_centroid(tri, P)[:2]
         if np.linalg.norm(c) < 5e-7 and ginf < tol:
             break
+        stats.recenter_rounds += 1
         h = 1e-2
         J = np.column_stack([(_area_centroid(tri, _conformal_dilate(P, e))[:2] - c) / h
                              for e in ((h, 0.0), (0.0, h))])
         P = _conformal_dilate(P, -np.linalg.solve(J, c))
         u_int, th = sys_.coords_from_positions(P)
         sys_.pin_val = th[sys_.pin_pos].copy()
-        u_int, th, ginf = _newton(sys_, u_int, th, iters=8)
+        u_int, th, ginf, _ = _newton(sys_, u_int, th, iters=8, stats=stats)
         P = sys_.positions(u_int, th)
+    stats.centroid_norm = float(np.linalg.norm(_area_centroid(tri, P)))
+    lap("recenter")
 
     emb = SphericalEmbedding(mesh=dbl, positions=P, residual=ginf,
                              energy=sys_.energy(P),
-                             energy_trace=np.array(energy_trace))
-    if ginf > tol:
+                             energy_trace=np.array(energy_trace), stats=stats)
+    if not ginf <= tol:   # a NaN residual is no convergence either
         raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e}",
                             residual=ginf, best=emb)
     return emb

@@ -97,9 +97,11 @@ class TestMapCache:
         cmd_map(cfg, tmp_path)
         first = capsys.readouterr().out
         assert "solved" in first
+        assert "solver: lbfgs nit=" in first
         cmd_map(cfg, tmp_path)
         second = capsys.readouterr().out
         assert "cache hit" in second
+        assert "solver: cached" in second
 
     def test_cache_dir_env(self, tmp_path, monkeypatch):
         cdir = tmp_path / "mycache"

@@ -6,13 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoq
-from geoq.embedding import (_conformal_dilate, _dilatation, embedding_from_text,
+from geoq import embedding
+from geoq.embedding import (PROBE_REJECTS, PROBE_STEPS, _conformal_dilate, _dilatation,
+                            _probe, _System, _tutte_start, embedding_from_text,
                             embedding_to_text, locate_many)
 from geoq.errors import DegenerateMesh, NoConvergence
 
 from conftest import SQUARE, random_unit
 
 _Z = np.array([1.0, 1.0, -1.0])
+
+
+def _square_cover(n_nodes, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
+    pts = geoq.generate_deployment(np.array(SQUARE), n_nodes, rng)
+    return geoq.double_cover(geoq.triangulate(pts, boundary=SQUARE))
+
+
+def _refused(sys_, x, stats):
+    return None
 
 
 class TestInvariants:
@@ -179,6 +191,95 @@ class TestSolverEdges:
         assert err.value.best is not None
         assert err.value.residual > 1e-16
 
+    def test_nan_residual_is_no_convergence(self, monkeypatch):
+        newton = embedding._newton
+
+        def nan_residual(*args, **kwargs):
+            u_int, th, _, ok = newton(*args, **kwargs)
+            return u_int, th, float("nan"), ok
+
+        monkeypatch.setattr(embedding, "_newton", nan_residual)
+        with pytest.raises(NoConvergence):
+            geoq.harmonic_sphere_map(_square_cover(300, 1))
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("n_nodes, seed", [(300, 2), (350, 4), (400, 1)])
+    def test_handoff_changes_nothing(self, n_nodes, seed, monkeypatch):
+        # a probe that always refuses runs L-BFGS to its end, as before the
+        # handoff; on these meshes the handoff comes at iterations 220, 120 and 15
+        dbl = _square_cover(n_nodes, seed)
+        emb = geoq.harmonic_sphere_map(dbl)
+        monkeypatch.setattr(embedding, "_probe", _refused)
+        ref = geoq.harmonic_sphere_map(dbl)
+        assert emb.stats.handoff and not emb.stats.resumed
+        assert not ref.stats.handoff and ref.stats.lbfgs_nit > emb.stats.lbfgs_nit
+        assert np.abs(emb.positions - ref.positions).max() < 1e-9
+        assert emb.residual < 1e-7 and ref.residual < 1e-7
+        assert len(emb.flipped_triangles()) == len(ref.flipped_triangles())
+        boundary_z = [np.abs(e.positions[dbl.boundary, 2]).max() for e in (emb, ref)]
+        assert boundary_z[0] == boundary_z[1]
+
+    def test_failed_probe_is_cheap(self, monkeypatch):
+        sys_ = _System(_square_cover(400, 3))
+        x = _tutte_start(sys_)
+        x_before = x.copy()
+        calls = []
+        lu = embedding.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lu(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "splu", counted)
+        stats = geoq.EmbeddingStats()
+        assert _probe(sys_, x, stats) is None
+        assert 0 < len(calls) <= PROBE_STEPS + PROBE_REJECTS
+        assert stats.newton_accepted + stats.newton_rejected == len(calls)
+        assert np.array_equal(x, x_before)
+
+    def test_probe_gives_up_after_bounded_rejections(self, monkeypatch):
+        # every factorization fails, so every trial step is rejected
+        sys_ = _System(_square_cover(400, 3))
+        x = _tutte_start(sys_)
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(embedding, "splu", singular)
+        stats = geoq.EmbeddingStats()
+        assert _probe(sys_, x, stats) is None
+        assert len(calls) == stats.newton_rejected == PROBE_REJECTS + 1
+
+    def test_stalled_handoff_resumes_lbfgs(self, monkeypatch):
+        # the first probe hands over the Tutte start, from which Newton fails
+        dbl = _square_cover(350, 1)
+        monkeypatch.setattr(embedding, "_probe", _refused)
+        ref = geoq.harmonic_sphere_map(dbl)
+        monkeypatch.setattr(embedding, "_probe",
+                            lambda sys_, x, stats: sys_.unpack(_tutte_start(sys_)))
+        emb = geoq.harmonic_sphere_map(dbl)
+        st = emb.stats
+        assert st.handoff and st.resumed
+        assert st.probes == 1 and st.probes_failed == 0
+        assert emb.residual < 1e-7
+        assert np.abs(emb.positions - ref.positions).max() < 1e-9
+        e = emb.energy_trace
+        assert len(e) == st.lbfgs_nit
+        assert all(e[i + 1] <= e[i] * (1 + 1e-9) for i in range(len(e) - 1))
+
+    def test_stats_record_the_solve(self, emb400):
+        st = emb400.stats
+        assert st.lbfgs_nit == len(emb400.energy_trace)
+        assert st.lbfgs_nfev >= st.lbfgs_nit and st.lbfgs_message
+        assert st.handoff and st.probes - st.probes_failed == 1
+        assert st.newton_accepted > 0 and st.centroid_norm < 5e-7
+        assert set(st.seconds) == {"setup", "lbfgs", "probes", "newton", "recenter"}
+        assert all(v >= 0 for v in st.seconds.values())
+        assert f"nit={st.lbfgs_nit} " in st.summary() and "\n" not in st.summary()
+
 
 class TestEmbeddingIO:
     def test_round_trip(self, emb400, tmp_path):
@@ -190,3 +291,4 @@ class TestEmbeddingIO:
         geoq.save_embedding(emb400, path)
         loaded = geoq.load_embedding(path)
         assert np.allclose(loaded.positions, emb400.positions, atol=1e-9)
+        assert again.stats is None and loaded.stats is None
