@@ -20,8 +20,7 @@ from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
                       write_quorum)
 from .loadsim import (Metrics, Workload, charge, discrete_robustness,
-                      rasterize, rasterize_polylines, run,
-                      stack_polylines)
+                      level_sets, rasterize, run)
 from .config import ExperimentConfig, load_config, preset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,6 +5,7 @@ re-parsing a config reproduces it exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -215,6 +216,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("nodes must be at least 16")
     if not cfg.r_values:
         raise ConfigError("r_values must be non-empty")
+    if not all(math.isfinite(r) and r > 0 for r in cfg.r_values):
+        raise ConfigError(f"r_values must be finite and positive, got {cfg.r_values}")
     if cfg.kind not in KIND_NAMES:
         raise ConfigError(f"unknown system kind {cfg.kind!r}")
     if cfg.mode not in ("montecarlo", "expected"):

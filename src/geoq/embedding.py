@@ -137,6 +137,7 @@ class SphericalEmbedding:
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
     _kdtree: cKDTree | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
+    _edges: tuple | None = field(default=None, repr=False)
     _planes: np.ndarray | None = field(default=None, repr=False)
     _orient: float = field(default=0.0, repr=False)
     _median_edge: float = field(default=0.0, repr=False)
@@ -162,12 +163,21 @@ class SphericalEmbedding:
 
     def median_edge_length(self) -> float:
         if self._median_edge == 0.0:
-            et = edge_table(self.mesh.triangles)
-            s = et.slots()
-            p = self.positions
-            d = np.clip(np.einsum("ij,ij->i", p[et.tail[s]], p[et.head[s]]), -1, 1)
+            p = self.positions[self.edges()[0]]
+            d = np.clip(np.einsum("ij,ij->i", p[:, 0], p[:, 1]), -1, 1)
             self._median_edge = float(np.median(np.arccos(d)))
         return self._median_edge
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ends, sides): ends[e] is the (tail, head) vertex pair of edge e, once
+        per edge, and sides[t, i] the edge of triangle t opposite its vertex i."""
+        if self._edges is None:
+            et = edge_table(self.mesh.triangles)
+            sides = np.empty(len(et.tail), dtype=int)
+            sides[et.order] = np.repeat(np.arange(len(et.first)), et.count)
+            s = et.slots()
+            self._edges = (np.stack([et.tail[s], et.head[s]], axis=1), sides.reshape(-1, 3))
+        return self._edges
 
     def tri_centroids(self) -> np.ndarray:
         """Unit directions of the triangle centroids."""
@@ -619,7 +629,7 @@ def embedding_residual(emb: SphericalEmbedding) -> float:
 # ---------------------------------------------------------------------------
 # point location
 
-LOCATE_TOL = 1e-10  # slack of the containment predicate and of the walk's side tests
+LOCATE_TOL = 1e-10  # slack of the containment predicate
 
 
 # p @ planes[t] > _INSIDE: every edge side >= -LOCATE_TOL, the centroid side > 0
@@ -627,94 +637,18 @@ _INSIDE = np.array([np.nextafter(-LOCATE_TOL, -np.inf)] * 3 + [0.0])
 
 
 def _locate_test(emb: SphericalEmbedding, tris, p):
-    """Edge sides of the points p[..., k, :] in the triangles tris[...], and
-    which of the points each triangle contains.
-
-    sides[..., k, i] = edge normal i of the triangle . p is >= 0 where p lies
-    on the inner side of the edge opposite vertex i (the edge neighbors()[t, i]
-    shares). A triangle contains p (gnomonically) when all three sides are
-    >= -LOCATE_TOL and p lies in the hemisphere of its centroid. Returns
-    (sides, contains).
+    """Which of the points p[..., k, :] each of the triangles tris[...]
+    contains: gnomonically, when p . (edge normal i) >= -LOCATE_TOL for the
+    three inward edge normals and p lies in the hemisphere of the centroid.
     """
-    s = np.matmul(p, emb.planes()[tris])
-    return s[..., :3], (s > _INSIDE).all(axis=-1)
-
-
-def walk(emb: SphericalEmbedding, tris, points, offsets, lookahead: int = 1):
-    """Walk polylines across the mesh, chord after chord.
-
-    Polyline c is points[offsets[c]:offsets[c + 1]]; its walk starts in the
-    triangle tris[c], which contains its first point. Each chord walks from
-    the triangle the previous chord stopped in to the first triangle that
-    contains its end point by `locate`'s predicate. Every iteration moves
-    each polyline past the leading points, of the next `lookahead`, that its
-    current triangle contains, then takes one step on the chord to the first
-    point it does not contain, so the iterations follow the triangles crossed
-    rather than the points. The result does not depend on `lookahead`.
-
-    A chord leaves its triangle through the edge it crosses outward: the edge
-    u -> w, in the triangle's positive order, with u right of the chord's great
-    circle, w left of it and its end point outside the edge. A vertex within
-    LOCATE_TOL of the great circle counts on both sides, so a chord through a
-    vertex turns about it; when no edge qualifies, the chord leaves through
-    the edge its end point lies furthest outside.
-
-    Returns (owner, entered): every triangle entered on the way, in walking
-    order, with the polyline that entered it. Raises NotFound when one chord
-    takes more than n_triangles steps.
-    """
-    nb, corners = emb.neighbors(), emb.positions[emb.mesh.triangles]
-    tris = np.array(tris, dtype=int).reshape(-1)
-    points = np.atleast_2d(points)
-    offsets = np.asarray(offsets, dtype=int)
-    # m[i]: the unit normal of chord i -> i + 1; x lies left of it where m . x > 0.
-    # Built column by column: np.cross copies both inputs.
-    a, b = points[:-1], points[1:]
-    m = np.empty_like(a)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(a[:, j] * b[:, k], a[:, k] * b[:, j], out=m[:, i])
-    m *= (emb.orientation()
-          / np.maximum(np.sqrt(np.einsum("ij,ij->i", m, m)), 1e-300))[:, None]
-    window = np.arange(lookahead)
-    # the walking polylines: index, triangle, next point, last point, steps on this chord
-    ids = np.flatnonzero(offsets[1:] - offsets[:-1] > 1)
-    cur, nxt, last = tris[ids], offsets[ids] + 1, offsets[ids + 1] - 1
-    steps = np.zeros(len(ids), dtype=int)
-    owner, entered = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    while len(ids):
-        # a window index past the last point repeats it, and so adds no skip
-        sides, contains = _locate_test(emb, cur,
-                                       points[np.minimum(nxt[:, None] + window, last[:, None])])
-        skip = np.logical_and.accumulate(contains, axis=1).sum(axis=1)
-        nxt += skip
-        steps[skip > 0] = 0
-        go = np.flatnonzero(skip < lookahead)
-        if len(go):
-            if steps[go].max() == emb.mesh.n_triangles:
-                raise NotFound(f"a chord did not arrive within {emb.mesh.n_triangles} "
-                               f"steps; embedding may be folded")
-            t, s = cur[go], sides[go, skip[go]]
-            left = np.einsum("nij,nj->ni", corners[t], m[nxt[go] - 1])[:, [1, 2, 0, 1]]
-            crossed = ((left[:, :3] <= LOCATE_TOL) & (left[:, 1:] >= -LOCATE_TOL)
-                       & (s < -LOCATE_TOL))
-            # among the crossed edges (all edges if none is), the one the end is furthest outside
-            exits = np.argmin(np.where(crossed | ~crossed.any(axis=1, keepdims=True),
-                                       s, np.inf), axis=1)
-            cur[go] = nb[t, exits]
-            steps[go] += 1
-            owner.append(ids[go])
-            entered.append(cur[go])
-        keep = nxt <= last
-        if not keep.all():
-            ids, cur, nxt, last, steps = ids[keep], cur[keep], nxt[keep], last[keep], steps[keep]
-    return np.concatenate(owner), np.concatenate(entered)
+    return (np.matmul(p, emb.planes()[tris]) > _INSIDE).all(axis=-1)
 
 
 def locate(p, emb: SphericalEmbedding) -> int:
     """Triangle whose gnomonic projection contains p: the first of all
     triangles, by index, that `_locate_test` finds containing it."""
     contains = _locate_test(emb, np.arange(emb.mesh.n_triangles),
-                            np.asarray(p, dtype=float)[None])[1][:, 0]
+                            np.asarray(p, dtype=float)[None])[:, 0]
     if not contains.any():
         raise NotFound("no triangle contains the query point; embedding may be folded")
     return int(np.argmax(contains))
@@ -727,7 +661,7 @@ def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
     k = min(12, emb.mesh.n_triangles)
     _, cand = emb.kdtree().query(pts, k=k)
     cand = np.atleast_2d(cand)
-    contains = _locate_test(emb, cand, pts[:, None, None, :])[1][..., 0]
+    contains = _locate_test(emb, cand, pts[:, None, None, :])[..., 0]
     out = np.where(contains.any(axis=1),
                    cand[np.arange(len(pts)), np.argmax(contains, axis=1)], -1)
     for i in np.flatnonzero(out < 0):

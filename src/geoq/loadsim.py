@@ -1,14 +1,42 @@
 """Rasterize quorum curves onto the embedded mesh and account per-node load.
 
-A run builds its access curves in access order, samples each once and
-rasterizes them in batches: one point location per curve, for its first
-sample, then one walk that moves every curve along its samples, each chord
-starting in the triangle where the previous one stopped.
+The embedded mesh is a polyhedron of flat triangles, and each quorum curve
+is a level set of a function known at every vertex, so a curve is
+rasterized with no sampling and no point location.
 
-Charging rule: every vertex of every triangle traversed by an access's curve
-receives the access weight once (set semantics per access); loads of mirror
-copies accrue to the physical (original) vertex. Weights are added in access
-order, so loads do not depend on how the accesses are batched.
+- A circle (n, rho) is the plane section f(p) = p . n - cos rho = 0 of the
+  sphere. f is linear, so the plane cuts a flat triangle exactly when f
+  takes both signs at its vertices. One matrix product gives f at every
+  vertex for a block of circles.
+- A spiral of pitch a and phase theta0 is where its phase
+  h = phi / a + theta0 - lambda is a multiple of 2 pi, with latitude phi
+  and longitude lambda in the reader's frame (`SphericalSpiral.frame`). An
+  edge is crossed when h, with lambda unwrapped along the edge, passes a
+  multiple of 2 pi between its ends; a triangle is crossed when one of its
+  edges is, which is when [min h, max h] over its vertices, lambda unwrapped
+  inside it, holds a multiple of 2 pi. A triangle around which lambda winds
+  holds a pole, which every spiral passes, and one of its edges always
+  qualifies. For a >= 1/2 the sweep past the far pole adds a second branch,
+  h = (pi - phi) / a + theta0 + pi - lambda.
+
+Tie rule: a vertex lies on the curve when |f| <= UNIT_TOL, or, for a
+spiral, when h lies within UNIT_TOL of a multiple of 2 pi or the vertex is
+at a pole. Such a vertex is charged, and a triangle is charged when its
+off-curve vertices lie strictly on both sides. So a triangle that meets the
+curve only at a vertex is not charged, and a curve along mesh edges (an
+equator along the seam of the doubled mesh) charges just the vertices on
+it. A circle whose cap holds no vertex crosses no flat triangle; it charges
+the triangle that holds its centre.
+
+First hit: a read cut at its first crossing with a write keeps an interval
+of its parameter, the angle about a circle's axis from its start or theta
+along a spiral. Its level set keeps the triangles and on-curve vertices
+whose parameter range meets that interval, a subset of the full read's.
+
+Charging rule: every vertex of every charged triangle and every vertex on
+the curve receives the access weight once (set semantics per access); loads
+of mirror copies accrue to the physical (original) vertex. Weights are added
+in access order, so loads do not depend on how the accesses are blocked.
 """
 from __future__ import annotations
 
@@ -18,81 +46,230 @@ from itertools import chain
 
 import numpy as np
 
-from .embedding import SphericalEmbedding, locate_many, walk
+from .embedding import SphericalEmbedding, locate_many
 from .errors import ConfigError, DegenerateInput, OutOfRange
 from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed,
                       is_read_shared, mixing_angles, quorum_curve, read_quorum,
                       write_quorum)
-from .sphere import (UNIT_TOL, GeodesicPolyline, SphericalCircle,
-                     SphericalCurve, circle_crossings, sample)
+from .sphere import (UNIT_TOL, SphericalCircle, SphericalCurve,
+                     SphericalSpiral, circle_basis, circle_crossings, sample)
 
-RASTER_STEP_FACTOR = 0.25  # sampling step as a fraction of the median edge length
-# Samples per edge length: about how many consecutive samples one triangle
-# holds, so one walk iteration tests that many.
-_LOOKAHEAD = math.ceil(1 / RASTER_STEP_FACTOR)
-# Samples rasterized together; bounds a batch's memory (about 100 bytes each).
-_BATCH_SAMPLES = 1 << 17
+RASTER_STEP_FACTOR = 0.25  # first-hit sampling step as a fraction of the median edge length
+TWO_PI = 2 * np.pi
+# Curve x mesh entries (vertices for a circle, edges per spiral branch) of one
+# block: bounds each of a block's float arrays to 2 MB.
+_BLOCK = 1 << 18
 
 
 def raster_step(emb: SphericalEmbedding) -> float:
     return RASTER_STEP_FACTOR * emb.median_edge_length()
 
 
-def stack_polylines(polylines):
-    """(points, offsets): the polylines' samples end to end, polyline c being
-    points[offsets[c]:offsets[c + 1]]."""
-    offsets = np.concatenate([[0], np.cumsum([len(p) for p in polylines])])
-    return np.concatenate(polylines), offsets
+def _pack(bits):
+    """The rows of a bool array packed 64 columns to a word."""
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
-def rasterize_polylines(points, offsets, emb: SphericalEmbedding):
-    """(owner, triangles): the unique (polyline, triangle) pairs, sorted by
-    polyline then triangle, of the mesh triangles that the geodesic segments
-    between each polyline's samples pass through. Polyline c is
-    points[offsets[c]:offsets[c + 1]] (see `stack_polylines`).
+def _any_of(words, index):
+    """Packed rows: for every index row i, the columns r where words[j] has
+    bit r for some j in index[i]."""
+    return words[index[:, 0]] | words[index[:, 1]] | words[index[:, 2]]
 
-    Only each polyline's first sample is located; one walk then moves every
-    polyline along its samples (`embedding.walk`), and each charges its first
-    triangle and every triangle it enters.
+
+def _set_pairs(words):
+    """(column, row) of every set bit of packed rows (`_pack`)."""
+    octets = words.view(np.uint8)
+    row, byte = np.nonzero(octets)
+    k, bit = np.nonzero(np.unpackbits(octets[row, byte][:, None], axis=1))
+    return byte[k] * 8 + bit, row[k]
+
+
+def _meets(values, lo, hi, period=None):
+    """Whether the range of each row of `values`, a triangle's or a vertex's
+    parameter values, meets [lo, hi] (UNIT_TOL wide). A periodic parameter is
+    unwrapped about the row's first value, and its range meets the interval
+    when it meets it modulo the period."""
+    if period is not None:
+        values = values[:, :1] + np.mod(values - values[:, :1] + period / 2, period) - period / 2
+    vmin, vmax = values.min(axis=1), values.max(axis=1)
+    if period is None:
+        return (vmin <= hi + UNIT_TOL) & (vmax >= lo - UNIT_TOL)
+    shift = np.floor((vmin - lo) / period) * period
+    return (vmin - shift <= hi + UNIT_TOL) | (vmax - shift >= lo + period - UNIT_TOL)
+
+
+def _restrict(pairs, lo, hi, parameter, vertices, period=None):
+    """The (row, index) pairs whose parameter range meets their row's kept
+    interval [lo[row], hi[row]]; rows with lo = -inf and hi = inf keep all.
+    `parameter(rows, verts)` gives the parameter at vertices, and `vertices`
+    maps an index to its vertices (n, k)."""
+    row, idx = pairs
+    sel = np.flatnonzero(np.isfinite(lo[row]) | np.isfinite(hi[row]))
+    if not len(sel):
+        return pairs
+    r = row[sel]
+    ok = np.ones(len(row), dtype=bool)
+    ok[sel] = _meets(parameter(r[:, None], vertices(idx[sel])), lo[r], hi[r], period)
+    return row[ok], idx[ok]
+
+
+def _circle_sets(circles, keep, emb: SphericalEmbedding):
+    """((row, triangle), (row, vertex)): the triangles that each circle's
+    plane cuts and the vertices on it, under the tie rule."""
+    axes = np.array([c.axis for c in circles])
+    f = emb.positions @ axes.T - np.cos([c.rho for c in circles])    # (vertices, rows)
+    pos, neg = f > UNIT_TOL, f < -UNIT_TOL
+    tri = emb.mesh.triangles
+    crossed = _set_pairs(_any_of(_pack(pos), tri) & _any_of(_pack(neg), tri))
+    on = _set_pairs(_pack(~(pos | neg)))
+    if any(k is not None for k in keep):
+        lo = np.array([-np.inf if k is None else k[0] for k in keep])
+        hi = np.array([np.inf if k is None else k[1] for k in keep])
+        basis = np.array([circle_basis(c) for c in circles])    # (rows, 2, 3)
+
+        def angle(rows, verts):
+            p = emb.positions[verts]
+            return np.arctan2(np.einsum("...k,...k->...", p, basis[rows, 1]),
+                              np.einsum("...k,...k->...", p, basis[rows, 0]))
+
+        crossed = _restrict(crossed, lo, hi, angle, lambda t: tri[t], TWO_PI)
+        on = _restrict(on, lo, hi, angle, lambda v: v[:, None], TWO_PI)
+    # a cap that holds no vertex: the circle lies inside the mesh's faces
+    empty = np.flatnonzero(neg.all(axis=0))
+    if len(empty):
+        crossed = (np.concatenate([crossed[0], empty]),
+                   np.concatenate([crossed[1], locate_many(axes[empty], emb)]))
+    return crossed, on
+
+
+def _spiral_rows(spirals, keep):
+    """One row per branch of each spiral: (spiral, frame, pitch, phase, base,
+    lo, hi). Along a row, theta = base + phi / pitch, and the row keeps
+    theta in [lo, hi], or all of it where lo = -inf and hi = inf."""
+    rows = []
+    for i, (s, k) in enumerate(zip(spirals, keep)):
+        lo, hi = s.theta_range()
+        if k is not None:
+            lo, hi = max(lo, k[0]), min(hi, k[1])
+        half = np.pi / (2 * s.a)
+        if lo < -half - UNIT_TOL or hi > 3 * half + UNIT_TOL:
+            raise OutOfRange("a spiral's sweep must lie within phi in [-pi/2, 3 pi/2]")
+        for base, pitch, phase, start in ((0.0, s.a, s.theta0, -half),
+                                          (2 * half, -s.a, s.theta0 + np.pi + 2 * half, half)):
+            if lo < start + 2 * half - UNIT_TOL and hi > start + UNIT_TOL:
+                full = lo <= start + UNIT_TOL and hi >= start + 2 * half - UNIT_TOL
+                rows.append((i, s.frame, pitch, phase, base,
+                             -np.inf if full else lo, np.inf if full else hi))
+        if not rows or rows[-1][0] != i:
+            raise OutOfRange(f"kept interval {k} misses the spiral's sweep")
+    return rows
+
+
+def _spiral_sets(spirals, keep, emb: SphericalEmbedding):
+    """((spiral, triangle), (spiral, vertex)): the triangles that each
+    spiral's branches cross and the vertices on them, under the tie rule."""
+    spiral, frame, pitch, phase, base, lo, hi = (np.array(col) for col in
+                                                 zip(*_spiral_rows(spirals, keep)))
+    # the vertices in each row's reader frame: x, y, z of (vertices, rows)
+    x, y, z = np.split(emb.positions @ np.concatenate(frame.transpose(1, 2, 0), axis=1), 3,
+                       axis=1)
+    rxy = np.hypot(x, y)
+    phi = np.arctan2(z, rxy)
+    lam = np.arctan2(y, x)
+    del x, y, z
+    h = phi / pitch + phase - lam
+    turn = np.floor(h / TWO_PI)    # h = 2 pi turn + rest, rest in [0, 2 pi)
+    rest = h - TWO_PI * turn
+    del h
+    on_curve = (rxy <= UNIT_TOL) | (rest <= UNIT_TOL) | (rest >= TWO_PI - UNIT_TOL)
+    turn = turn.astype(np.int32)
+    ends, sides = emb.edges()
+    u, w = ends[:, 0], ends[:, 1]
+    # lambda unwrapped along an edge moves the turn at w by one where it
+    # passes the cut of arctan2; h passes a multiple of 2 pi between u and w
+    # exactly when the turns at the ends then differ
+    dlam = lam[w] - lam[u]
+    cut = turn[u] != turn[w] + (dlam > np.pi) - (dlam < -np.pi)
+    cut &= ~on_curve[u] & ~on_curve[w]
+    del dlam
+    crossed = _set_pairs(_any_of(_pack(cut), sides))
+    on = _set_pairs(_pack(on_curve))
+
+    def theta(rows, verts):
+        return base[rows] + phi[verts, rows] / pitch[rows]
+
+    crossed = _restrict(crossed, lo, hi, theta, lambda t: emb.mesh.triangles[t])
+    on = _restrict(on, lo, hi, theta, lambda v: v[:, None])
+    if len(spiral) == len(spirals):
+        return (spiral[crossed[0]], crossed[1]), (spiral[on[0]], on[1])
+    # two branches may cross one triangle, or meet at a pole
+    return tuple(_unique_pairs(spiral[row], idx) for row, idx in (crossed, on))
+
+
+def _unique_pairs(row, idx):
+    n = idx.max(initial=0) + 1
+    key = np.unique(row * n + idx)
+    return key // n, key % n
+
+
+def level_sets(curves, emb: SphericalEmbedding, keep=None):
+    """The curves' level sets on the mesh, as (owner, triangles, on).
+
+    Curve owner[i] crosses triangle triangles[i], and on = (owner, vertices)
+    lists the vertices that lie on each curve (see the module's tie rule).
+    Each pair occurs once, in no set order. keep[c], where given and not
+    None, is the (lo, hi) interval of curve c's parameter to keep: the angle
+    from its start about a circle's axis (lo = 0), or theta along a spiral.
     """
-    first = locate_many(points[offsets[:-1]], emb)
-    owner, entered = walk(emb, first, points, offsets, lookahead=_LOOKAHEAD)
-    n_tri = emb.mesh.n_triangles
-    key = np.unique(np.concatenate([np.arange(len(first)), owner]) * n_tri
-                    + np.concatenate([first, entered]))
-    return key // n_tri, key % n_tri
+    keep = [None] * len(curves) if keep is None else list(keep)
+    parts, n_done = [], 0
+    for sets, shape in ((_circle_sets, SphericalCircle), (_spiral_sets, SphericalSpiral)):
+        ids = np.array([i for i, c in enumerate(curves) if isinstance(c, shape)], dtype=int)
+        if len(ids):
+            (row, tri), (v_row, vert) = sets([curves[i] for i in ids],
+                                             [keep[i] for i in ids], emb)
+            parts.append((ids[row], tri, ids[v_row], vert))
+            n_done += len(ids)
+    if n_done < len(curves):
+        raise TypeError("level_sets rasterizes SphericalCircle and SphericalSpiral curves")
+    if not parts:
+        none = np.zeros(0, dtype=int)
+        return none, none, (none, none)
+    owner, tri, v_owner, vert = (np.concatenate(col) for col in zip(*parts))
+    return owner, tri, (v_owner, vert)
 
 
 def rasterize(curve: SphericalCurve, emb: SphericalEmbedding,
               step: float | None = None) -> np.ndarray:
-    """Sorted unique indices of the mesh triangles that the geodesic segments
-    between the curve's samples pass through: `rasterize_polylines` of one.
-
-    A curve that starts at a mesh vertex, as writes and reader spirals do, is
-    located in one triangle of the vertex's fan, and its first segment turns
-    about the vertex to the triangle it enters, so the curve also charges the
-    fan triangles it turns through, which meet it only at that vertex. This
-    is kept: starting the walk in the triangle the first segment enters
-    would lower total loads.
-    """
-    if step is None:
-        step = raster_step(emb)
-    pts = sample(curve, step).points
-    return rasterize_polylines(pts, [0, len(pts)], emb)[1]
+    """Sorted unique indices of the mesh triangles that the curve crosses:
+    the triangles of its level set (`level_sets`). The level set is exact
+    on the flat triangles, so no `step` is needed; the argument is accepted
+    and ignored."""
+    return np.unique(level_sets([curve], emb)[1])
 
 
-def _access_nodes(owner, triangles, emb: SphericalEmbedding):
-    """The unique (access, physical node) pairs of the triangles' vertices,
-    sorted by access then node, as two arrays."""
-    n = emb.n_nodes
-    nodes = emb.mesh.original_vertex(emb.mesh.triangles[np.asarray(triangles, dtype=int)])
-    key = np.unique(np.asarray(owner, dtype=int)[:, None] * n + nodes)
-    return key // n, key % n
+def _access_nodes(owner, triangles, emb: SphericalEmbedding, on=None):
+    """The unique (access, physical node) pairs of the triangles' vertices
+    and of the vertices on = (owner, vertices), sorted by access then node,
+    as two arrays."""
+    access = [np.repeat(np.asarray(owner, dtype=int), 3)]
+    verts = [emb.mesh.triangles[np.asarray(triangles, dtype=int)].ravel()]
+    if on is not None:
+        access.append(np.asarray(on[0], dtype=int))
+        verts.append(np.asarray(on[1], dtype=int))
+    access = np.concatenate(access)
+    hit = np.zeros((access.max(initial=-1) + 1, emb.n_nodes), dtype=bool)
+    hit[access, emb.mesh.original_vertex(np.concatenate(verts))] = True
+    return np.nonzero(hit)
 
 
 def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
-           owner=None) -> np.ndarray:
-    """Add `weight` once to every physical node incident to the triangles.
+           owner=None, on=None) -> np.ndarray:
+    """Add `weight` once to every physical node incident to the triangles,
+    and to every vertex of on = (owner, vertices).
 
     With `owner`, triangle i belongs to access owner[i], whose weight is
     weight[owner[i]]; each access charges its nodes once, and the weights
@@ -103,7 +280,7 @@ def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
         raise OutOfRange("charge weight must be nonnegative")
     if owner is None:
         owner = np.zeros(len(triangles), dtype=int)
-    access, nodes = _access_nodes(owner, triangles, emb)
+    access, nodes = _access_nodes(owner, triangles, emb, on)
     np.add.at(load, nodes, weight[access])
     return load
 
@@ -127,8 +304,10 @@ class Workload:
     mix_samples: int = 16
 
     def __post_init__(self):
-        if self.write_rate_r <= 0:
-            raise OutOfRange("write_rate_r must be positive")
+        if not (math.isfinite(self.write_rate_r) and self.write_rate_r > 0):
+            raise OutOfRange(f"write_rate_r must be finite and positive, got {self.write_rate_r}")
+        if not (math.isfinite(self.read_rate) and self.read_rate >= 0):
+            raise OutOfRange(f"read_rate must be finite and nonnegative, got {self.read_rate}")
         if self.mode not in ("montecarlo", "expected"):
             raise ConfigError(f"unknown workload mode {self.mode!r}")
         if self.events < 1 or self.mix_samples < 1:
@@ -150,9 +329,9 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
                 raise ConfigError(f"node id {i} outside deployment of {n_nodes}")
 
 
-def _first_hit_truncate(read: SphericalCurve, writes: list,
-                        step: float) -> GeodesicPolyline:
-    """Sample the read curve and cut it at its first crossing with any write.
+def _first_hit_cut(read: SphericalCurve, writes: list, step: float):
+    """Sample the read curve and find its first crossing with any write:
+    (samples, cut), where samples[:cut] is the part kept.
 
     Every write/read pair has a circle. Against a circle write the read keeps
     its first segment that straddles the circle or starts on it (within
@@ -170,21 +349,37 @@ def _first_hit_truncate(read: SphericalCurve, writes: list,
             hits = np.concatenate([seg, np.flatnonzero(np.abs(f) <= UNIT_TOL)])
         else:
             _, _, pts = circle_crossings(read, w, step)
-            u = a[0] - (a[0] @ read.axis) * read.axis
-            ang = np.mod(np.arctan2(pts @ np.cross(read.axis, u), pts @ u), 2 * np.pi)
-            hits = (ang / (2 * np.pi) * (len(a) - 1)).astype(int)
+            e1, e2 = circle_basis(read)
+            ang = np.mod(np.arctan2(pts @ e2, pts @ e1), TWO_PI)
+            hits = (ang / TWO_PI * (len(a) - 1)).astype(int)
         if len(hits):
             cut = min(cut, int(hits.min()) + 2)  # keep the crossing segment
-    return GeodesicPolyline(points=a[:cut])
+    return a, cut
+
+
+def _first_hit_keep(read: SphericalCurve, writes: list, step: float):
+    """The interval of the read's parameter kept up to its first crossing
+    (`_first_hit_cut`): the angle about a circle's axis from its start, or
+    theta along a spiral, up to the last kept sample; None if it never
+    crosses."""
+    a, cut = _first_hit_cut(read, writes, step)
+    if cut == len(a):
+        return None
+    share = (cut - 1) / (len(a) - 1)
+    if isinstance(read, SphericalCircle):
+        return 0.0, TWO_PI * share
+    lo, hi = read.theta_range()
+    return lo, lo + (hi - lo) * share
 
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
               node_pos, rng, step: float, first_hit: bool):
-    """The data type's accesses in charging order, as (samples, weight): every
-    write, then every read. An accessor's curves are `events` draws in Monte
-    Carlo mode; in expected mode, the mixing quadrature of a mixed strategy or
-    the one curve of a pure one. A first-hit read is cut at its first
-    crossing with this data type's writes."""
+    """The data type's accesses in charging order, as (curve, keep, weight):
+    every write, then every read. An accessor's curves are `events` draws in
+    Monte Carlo mode; in expected mode, the mixing quadrature of a mixed
+    strategy or the one curve of a pure one. keep is None for a whole curve;
+    a first-hit read keeps the parameter interval before its first crossing
+    with this data type's writes (`_first_hit_keep`)."""
     writes: list[SphericalCurve] = []  # realized writes, for first_hit
     expected = workload.mode == "expected"
     for role, accessors, rate, draw in (
@@ -203,29 +398,31 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
                 curves = [draw(kind, node, data, rng)
                           for _ in range(1 if expected else workload.events)]
             for curve in curves:
-                if role == "read" and first_hit:
-                    poly = _first_hit_truncate(curve, writes, step)
-                else:
-                    poly = sample(curve, step)
-                    if first_hit:  # a spiral is kept as its samples, so no read resamples it
-                        writes.append(curve if isinstance(curve, SphericalCircle) else poly)
-                yield poly.points, rate / len(curves)
+                keep = None
+                if first_hit and role == "read":
+                    keep = _first_hit_keep(curve, writes, step)
+                elif first_hit:  # a spiral is kept as its samples, so no read resamples it
+                    writes.append(curve if isinstance(curve, SphericalCircle)
+                                  else sample(curve, step))
+                yield curve, keep, rate / len(curves)
 
 
-def _batches(accesses):
-    """The accesses in consecutive batches of about _BATCH_SAMPLES samples,
-    each as ((points, offsets), weights)."""
-    polylines, weights, size = [], [], 0
-    for pts, weight in accesses:
-        polylines.append(pts)
-        weights.append(weight)
-        size += len(pts)
-        if size >= _BATCH_SAMPLES:
-            batch = stack_polylines(polylines), weights
-            polylines, weights, size = [], [], 0   # free the samples before the walk
-            yield batch
-    if polylines:
-        yield stack_polylines(polylines), weights
+def _blocks(accesses, emb: SphericalEmbedding):
+    """The accesses in consecutive blocks of about _BLOCK curve x mesh
+    entries: a circle's row has a value per vertex, a spiral has a row of
+    values per edge for each branch it sweeps."""
+    n_vertices, n_edges = len(emb.positions), len(emb.edges()[0])
+    block, size = [], 0
+    for access in accesses:
+        curve = access[0]
+        block.append(access)
+        size += (n_vertices if isinstance(curve, SphericalCircle)
+                 else n_edges * (1 + (curve.phi_range[1] > np.pi / 2 + UNIT_TOL)))
+        if size >= _BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
@@ -252,9 +449,10 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
         _accesses(workload, kind, data, node_pos, rng, step,
                   read_termination == "first_hit")
         for data in workload.data_types)
-    for (points, offsets), weights in _batches(accesses):
-        owner, triangles = rasterize_polylines(points, offsets, emb)
-        charge(load, triangles, emb, weights, owner)
+    for block in _blocks(accesses, emb):
+        curves, keep, weights = zip(*block)
+        owner, triangles, on = level_sets(curves, emb, keep)
+        charge(load, triangles, emb, weights, owner, on)
 
     rg = rd = None
     if robustness_trials > 0:
@@ -275,7 +473,6 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
     node_pos = emb.node_positions()
-    step = raster_step(emb)
     contributors = data.contributors or tuple(range(emb.n_nodes))
     queriers = data.queriers or tuple(range(emb.n_nodes))
     best = None
@@ -289,9 +486,8 @@ def discrete_robustness(kind: QuorumSystemKind, data: DataType,
             rq = read_quorum(kind, reader, data, rng)
         except DegenerateInput:
             continue
-        owner, triangles = rasterize_polylines(
-            *stack_polylines([sample(wq, step).points, sample(rq, step).points]), emb)
-        access, nodes = _access_nodes(owner, triangles, emb)
+        owner, triangles, on = level_sets([wq, rq], emb)
+        access, nodes = _access_nodes(owner, triangles, emb, on)
         shared = len(np.intersect1d(nodes[access == 0], nodes[access == 1],
                                     assume_unique=True))
         best = shared if best is None else min(best, shared)

@@ -46,30 +46,43 @@ def geodesic_distance(p, q) -> float:
     return float(np.arccos(np.clip(p @ q, -1.0, 1.0)))
 
 
+def cross3(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, with np.cross's arithmetic but not its
+    per-call overhead, which dominates on single vectors."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def perpendicular_basis(axis) -> tuple[np.ndarray, np.ndarray]:
     """A deterministic orthonormal pair spanning the plane perpendicular to axis."""
     axis = np.asarray(axis, dtype=float)
     ref = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, ref)
+    e1 = cross3(axis, ref)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = cross3(axis, e1)
     return e1, e2
 
 
 def rotation_to_south_pole(node) -> np.ndarray:
     """Rotation matrix R with R @ node = (0, 0, -1)."""
     node = require_unit(node)
-    target = np.array([0.0, 0.0, -1.0])
-    v = np.cross(node, target)
-    c = float(node @ target)
-    s = float(np.linalg.norm(v))
+    # v = node x (0, 0, -1) and c = node . (0, 0, -1), written out: np.cross
+    # and np.linalg.norm cost more than the rest of the call
+    x, y, z = node
+    v = np.array([-y, x, 0.0])
+    c = -float(z)
+    s = float(np.sqrt(v @ v))
     if s < 1e-12:
         if c > 0:
             return np.eye(3)
         # node at the north pole: rotate pi about the x axis
         return np.diag([1.0, -1.0, -1.0])
     vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx * ((1.0 - c) / (s * s))
+    rot = vx @ vx * ((1.0 - c) / (s * s))
+    rot += vx
+    rot[[0, 1, 2], [0, 1, 2]] += 1.0
+    return rot
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,10 @@ class SphericalSpiral:
 
     def local_points(self, theta: np.ndarray) -> np.ndarray:
         phi = self.a * theta
+        cos_phi = np.cos(phi)
         return np.stack([
-            np.cos(theta + self.theta0) * np.cos(phi),
-            np.sin(theta + self.theta0) * np.cos(phi),
+            np.cos(theta + self.theta0) * cos_phi,
+            np.sin(theta + self.theta0) * cos_phi,
             np.sin(phi),
         ], axis=-1)
 
@@ -147,7 +161,7 @@ def great_circle_through(p, q) -> SphericalCircle:
     """The unique great circle through two non-coincident, non-antipodal points."""
     p = require_unit(p)
     q = require_unit(q)
-    axis = np.cross(p, q)
+    axis = cross3(p, q)
     n = np.linalg.norm(axis)
     if n < UNIT_TOL:
         raise DegenerateInput("points are identical or antipodal; great circle not unique")
@@ -170,7 +184,7 @@ def latitude_circle(axis, through) -> SphericalCircle:
     """
     axis = require_unit(axis)
     through = require_unit(through)
-    if np.linalg.norm(np.cross(axis, through)) < UNIT_TOL:
+    if np.linalg.norm(cross3(axis, through)) < UNIT_TOL:
         raise DegenerateInput("point coincides with the circle axis or its antipode")
     polar = geodesic_distance(axis, through)
     if polar > np.pi / 2:
@@ -194,17 +208,21 @@ def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
                            phi_range=phi_range)
 
 
-def _sample_circle(circle: SphericalCircle, step: float) -> GeodesicPolyline:
+def circle_basis(circle: SphericalCircle) -> tuple[np.ndarray, np.ndarray]:
+    """(e1, e2): the orthonormal pair of the circle's plane from which its
+    angle is measured, e1 towards the circle's start when it has one. The
+    point at angle t is cos rho axis + sin rho (cos t e1 + sin t e2)."""
     if circle.start is not None:
         e1 = circle.start - float(circle.start @ circle.axis) * circle.axis
         n1 = np.linalg.norm(e1)
         if n1 > 1e-12:
             e1 = e1 / n1
-            e2 = np.cross(circle.axis, e1)
-        else:
-            e1, e2 = perpendicular_basis(circle.axis)
-    else:
-        e1, e2 = perpendicular_basis(circle.axis)
+            return e1, cross3(circle.axis, e1)
+    return perpendicular_basis(circle.axis)
+
+
+def _sample_circle(circle: SphericalCircle, step: float) -> GeodesicPolyline:
+    e1, e2 = circle_basis(circle)
     circ = circle.circumference()
     n = max(int(np.ceil(circ / step)), 8)
     t = np.linspace(0.0, 2 * np.pi, n + 1)  # repeats the first point last

@@ -50,6 +50,9 @@ class TestConfigFormat:
     def test_validation(self):
         with pytest.raises(ConfigError):
             config_from_text("r_values = \n")
+        for bad in ("nan", "inf", "-inf", "-1", "0", "4, nan"):
+            with pytest.raises(ConfigError):
+                config_from_text(f"r_values = {bad}\n")
         with pytest.raises(ConfigError):
             config_from_text("[workload]\ncontributors = 5000\n")
 

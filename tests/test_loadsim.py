@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoq
 import geoq.loadsim
-from geoq.embedding import locate_many, walk
+from geoq.embedding import locate_many
 from geoq.errors import ConfigError, DegenerateInput, OutOfRange
-from geoq.loadsim import _first_hit_truncate, raster_step
+from geoq.loadsim import _first_hit_cut, _first_hit_keep, raster_step
 from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
-from geoq.sphere import SphericalCircle, SphericalSpiral, circle_crossings
+from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral, circle_crossings
 
 from conftest import random_unit
 
@@ -52,55 +54,131 @@ def _segment_oracle(curve, emb, step):
     return found
 
 
+def _vertex_sign_oracle(circle, emb):
+    """Brute force, one triangle at a time: the triangles whose off-circle
+    vertices lie strictly on both sides of the circle's plane, and the
+    vertices on it (|f| <= UNIT_TOL)."""
+    f = [float(p @ circle.axis) - np.cos(circle.rho) for p in emb.positions]
+    on = {v for v, fv in enumerate(f) if abs(fv) <= UNIT_TOL}
+    crossed = set()
+    for t, tri in enumerate(emb.mesh.triangles):
+        off = [f[v] for v in tri if v not in on]
+        if any(x > 0 for x in off) and any(x < 0 for x in off):
+            crossed.add(t)
+    return crossed, on
+
+
+def _sets(curves, emb, keep=None):
+    """Per curve, (triangles, on-curve vertices) of one level_sets call."""
+    owner, tris, (v_owner, verts) = geoq.level_sets(curves, emb, keep)
+    return [(set(tris[owner == i].tolist()), set(verts[v_owner == i].tolist()))
+            for i in range(len(curves))]
+
+
 class TestRasterize:
-    def test_matches_segment_oracle(self, emb400):
+    def test_circles_match_vertex_sign_oracle(self, emb400):
         rng = np.random.default_rng(21)
+        nodes = emb400.node_positions()
         curves = []
         for _ in range(6):
             p, q = random_unit(rng, 2)
             curves.append(geoq.great_circle_through(p, q))
             curves.append(geoq.circle_with_radius(random_unit(rng),
                                                   rng.uniform(0.05, 0.5) * np.pi))
-        for a in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
-            curves.append(geoq.spiral_for(random_unit(rng), a, rng.uniform(0, 2 * np.pi)))
-        step = raster_step(emb400)
-        for curve in curves:
-            assert set(geoq.rasterize(curve, emb400).tolist()) == _segment_oracle(
-                curve, emb400, step)
+            # through mesh vertices, as every write is: the tie rule decides
+            i, j = rng.choice(emb400.n_nodes, 2, replace=False)
+            curves.append(geoq.great_circle_through(nodes[i], nodes[j]))
+            curves.append(geoq.latitude_circle(random_unit(rng), nodes[i]))
+        for curve, (tris, on) in zip(curves, _sets(curves, emb400)):
+            assert (tris, on) == _vertex_sign_oracle(curve, emb400)
+        assert all(on for _, on in _sets(curves[2::4] + curves[3::4], emb400))
 
-    def test_batch_matches_segment_oracle(self, emb400):
-        # one batched call over curves of every shape gives each its own set
+    def test_equator_charges_boundary_nodes(self, emb400):
+        # with the hash on a boundary node, a QG write from another one is the
+        # equator, which runs along the seam of the doubled mesh: no triangle
+        # straddles it, and exactly its vertices are charged
+        boundary = emb400.mesh.boundary
+        nodes = emb400.node_positions()
+        data = geoq.DataType("d0", nodes[boundary[0]], contributors=(int(boundary[5]),))
+        _, load = geoq.run(geoq.Workload(data_types=(data,), write_rate_r=1.0),
+                           geoq.QuorumSystemKind("QG"), emb400, np.random.default_rng(0))
+        assert set(np.flatnonzero(load).tolist()) == set(boundary.tolist())
+        assert load.max() == 1.0
+
+    def test_spiral_charges_reader_and_far_pole(self, emb400):
+        # a boundary node's antipode lies on the seam, on an edge, where the
+        # triangle holding it is a tie; every other far pole is inside one
+        rng = np.random.default_rng(23)
+        interior = np.setdiff1d(np.arange(emb400.n_nodes), emb400.mesh.boundary)
+        for a in (0.05, 0.2, 0.7):
+            for node in rng.choice(interior, 6, replace=False):
+                p = emb400.node_positions()[node]
+                spiral = geoq.spiral_for(p, a, rng.uniform(0, 2 * np.pi))
+                [(tris, on)] = _sets([spiral], emb400)
+                assert node in on
+                assert int(locate_many(-p[None], emb400)[0]) in tris
+
+    def test_spirals_near_segment_oracle(self, emb400):
+        # h is taken at the vertices, and it is not linear along an edge: where
+        # a spiral clips the corner of a triangle, h can pass a multiple of
+        # 2 pi and come back between two vertices, and a fine walk (the
+        # oracle) sees a triangle the level set misses. Over 30 spirals per
+        # pitch from random nodes, 0.9 / 1.6 / 1.4 % of the oracle's triangles
+        # for a = 0.05 / 0.2 / 0.7, and no triangle outside the oracle.
+        rng = np.random.default_rng(24)
+        step = raster_step(emb400) / 8
+        missed = total = 0
+        for a in (0.05, 0.2, 0.7):
+            for node in rng.choice(emb400.n_nodes, 4, replace=False):
+                p = emb400.node_positions()[node]
+                spiral = geoq.spiral_for(p, a, rng.uniform(0, 2 * np.pi))
+                tris = set(geoq.rasterize(spiral, emb400).tolist())
+                oracle = _segment_oracle(spiral, emb400, step)
+                assert tris <= oracle
+                missed += len(oracle - tris)
+                total += len(oracle)
+        assert missed <= 0.03 * total
+
+    def test_level_sets_batch_match_single(self, emb400):
+        # one call over curves of every shape gives each its own set
         rng = np.random.default_rng(22)
-        step = raster_step(emb400)
         curves = [geoq.great_circle_through(*random_unit(rng, 2)),
                   geoq.circle_with_radius(random_unit(rng), 0.3 * np.pi)]
         curves += [geoq.spiral_for(random_unit(rng), a, rng.uniform(0, 2 * np.pi))
                    for a in (0.05, 0.2, 0.7)]
         c = emb400.positions[emb400.mesh.triangles[37]].mean(axis=0)
         curves.append(geoq.circle_with_radius(c / np.linalg.norm(c), 1e-4))
-        data = geoq.DataType("d0", random_unit(rng))
-        kind = geoq.QuorumSystemKind("QG")
-        write = geoq.write_quorum(kind, random_unit(rng), data, rng)
-        read = geoq.read_quorum(kind, random_unit(rng), data, rng)
-        curves.append(_first_hit_truncate(read, [write], step))
-        assert len(curves[-1].points) == 2
-        owner, tris = geoq.rasterize_polylines(*geoq.stack_polylines(
-            [geoq.sample(curve, step).points for curve in curves]), emb400)
-        assert np.all(np.diff(owner) >= 0)
-        for i, curve in enumerate(curves):
-            assert set(tris[owner == i].tolist()) == _segment_oracle(curve, emb400, step)
-        assert tris[owner == 5].tolist() == [37]
+        curves.append(geoq.latitude_circle(random_unit(rng), emb400.node_positions()[9]))
+        order = rng.permutation(len(curves))
+        batch = _sets([curves[i] for i in order], emb400)
+        for k, i in enumerate(order):
+            assert batch[k] == _sets([curves[i]], emb400)[0]
+            assert batch[k][0] == set(geoq.rasterize(curves[i], emb400).tolist())
+        assert batch[list(order).index(5)] == ({37}, set())
 
-    def test_guard_counts_steps_per_chord(self, emb400):
-        # a long spiral takes more steps in all than the mesh has triangles
-        spiral = geoq.spiral_for(random_unit(np.random.default_rng(23)), 0.01, 0.0)
+    def test_first_hit_is_subset_of_full_read(self, emb400):
+        rng = np.random.default_rng(26)
         step = raster_step(emb400)
-        pts = geoq.sample(spiral, step).points
-        first = locate_many(pts[:1], emb400)
-        _, entered = walk(emb400, first, pts, [0, len(pts)])
-        assert len(entered) > emb400.mesh.n_triangles
-        assert set(geoq.rasterize(spiral, emb400).tolist()) == (
-            set(first.tolist()) | set(entered.tolist()))
+        nodes = emb400.node_positions()
+        for kind in (geoq.QuorumSystemKind("QG"),
+                     geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
+                     geoq.QuorumSystemKind.geoquorum(0.6 * np.pi, 0.6),
+                     geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)):
+            data = geoq.DataType("d0", random_unit(rng))
+            writes = [geoq.write_quorum(kind, nodes[i], data, rng)
+                      for i in rng.choice(emb400.n_nodes, 3, replace=False)]
+            writes = [w if isinstance(w, SphericalCircle) else geoq.sample(w, step)
+                      for w in writes]
+            for i in rng.choice(emb400.n_nodes, 4, replace=False):
+                read = geoq.read_quorum(kind, nodes[i], data, rng)
+                keep = _first_hit_keep(read, writes, step)
+                [(tris, on)] = _sets([read], emb400, [keep])
+                [(full_tris, full_on)] = _sets([read], emb400)
+                assert tris <= full_tris and on <= full_on
+                assert tris or on
+                if keep is not None and kind.name == "GeoQuorum" and not kind.dual:
+                    assert i in on   # the reader, where the spiral starts
+                    assert len(tris) < len(full_tris)
 
     def test_tiny_circle_single_triangle(self, emb400):
         t = 37
@@ -114,7 +192,6 @@ class TestRasterize:
         curve = geoq.great_circle_through([1, 0, 0], [0, 0.6, 0.8])
         tris = set(geoq.rasterize(curve, emb400))
         pts = geoq.sample(curve, raster_step(emb400)).points
-        from geoq.embedding import locate_many
         for t in locate_many(pts, emb400):
             assert int(t) in tris
 
@@ -124,6 +201,47 @@ class TestRasterize:
         a = set(geoq.rasterize(curve, emb400, step=s))
         b = set(geoq.rasterize(curve, emb400, step=s / 2))
         assert len(a ^ b) <= max(1, 0.02 * len(a))
+
+
+class TestWorkload:
+    @pytest.mark.parametrize("rate", (float("nan"), float("inf"), -float("inf"), -1.0, 0.0))
+    def test_write_rate_must_be_finite_positive(self, rate):
+        with pytest.raises(OutOfRange):
+            geoq.Workload(data_types=(), write_rate_r=rate)
+
+    @pytest.mark.parametrize("rate", (float("nan"), float("inf"), -float("inf"), -1.0))
+    def test_read_rate_must_be_finite_nonnegative(self, rate):
+        with pytest.raises(OutOfRange):
+            geoq.Workload(data_types=(), write_rate_r=1.0, read_rate=rate)
+
+    def test_zero_read_rate_allowed(self):
+        assert geoq.Workload(data_types=(), write_rate_r=1.0, read_rate=0.0).read_rate == 0.0
+
+
+LINEARITY_KINDS = (geoq.QuorumSystemKind("QG"), geoq.QuorumSystemKind("QL"),
+                   geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(LINEARITY_KINDS), seed=st.integers(0, 2**16),
+       r1=st.floats(0.5, 8.0), dr=st.floats(0.5, 8.0))
+def test_load_linear_in_write_rate(emb400, kind, seed, r1, dr):
+    # one rng seed draws the same curves at both rates, so the load is affine
+    # in the write rate: its slope counts the writes charged at each node
+    r2 = r1 + dr
+    loads = [geoq.run(_workload(emb400, n_contrib=8, n_query=3, r=r, seed=seed % 7 + 1),
+                      kind, emb400, np.random.default_rng(seed))[1] for r in (r1, r2)]
+    w = (loads[1] - loads[0]) / (r2 - r1)
+    reads = loads[0] - r1 * w
+    assert np.allclose(w, np.round(w), atol=1e-6)
+    assert np.allclose(reads, np.round(reads), atol=1e-6)
+    data = _workload(emb400, n_contrib=8, n_query=3, seed=seed % 7 + 1).data_types[0]
+    contributors, queriers = list(data.contributors), list(data.queriers)
+    assert w.min() > -1e-6 and w.max() < len(contributors) + 1e-6
+    assert (w[contributors] > 1 - 1e-6).all()
+    assert reads.min() > -1e-6 and reads.max() < len(queriers) + 1e-6
+    if kind.name != "QG":   # QL and GeoQuorum reads pass through the reader
+        assert (reads[queriers] > 1 - 1e-6).all()
 
 
 class TestCharge:
@@ -249,7 +367,7 @@ class TestRun:
 
 
 def _reference_run(wl, kind, emb, rng, read_termination):
-    """run()'s loads, with each access rasterized alone by `rasterize` and
+    """run()'s loads, with each access rasterized alone by `level_sets` and
     charged at once: the order in which run() must add the weights."""
     step = raster_step(emb)
     load = np.zeros(emb.n_nodes)
@@ -257,9 +375,10 @@ def _reference_run(wl, kind, emb, rng, read_termination):
     expected, mix = wl.mode == "expected", wl.mix_samples
     psis = mixing_angles(mix)
 
-    def charge_one(curve, weight):
-        tris = geoq.rasterize(curve, emb, step)
-        load[np.unique(emb.mesh.original_vertex(emb.mesh.triangles[tris]))] += weight
+    def charge_one(curve, weight, keep=None):
+        _, tris, (_, on) = geoq.level_sets([curve], emb, [keep])
+        verts = np.concatenate([emb.mesh.triangles[tris].ravel(), on])
+        load[np.unique(emb.mesh.original_vertex(verts))] += weight
 
     for data in wl.data_types:
         writes = []
@@ -294,9 +413,10 @@ def _reference_run(wl, kind, emb, rng, read_termination):
                     curves += [(geoq.read_quorum(kind, node, data, rng), wl.read_rate / wl.events)
                                for _ in range(wl.events)]
         for curve, weight in curves:
+            keep = None
             if read_termination == "first_hit":
-                curve = _first_hit_truncate(curve, writes, step)
-            charge_one(curve, weight)
+                keep = _first_hit_keep(curve, writes, step)
+            charge_one(curve, weight, keep)
     return load
 
 
@@ -306,14 +426,14 @@ class TestBatchedRun:
              geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
              geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True))
 
-    @pytest.mark.parametrize("batch_samples", [None, 3000])
+    @pytest.mark.parametrize("block", [None, 3000])
     @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
-    def test_loads_equal_one_access_at_a_time(self, emb400, mode, batch_samples,
-                                              monkeypatch):
+    def test_loads_equal_one_access_at_a_time(self, emb400, mode, block, monkeypatch):
         # rate 10/3 gives weights whose sums round, so the order is pinned;
-        # 3000-sample batches split every run between charges
-        if batch_samples is not None:
-            monkeypatch.setattr(geoq.loadsim, "_BATCH_SAMPLES", batch_samples)
+        # 3000-entry blocks hold five circles or two spirals of this mesh, so
+        # every run is split between charges
+        if block is not None:
+            monkeypatch.setattr(geoq.loadsim, "_BLOCK", block)
         for kind in self.KINDS:
             for termination in ("full", "first_hit"):
                 wl = _workload(emb400, n_contrib=12, n_query=4, r=10 / 3, mode=mode,
@@ -323,6 +443,12 @@ class TestBatchedRun:
                 ref = _reference_run(wl, kind, emb400, np.random.default_rng(31),
                                      termination)
                 assert np.array_equal(load, ref), (kind, termination)
+
+
+def _kept(read, writes, step):
+    """The read's samples kept up to its first crossing with a write."""
+    points, cut = _first_hit_cut(read, writes, step)
+    return points[:cut]
 
 
 class TestFirstHit:
@@ -341,7 +467,7 @@ class TestFirstHit:
         # great-circle plane test through the segment also fires, is no hit)
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
         for write, read in self._pairs(kind, 11, 30):
-            kept = _first_hit_truncate(read, [write], self.STEP).points
+            kept = _kept(read, [write], self.STEP)
             full = geoq.sample(read, self.STEP).points
             assert len(kept) < len(full)
             side = kept @ write.axis >= np.cos(write.rho)
@@ -352,7 +478,7 @@ class TestFirstHit:
         # every QG write passes the hash, where each QG read starts
         kind = geoq.QuorumSystemKind("QG")
         for write, read in self._pairs(kind, 12, 30):
-            kept = _first_hit_truncate(read, [write], self.STEP).points
+            kept = _kept(read, [write], self.STEP)
             assert len(kept) == 2
 
     def test_dual_read_cut_at_write_spiral(self):
@@ -361,7 +487,7 @@ class TestFirstHit:
         writes = [w for w, _ in pairs[:4]]
         for _, read in pairs:
             assert isinstance(read, geoq.SphericalCircle)
-            kept = _first_hit_truncate(read, writes, self.STEP).points
+            kept = _kept(read, writes, self.STEP)
             full = geoq.sample(read, self.STEP).points
             crossings = np.vstack([circle_crossings(read, w, self.STEP)[2] for w in writes])
             # the read sample nearest to the first crossing along the read

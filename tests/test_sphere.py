@@ -346,3 +346,43 @@ def test_perpendicular_basis():
         assert abs(float(e1 @ p)) < 1e-12
         assert abs(float(e2 @ p)) < 1e-12
         assert abs(float(e1 @ e2)) < 1e-12
+
+
+class _ReferenceSpiral(geoq.SphericalSpiral):
+    """The spiral's local points as first written, with cos(phi) twice."""
+
+    def local_points(self, theta):
+        phi = self.a * theta
+        return np.stack([
+            np.cos(theta + self.theta0) * np.cos(phi),
+            np.sin(theta + self.theta0) * np.cos(phi),
+            np.sin(phi),
+        ], axis=-1)
+
+
+def _reference_rotation_to_south_pole(node):
+    node = np.asarray(node, dtype=float)
+    target = np.array([0.0, 0.0, -1.0])
+    v = np.cross(node, target)
+    c = float(node @ target)
+    s = float(np.linalg.norm(v))
+    if s < 1e-12:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return np.eye(3) + vx + vx @ vx * ((1.0 - c) / (s * s))
+
+
+def test_spiral_construction_bit_identical_to_reference():
+    # the written-out cross product and the single cos(phi) change no bit
+    rng = np.random.default_rng(27)
+    nodes = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                       random_unit(rng, 600)])
+    for node in nodes:
+        a = float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]))
+        theta0 = float(rng.uniform(0, 2 * np.pi))
+        spiral = geoq.spiral_for(node, a, theta0)
+        frame = _reference_rotation_to_south_pole(node)
+        assert np.array_equal(spiral.frame, frame)
+        ref = _ReferenceSpiral(frame=frame, a=a, theta0=theta0 % (2 * np.pi),
+                               phi_range=spiral.phi_range)
+        assert np.array_equal(geoq.sample(spiral, 0.05).points, geoq.sample(ref, 0.05).points)
