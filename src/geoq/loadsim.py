@@ -16,8 +16,9 @@ rasterized with no sampling and no point location.
   edges is, which is when [min h, max h] over its vertices, lambda unwrapped
   inside it, holds a multiple of 2 pi. A triangle around which lambda winds
   holds a pole, which every spiral passes, and one of its edges always
-  qualifies. For a >= 1/2 the sweep past the far pole adds a second branch,
-  h = (pi - phi) / a + theta0 + pi - lambda.
+  qualifies; an edge along which lambda turns by pi (within POLE_TOL) holds
+  a pole, so both its triangles are crossed. For a >= 1/2 the sweep past
+  the far pole adds a second branch (`SphericalSpiral.branches`).
 
 Tie rule: a vertex lies on the curve when |f| <= UNIT_TOL, or, for a
 spiral, when h lies within UNIT_TOL of a multiple of 2 pi or the vertex is
@@ -30,8 +31,9 @@ the triangle that holds its centre.
 
 First hit: a read cut at its first crossing with a write keeps an interval
 of its parameter, the angle about a circle's axis from its start or theta
-along a spiral. Its level set keeps the triangles and on-curve vertices
-whose parameter range meets that interval, a subset of the full read's.
+along a spiral, found on the circle of each pair (`circle_crossings`).
+Its level set keeps the triangles and on-curve vertices whose parameter
+range meets that interval, a subset of the full read's.
 
 Charging rule: every vertex of every charged triangle and every vertex on
 the curve receives the access weight once (set semantics per access); loads
@@ -51,11 +53,13 @@ from .errors import ConfigError, DegenerateInput, OutOfRange
 from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed,
                       is_read_shared, mixing_angles, quorum_curve, read_quorum,
                       write_quorum)
+# sample is bound for the benchmark's tracer, which wraps geoq.loadsim.sample
 from .sphere import (UNIT_TOL, SphericalCircle, SphericalCurve,
-                     SphericalSpiral, circle_basis, circle_crossings, sample)
+                     SphericalSpiral, circle_crossings, sample)
 
-RASTER_STEP_FACTOR = 0.25  # first-hit sampling step as a fraction of the median edge length
+RASTER_STEP_FACTOR = 0.25  # first-hit circle sampling step as a fraction of the median edge length
 TWO_PI = 2 * np.pi
+POLE_TOL = 1e-6  # a boundary reader's far pole lies on a seam edge, where lambda turns by pi
 # Curve x mesh entries (vertices for a circle, edges per spiral branch) of one
 # block: bounds each of a block's float arrays to 2 MB.
 _BLOCK = 1 << 18
@@ -128,7 +132,7 @@ def _circle_sets(circles, keep, emb: SphericalEmbedding):
     if any(k is not None for k in keep):
         lo = np.array([-np.inf if k is None else k[0] for k in keep])
         hi = np.array([np.inf if k is None else k[1] for k in keep])
-        basis = np.array([circle_basis(c) for c in circles])    # (rows, 2, 3)
+        basis = np.array([c.basis for c in circles])    # (rows, 2, 3)
 
         def angle(rows, verts):
             p = emb.positions[verts]
@@ -154,13 +158,9 @@ def _spiral_rows(spirals, keep):
         lo, hi = s.theta_range()
         if k is not None:
             lo, hi = max(lo, k[0]), min(hi, k[1])
-        half = np.pi / (2 * s.a)
-        if lo < -half - UNIT_TOL or hi > 3 * half + UNIT_TOL:
-            raise OutOfRange("a spiral's sweep must lie within phi in [-pi/2, 3 pi/2]")
-        for base, pitch, phase, start in ((0.0, s.a, s.theta0, -half),
-                                          (2 * half, -s.a, s.theta0 + np.pi + 2 * half, half)):
-            if lo < start + 2 * half - UNIT_TOL and hi > start + UNIT_TOL:
-                full = lo <= start + UNIT_TOL and hi >= start + 2 * half - UNIT_TOL
+        for base, pitch, phase, start, end in s.branches():
+            if lo <= end + UNIT_TOL and hi >= start - UNIT_TOL:
+                full = lo <= start + UNIT_TOL and hi >= end - UNIT_TOL
                 rows.append((i, s.frame, pitch, phase, base,
                              -np.inf if full else lo, np.inf if full else hi))
         if not rows or rows[-1][0] != i:
@@ -194,6 +194,8 @@ def _spiral_sets(spirals, keep, emb: SphericalEmbedding):
     dlam = lam[w] - lam[u]
     cut = turn[u] != turn[w] + (dlam > np.pi) - (dlam < -np.pi)
     cut &= ~on_curve[u] & ~on_curve[w]
+    np.abs(dlam, out=dlam)    # in place: a block's float array is 2 MB
+    cut |= (dlam >= np.pi - POLE_TOL) & (dlam <= np.pi + POLE_TOL)
     del dlam
     crossed = _set_pairs(_any_of(_pack(cut), sides))
     on = _set_pairs(_pack(on_curve))
@@ -329,47 +331,22 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
                 raise ConfigError(f"node id {i} outside deployment of {n_nodes}")
 
 
-def _first_hit_cut(read: SphericalCurve, writes: list, step: float):
-    """Sample the read curve and find its first crossing with any write:
-    (samples, cut), where samples[:cut] is the part kept.
-
-    Every write/read pair has a circle. Against a circle write the read keeps
-    its first segment that straddles the circle or starts on it (within
-    UNIT_TOL). Spiral writes (dual GeoQuorum, passed as their samples) meet a
-    circle read: their crossings with it are placed along the read by their
-    angle about its axis, in which sample() spaces a circle's samples evenly
-    from the first.
-    """
-    poly = sample(read, step)
-    a = poly.points
-    cut = len(a)
-    for w in writes:
-        if isinstance(w, SphericalCircle):
-            f, seg, _ = circle_crossings(w, poly, step)
-            hits = np.concatenate([seg, np.flatnonzero(np.abs(f) <= UNIT_TOL)])
-        else:
-            _, _, pts = circle_crossings(read, w, step)
-            e1, e2 = circle_basis(read)
-            ang = np.mod(np.arctan2(pts @ e2, pts @ e1), TWO_PI)
-            hits = (ang / TWO_PI * (len(a) - 1)).astype(int)
-        if len(hits):
-            cut = min(cut, int(hits.min()) + 2)  # keep the crossing segment
-    return a, cut
-
-
 def _first_hit_keep(read: SphericalCurve, writes: list, step: float):
     """The interval of the read's parameter kept up to its first crossing
-    (`_first_hit_cut`): the angle about a circle's axis from its start, or
-    theta along a spiral, up to the last kept sample; None if it never
-    crosses."""
-    a, cut = _first_hit_cut(read, writes, step)
-    if cut == len(a):
-        return None
-    share = (cut - 1) / (len(a) - 1)
-    if isinstance(read, SphericalCircle):
-        return 0.0, TWO_PI * share
-    lo, hi = read.theta_range()
-    return lo, lo + (hi - lo) * share
+    with any write: the angle about a circle's axis from its start, or theta
+    along a spiral, from `circle_crossings` at `step`; (lo, lo) if the read
+    starts on a write circle, and None if it never crosses a write."""
+    circle = isinstance(read, SphericalCircle)
+    lo = 0.0 if circle else read.theta_range()[0]
+    start = read.points(np.array([lo]))[0]
+    first = np.inf
+    for w in writes:
+        if isinstance(w, SphericalCircle) and abs(start @ w.axis - np.cos(w.rho)) <= UNIT_TOL:
+            return lo, lo
+        params = (circle_crossings(read, w, step)[0] if circle
+                  else circle_crossings(w, read, step)[2])
+        first = min(first, params.min(initial=np.inf))
+    return None if first == np.inf else (lo, float(first))
 
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
@@ -398,12 +375,10 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
                 curves = [draw(kind, node, data, rng)
                           for _ in range(1 if expected else workload.events)]
             for curve in curves:
-                keep = None
-                if first_hit and role == "read":
-                    keep = _first_hit_keep(curve, writes, step)
-                elif first_hit:  # a spiral is kept as its samples, so no read resamples it
-                    writes.append(curve if isinstance(curve, SphericalCircle)
-                                  else sample(curve, step))
+                if first_hit and role == "write":
+                    writes.append(curve)
+                keep = (_first_hit_keep(curve, writes, step)
+                        if first_hit and role == "read" else None)
                 yield curve, keep, rate / len(curves)
 
 
@@ -417,7 +392,7 @@ def _blocks(accesses, emb: SphericalEmbedding):
         curve = access[0]
         block.append(access)
         size += (n_vertices if isinstance(curve, SphericalCircle)
-                 else n_edges * (1 + (curve.phi_range[1] > np.pi / 2 + UNIT_TOL)))
+                 else n_edges * len(curve.branches()))
         if size >= _BLOCK:
             yield block
             block, size = [], 0

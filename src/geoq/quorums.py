@@ -203,9 +203,12 @@ def random_unit(rng, n: int | None = None) -> np.ndarray:
     return v[0] if n is None else v
 
 
-def _far_enough(p, q, eps=1e-6) -> bool:
-    d = geodesic_distance(p, q)
-    return eps < d < np.pi - eps
+def _far_from(point, rng, eps=1e-6) -> np.ndarray:
+    """A uniform unit vector more than eps from point and its antipode."""
+    while True:
+        p = random_unit(rng)
+        if eps < geodesic_distance(p, point) < np.pi - eps:
+            return p
 
 
 def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rng,
@@ -215,16 +218,10 @@ def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rn
         raise OutOfRange("trials must be >= 1")
     best = None
     for _ in range(trials):
-        while True:
-            writer = random_unit(rng)
-            if _far_enough(writer, data.hash_point):
-                break
-        while True:
-            reader = random_unit(rng)
-            if _far_enough(reader, data.hash_point):
-                break
+        writer = _far_from(data.hash_point, rng)
+        reader = _far_from(data.hash_point, rng)
         wq = write_quorum(kind, writer, data, rng)
         rq = read_quorum(kind, reader, data, rng)
-        n, _ = count_intersections(wq, rq, step=step, merge_tol=2 * step)
+        n, _ = count_intersections(wq, rq, step=step)
         best = n if best is None else min(best, n)
     return int(best)

@@ -2,10 +2,14 @@
 
 Points are numpy arrays of shape (3,) with unit norm; polylines are (n, 3) arrays.
 All operations are pure functions over immutable values.
+
+Every crossing pair has a circle, and its crossings are found on it: the
+other curve is a level set, whose level function is read at its samples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,9 +17,8 @@ from .errors import DegenerateInput, OutOfRange
 
 UNIT_TOL = 1e-9
 
-# sampling defaults shared by callers
+# sampling default shared by callers
 DEFAULT_STEP = np.pi / 2000
-DEFAULT_MERGE_TOL = np.pi / 1000
 
 
 def unit_vector(v) -> np.ndarray:
@@ -105,6 +108,24 @@ class SphericalCircle:
     def circumference(self) -> float:
         return 2 * np.pi * np.sin(self.rho)
 
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(e1, e2) spanning the plane of the angle, e1 towards any start."""
+        if self.start is not None:
+            e1 = self.start - float(self.start @ self.axis) * self.axis
+            n1 = np.linalg.norm(e1)
+            if n1 > 1e-12:
+                e1 = e1 / n1
+                return e1, cross3(self.axis, e1)
+        return perpendicular_basis(self.axis)
+
+    def points(self, t) -> np.ndarray:
+        """cos rho axis + sin rho (cos t e1 + sin t e2) at angles t (`basis`)."""
+        e1, e2 = self.basis
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.cos(self.rho) * self.axis + np.sin(self.rho) * (np.cos(t) * e1
+                                                                  + np.sin(t) * e2)
+
 
 @dataclass(frozen=True)
 class SphericalSpiral:
@@ -141,6 +162,21 @@ class SphericalSpiral:
         lo, hi = self.phi_range
         return lo / self.a, hi / self.a
 
+    def branches(self) -> list[tuple[float, float, float, float, float]]:
+        """(base, pitch, phase, lo, hi) of each branch the sweep enters: where
+        h = phi / pitch + phase - lambda (latitude, longitude in the local
+        frame) is a multiple of 2 pi, at theta = base + phi / pitch in
+        [lo, hi]. Past the far pole (a >= 1/2) a second runs back."""
+        half = np.pi / (2 * self.a)
+        t0, t1 = self.theta_range()
+        if t0 < -half - UNIT_TOL or t1 > 3 * half + UNIT_TOL:
+            raise OutOfRange("a spiral's sweep must lie within phi in [-pi/2, 3 pi/2]")
+        return [(base, pitch, phase, lo, lo + 2 * half)
+                for base, pitch, phase, lo in ((0.0, self.a, self.theta0, -half),
+                                               (2 * half, -self.a,
+                                                self.theta0 + np.pi + 2 * half, half))
+                if t0 < lo + 2 * half - UNIT_TOL and t1 > lo + UNIT_TOL]
+
 
 @dataclass(frozen=True)
 class GeodesicPolyline:
@@ -154,7 +190,7 @@ class GeodesicPolyline:
         return float(np.arccos(dots).sum())
 
 
-SphericalCurve = SphericalCircle | SphericalSpiral | GeodesicPolyline
+SphericalCurve = SphericalCircle | SphericalSpiral
 
 
 def great_circle_through(p, q) -> SphericalCircle:
@@ -169,9 +205,7 @@ def great_circle_through(p, q) -> SphericalCircle:
 
 
 def circle_with_radius(center, rho: float) -> SphericalCircle:
-    """Circle of all points at polar angle rho from center."""
-    if not (0.0 < rho <= np.pi / 2 + 1e-12):
-        raise OutOfRange(f"rho must be in (0, pi/2], got {rho}")
+    """Circle of all points at polar angle rho in (0, pi/2] from center."""
     return SphericalCircle(axis=require_unit(center), rho=float(rho))
 
 
@@ -200,119 +234,113 @@ def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
     circle entirely, so the sweep is extended past the far pole and returns to
     the node.
     """
-    if a <= 0:
-        raise OutOfRange(f"spiral pitch must be positive, got {a}")
     frame = rotation_to_south_pole(node)
     phi_range = (-np.pi / 2, 3 * np.pi / 2) if a >= 0.5 else (-np.pi / 2, np.pi / 2)
     return SphericalSpiral(frame=frame, a=float(a), theta0=float(theta0 % (2 * np.pi)),
                            phi_range=phi_range)
 
 
-def circle_basis(circle: SphericalCircle) -> tuple[np.ndarray, np.ndarray]:
-    """(e1, e2): the orthonormal pair of the circle's plane from which its
-    angle is measured, e1 towards the circle's start when it has one. The
-    point at angle t is cos rho axis + sin rho (cos t e1 + sin t e2)."""
-    if circle.start is not None:
-        e1 = circle.start - float(circle.start @ circle.axis) * circle.axis
-        n1 = np.linalg.norm(e1)
-        if n1 > 1e-12:
-            e1 = e1 / n1
-            return e1, cross3(circle.axis, e1)
-    return perpendicular_basis(circle.axis)
-
-
-def _sample_circle(circle: SphericalCircle, step: float) -> GeodesicPolyline:
-    e1, e2 = circle_basis(circle)
-    circ = circle.circumference()
-    n = max(int(np.ceil(circ / step)), 8)
-    t = np.linspace(0.0, 2 * np.pi, n + 1)  # repeats the first point last
-    pts = (np.cos(circle.rho) * circle.axis[None, :]
-           + np.sin(circle.rho) * (np.cos(t)[:, None] * e1[None, :]
-                                   + np.sin(t)[:, None] * e2[None, :]))
-    return GeodesicPolyline(points=pts)
+def _circle_angles(circle: SphericalCircle, step: float) -> np.ndarray:
+    """Sample angles at spacing <= step; the last repeats the first point."""
+    n = max(int(np.ceil(circle.circumference() / step)), 8)
+    return np.linspace(0.0, 2 * np.pi, n + 1)
 
 
 def _sample_spiral(spiral: SphericalSpiral, step: float) -> GeodesicPolyline:
     t0, t1 = spiral.theta_range()
     speed_max = np.sqrt(spiral.a ** 2 + 1.0)  # |C'(theta)| = sqrt(a^2 + cos^2 phi)
     n = max(int(np.ceil((t1 - t0) * speed_max / step)), 8)
-    theta = np.linspace(t0, t1, n + 1)
-    return GeodesicPolyline(points=spiral.points(theta))
+    return GeodesicPolyline(points=spiral.points(np.linspace(t0, t1, n + 1)))
 
 
 def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:
-    """Sample a curve with geodesic spacing <= step; closed curves repeat the
-    first point last."""
+    """Sample a curve at geodesic spacing <= step; a circle repeats its first point."""
     if step <= 0:
         raise OutOfRange(f"step must be positive, got {step}")
-    if isinstance(curve, GeodesicPolyline):
-        return curve
     if isinstance(curve, SphericalCircle):
-        return _sample_circle(curve, step)
+        return GeodesicPolyline(points=curve.points(_circle_angles(curve, step)))
     if isinstance(curve, SphericalSpiral):
         return _sample_spiral(curve, step)
     raise TypeError(f"not a spherical curve: {type(curve)!r}")
 
 
-def circle_crossings(circle: SphericalCircle, curve: SphericalCurve, step: float):
-    """Where `curve`, sampled at `step`, crosses the exact `circle`.
+def _latlon(spiral: SphericalSpiral, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Latitude and longitude of the points in the spiral's local frame."""
+    x, y, z = (pts @ spiral.frame.T).T
+    return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
 
-    A circle (n, rho) is the plane section p.n = cos rho of the sphere, so the
-    sampled curve crosses it on each segment whose ends lie on opposite sides
-    of that plane; a sample within UNIT_TOL of the plane counts as on the
-    positive side. Returns (offsets, segments, points): the signed offset
-    p.n - cos rho of every sample, the indices of the crossing segments in
-    curve order, and the crossing points, interpolated linearly in the offset
-    along each segment and put back on the sphere.
+
+def circle_crossings(circle: SphericalCircle, other, step: float):
+    """Where `other`, a circle or a spiral, crosses `circle`, found on
+    `circle` sampled at `step`: (t, points, theta) in order of t, each
+    crossing's angle along `circle` (`SphericalCircle.points`), its point on
+    `circle`, and its theta along a spiral `other` (None for a circle).
+
+    `other` is crossed on each segment between samples where its level
+    function passes a level:
+      - a circle (n, rho) where f = p . n - cos rho changes sign, a sample
+        within UNIT_TOL of the plane counting as positive; f is a sinusoid
+        in the angle, so at most 2 crossings, interpolated linearly in f;
+      - a spiral where h / 2 pi of a branch (`branches`) passes an integer,
+        lambda unwrapped by each segment's principal increment, as along its
+        chord. Regula falsi places the crossing, which counts when its theta
+        lies in the sweep; samples at most a apart pass one level each.
+
+    Guarantees, except where a pole lies between an arc and its chord:
+    every crossing counted is a real crossing on that arc of the circle;
+    a crossing is missed only with another, where the level function
+    passes a level and comes back within one segment, so misses come in
+    pairs within one step; and the count on a spiral branch has the parity
+    of the sampled circle's winding about the spiral's axis, so it is odd
+    exactly when the circle encloses one pole.
     """
-    pts = sample(curve, step).points
-    f = pts @ circle.axis - np.cos(circle.rho)
-    pos = f >= -UNIT_TOL
-    seg = np.flatnonzero(pos[:-1] != pos[1:])
-    t = np.clip(f[seg] / (f[seg] - f[seg + 1]), 0.0, 1.0)[:, None]
-    p = pts[seg] + t * (pts[seg + 1] - pts[seg])
-    return f, seg, p / np.linalg.norm(p, axis=1, keepdims=True)
-
-
-def _merge_points(pts: np.ndarray, merge_tol: float) -> np.ndarray:
-    """Greedy clustering of near-coincident crossing points."""
-    if len(pts) == 0:
-        return pts
-    reps = []
-    used = np.zeros(len(pts), bool)
-    for i in range(len(pts)):
-        if used[i]:
-            continue
-        ang = np.arccos(np.clip(pts @ pts[i], -1.0, 1.0))
-        grp = (ang < merge_tol) & ~used
-        used |= grp
-        rep = pts[grp].mean(axis=0)
-        reps.append(rep / np.linalg.norm(rep))
-    return np.array(reps)
+    if isinstance(other, SphericalCircle):
+        t = _circle_angles(circle, step)
+        f = circle.points(t) @ other.axis - np.cos(other.rho)
+        seg = np.flatnonzero(np.diff(f >= -UNIT_TOL))
+        tc = t[seg] + np.clip(f[seg] / (f[seg] - f[seg + 1]), 0.0, 1.0) * (t[seg + 1] - t[seg])
+        return tc, circle.points(tc), None
+    if not isinstance(other, SphericalSpiral):
+        raise TypeError(f"circle_crossings needs a circle or a spiral, not {type(other)!r}")
+    t = _circle_angles(circle, min(step, other.a))
+    phi, lam = _latlon(other, circle.points(t))
+    lam = np.unwrap(lam)  # principal increments, the rule `loadsim` applies on an edge
+    tc, theta = [], []
+    for base, pitch, phase, _, _ in other.branches():
+        g = (phi / pitch + phase - lam) / (2 * np.pi)
+        seg = np.flatnonzero(np.diff(np.floor(g)))
+        level = np.floor(np.maximum(g[seg], g[seg + 1]))
+        ta, ga, tb, gb = t[seg], g[seg] - level, t[seg + 1], g[seg + 1] - level
+        for _ in range(2):  # regula falsi on the segment's bracket
+            tm = ta + np.clip(ga / (ga - gb), 0.0, 1.0) * (tb - ta)
+            phi_m, lam_m = _latlon(other, circle.points(tm))
+            lam_m += 2 * np.pi * np.round((lam[seg] - lam_m) / (2 * np.pi))
+            gm = (phi_m / pitch + phase - lam_m) / (2 * np.pi) - level
+            left = (gm < 0) == (ga < 0)
+            ta, ga = np.where(left, tm, ta), np.where(left, gm, ga)
+            tb, gb = np.where(left, tb, tm), np.where(left, gb, gm)
+        tc.append(tm)
+        theta.append(base + phi_m / pitch)
+    tc, theta = np.concatenate(tc), np.concatenate(theta)
+    lo, hi = other.theta_range()
+    keep = np.flatnonzero((theta >= lo - UNIT_TOL) & (theta <= hi + UNIT_TOL))
+    keep = keep[np.argsort(tc[keep], kind="stable")]
+    return tc[keep], circle.points(tc[keep]), theta[keep]
 
 
 def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
-                        step: float = DEFAULT_STEP,
-                        merge_tol: float = DEFAULT_MERGE_TOL):
-    """Count the transversal crossings of a circle with another curve.
-
-    One argument must be a SphericalCircle (the first one is taken when both
-    are); the other curve is sampled at `step` and its crossings are the sign
-    changes of p.n - cos rho against the exact circle (`circle_crossings`).
-    Returns (count, points). Crossings closer than merge_tol merge into one;
-    exact tangency (no sign change) is not counted, which undercounts
-    conservatively.
-    """
+                        step: float = DEFAULT_STEP, merge_tol: float = 0.0):
+    """Count the transversal crossings of a circle with a circle or a spiral:
+    (count, points) of `circle_crossings` on the SphericalCircle argument
+    (the first when both are), sampled at `step`. Exact tangency is not
+    counted, which undercounts conservatively. `merge_tol` has no effect;
+    it is still checked to be at most 2 step, as callers pass it."""
     if step <= 0:
         raise OutOfRange("step must be positive")
     if merge_tol > 2 * step * (1 + 1e-9):
         raise OutOfRange("merge_tol must not exceed 2 * step")
-    if isinstance(c1, SphericalCircle):
-        circle, other = c1, c2
-    elif isinstance(c2, SphericalCircle):
-        circle, other = c2, c1
-    else:
+    circle, other = (c1, c2) if isinstance(c1, SphericalCircle) else (c2, c1)
+    if not isinstance(circle, SphericalCircle):
         raise DegenerateInput("count_intersections needs a SphericalCircle argument")
-    _, _, pts = circle_crossings(circle, other, step)
-    merged = _merge_points(pts, merge_tol)
-    return len(merged), merged
+    _, pts, _ = circle_crossings(circle, other, step)
+    return len(pts), pts

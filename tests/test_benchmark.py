@@ -38,6 +38,13 @@ def test_traced_montecarlo_round():
     assert metrics["loadsim.charge.triangles"] > 0
 
 
+def test_traced_intersect_round():
+    # crossing counts and first-hit runs pass their checks under the tracer,
+    # which sees the counts
+    out = _bench("intersect", trace=1)
+    assert out["metrics"]["sphere.count_intersections.calls"]["value"] > 0
+
+
 def test_traced_names_are_bound():
     # the tracer wraps these module globals, which geoq looks up at call time
     sys.path.insert(0, str(ROOT / "perfbench"))

@@ -7,9 +7,9 @@ import geoq
 import geoq.loadsim
 from geoq.embedding import locate_many
 from geoq.errors import ConfigError, DegenerateInput, OutOfRange
-from geoq.loadsim import _first_hit_cut, _first_hit_keep, raster_step
+from geoq.loadsim import _first_hit_keep, raster_step
 from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
-from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral, circle_crossings
+from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral
 
 from conftest import random_unit
 
@@ -106,12 +106,13 @@ class TestRasterize:
         assert load.max() == 1.0
 
     def test_spiral_charges_reader_and_far_pole(self, emb400):
-        # a boundary node's antipode lies on the seam, on an edge, where the
-        # triangle holding it is a tie; every other far pole is inside one
+        # a boundary node's antipode lies on the seam, on an edge along which
+        # lambda turns by pi up to rounding: both triangles of that edge are
+        # crossed, so the one that locate_many finds is among them
         rng = np.random.default_rng(23)
-        interior = np.setdiff1d(np.arange(emb400.n_nodes), emb400.mesh.boundary)
+        boundary = emb400.mesh.boundary
         for a in (0.05, 0.2, 0.7):
-            for node in rng.choice(interior, 6, replace=False):
+            for node in np.concatenate([boundary, rng.choice(emb400.n_nodes, 6, replace=False)]):
                 p = emb400.node_positions()[node]
                 spiral = geoq.spiral_for(p, a, rng.uniform(0, 2 * np.pi))
                 [(tris, on)] = _sets([spiral], emb400)
@@ -167,8 +168,6 @@ class TestRasterize:
             data = geoq.DataType("d0", random_unit(rng))
             writes = [geoq.write_quorum(kind, nodes[i], data, rng)
                       for i in rng.choice(emb400.n_nodes, 3, replace=False)]
-            writes = [w if isinstance(w, SphericalCircle) else geoq.sample(w, step)
-                      for w in writes]
             for i in rng.choice(emb400.n_nodes, 4, replace=False):
                 read = geoq.read_quorum(kind, nodes[i], data, rng)
                 keep = _first_hit_keep(read, writes, step)
@@ -314,6 +313,22 @@ class TestRun:
                              read_termination="first_hit")
             assert fh.total_load <= full.total_load
 
+    def test_no_spiral_is_sampled(self, emb400, monkeypatch):
+        # crossings are found on the circle of each write/read pair, so
+        # neither a count nor a first-hit cut samples a spiral
+        def refuse(*args):
+            raise AssertionError("a spiral was sampled")
+
+        monkeypatch.setattr(geoq.sphere, "_sample_spiral", refuse)
+        spiral = geoq.spiral_for([0.0, 0.0, -1.0], 0.2, 0.5)
+        n, _ = geoq.count_intersections(geoq.circle_with_radius([1.0, 0.0, 0.0], 0.3), spiral)
+        assert n >= 1
+        for dual in (False, True):
+            kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=dual)
+            m, _ = geoq.run(_workload(emb400), kind, emb400, np.random.default_rng(7),
+                            read_termination="first_hit")
+            assert m.total_load > 0
+
     def test_single_read_accounting(self, emb400):
         # zero contributors, one querier of weight 1: total equals the read
         # curve's charged-vertex count
@@ -393,8 +408,7 @@ def _reference_run(wl, kind, emb, rng, read_termination):
                 curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r / wl.events)
                           for _ in range(wl.events)]
             for curve, weight in curves:
-                writes.append(curve if isinstance(curve, SphericalCircle)
-                              else geoq.sample(curve, step))
+                writes.append(curve)
                 charge_one(curve, weight)
         if expected and is_read_shared(kind):
             total = wl.read_rate * len(data.queriers)
@@ -445,13 +459,34 @@ class TestBatchedRun:
                 assert np.array_equal(load, ref), (kind, termination)
 
 
-def _kept(read, writes, step):
-    """The read's samples kept up to its first crossing with a write."""
-    points, cut = _first_hit_cut(read, writes, step)
-    return points[:cut]
+def _scan(read, lo, hi, step):
+    """The read's points at parameters from lo up to hi, at most `step`
+    apart, and the point at hi."""
+    speed = np.sin(read.rho) if isinstance(read, SphericalCircle) else np.hypot(read.a, 1.0)
+    params = np.linspace(lo, hi, max(int(np.ceil((hi - lo) * speed / step)), 1) + 1)
+    return read.points(params[:-1]), read.points(params[-1:])[0]
+
+
+def _crosses(write, pts):
+    """Whether the polyline pts crosses the write: the sign of p . n - cos rho
+    changes along it for a circle, or, for a spiral, the turn of its phase on
+    a branch, lambda unwrapped by its principal increment (a reference
+    written apart from the library's)."""
+    if isinstance(write, SphericalCircle):
+        side = pts @ write.axis >= np.cos(write.rho)
+        return bool((side != side[0]).any())
+    x, y, z = (pts @ write.frame.T).T
+    lam = np.unwrap(np.arctan2(y, x))
+    phi = np.arctan2(z, np.hypot(x, y))
+    return any(len(np.unique(np.floor((phi / pitch + phase - lam) / (2 * np.pi)))) > 1
+               for _, pitch, phase, _, _ in write.branches())
 
 
 class TestFirstHit:
+    """A first-hit read keeps the interval of its parameter up to its first
+    crossing with a write: the end of the interval lies on a write, and a
+    scan of the read at an eighth of the step finds no crossing before it."""
+
     STEP = 0.01
 
     def _pairs(self, kind, seed, n):
@@ -462,24 +497,21 @@ class TestFirstHit:
                    geoq.read_quorum(kind, random_unit(rng), data, rng))
 
     def test_geoquorum_cut_straddles_write_circle(self):
-        # the cut falls on the write circle itself: the last kept segment
-        # straddles it and no earlier one does (its antipodal image, where a
-        # great-circle plane test through the segment also fires, is no hit)
+        # the cut falls on the write circle itself, and the read does not
+        # reach the circle earlier
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
         for write, read in self._pairs(kind, 11, 30):
-            kept = _kept(read, [write], self.STEP)
-            full = geoq.sample(read, self.STEP).points
-            assert len(kept) < len(full)
-            side = kept @ write.axis >= np.cos(write.rho)
-            assert side[-1] != side[-2]
-            assert np.all(side[:-1] == side[0])
+            lo, hi = _first_hit_keep(read, [write], self.STEP)
+            assert lo < hi < read.theta_range()[1]
+            before, end = _scan(read, lo, hi, self.STEP / 8)
+            assert abs(geoq.geodesic_distance(end, write.axis) - write.rho) < 1e-4
+            assert not _crosses(write, before)
 
     def test_qg_read_stops_at_the_hash(self):
         # every QG write passes the hash, where each QG read starts
         kind = geoq.QuorumSystemKind("QG")
         for write, read in self._pairs(kind, 12, 30):
-            kept = _kept(read, [write], self.STEP)
-            assert len(kept) == 2
+            assert _first_hit_keep(read, [write], self.STEP) == (0.0, 0.0)
 
     def test_dual_read_cut_at_write_spiral(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
@@ -487,13 +519,14 @@ class TestFirstHit:
         writes = [w for w, _ in pairs[:4]]
         for _, read in pairs:
             assert isinstance(read, geoq.SphericalCircle)
-            kept = _kept(read, writes, self.STEP)
-            full = geoq.sample(read, self.STEP).points
-            crossings = np.vstack([circle_crossings(read, w, self.STEP)[2] for w in writes])
-            # the read sample nearest to the first crossing along the read
-            first = int(np.min(np.argmax(crossings @ full.T, axis=1)))
-            assert len(kept) < len(full)
-            assert len(kept) - 1 in (first, first + 1)
+            lo, hi = _first_hit_keep(read, writes, self.STEP)
+            assert lo == 0.0 and 0.0 < hi < 2 * np.pi
+            before, end = _scan(read, lo, hi, self.STEP / 8)
+            # the end lies on a write spiral, sampled finely here
+            gap = min(np.linalg.norm(geoq.sample(w, self.STEP / 64).points - end, axis=1).min()
+                      for w in writes)
+            assert gap < self.STEP / 64
+            assert not any(_crosses(w, before) for w in writes)
 
     def test_dual_write_family_is_writer_spirals(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import geoq
 from geoq.errors import DegenerateInput, OutOfRange
-from geoq.sphere import perpendicular_basis, rotation_to_south_pole
+from geoq.sphere import circle_crossings, perpendicular_basis, rotation_to_south_pole
 
 from conftest import random_unit
 
@@ -312,6 +312,88 @@ def test_circle_pairs_match_closed_form(lat, lon, rho1, rho2, theta, azimuth):
     assert n21 == n12
     for axis, rho in ((a1, rho1), (a2, rho2)):
         assert np.all(np.abs(np.arccos(np.clip(pts @ axis, -1, 1)) - rho) <= STEP)
+
+
+def _unit(lat, lon):
+    r = np.sqrt(1.0 - lat * lat)
+    return np.array([r * np.cos(lon), r * np.sin(lon), lat])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(node_lat=st.floats(-1.0, 1.0), node_lon=_angle, lat=st.floats(-1.0, 1.0), lon=_angle,
+       rho=st.floats(0.02 * np.pi, 0.5 * np.pi), a=st.floats(0.03, 0.45), theta0=_angle)
+def test_circle_spiral_crossings_are_real_and_odd_around_a_pole(node_lat, node_lon, lat, lon,
+                                                                 rho, a, theta0):
+    """Every crossing lies on the circle and on the spiral, at a theta inside
+    its sweep, and the count is odd exactly when the circle encloses one of
+    the spiral's poles. Circles within a step of a pole are not drawn."""
+    node, center = _unit(node_lat, node_lon), _unit(lat, lon)
+    to_node = geoq.geodesic_distance(center, node)
+    assume(min(abs(to_node - rho), abs(np.pi - to_node - rho)) > STEP)
+    circle, spiral = geoq.circle_with_radius(center, rho), geoq.spiral_for(node, a, theta0)
+    t, pts, theta = circle_crossings(circle, spiral, STEP)
+    n, _ = geoq.count_intersections(circle, spiral, step=STEP)
+    assert n == len(pts) == len(theta)
+    assert n % 2 == (not rho < to_node < np.pi - rho)
+    assert np.all(np.diff(t) >= 0)
+    assert np.all(np.abs(np.arccos(np.clip(pts @ center, -1, 1)) - rho) <= STEP)
+    lo, hi = spiral.theta_range()
+    assert np.all((theta >= lo) & (theta <= hi))
+    # on the spiral: the phase h is a multiple of 2 pi at the crossing, up
+    # to a distance of a step along the latitude circle through it
+    x, y, z = (pts @ spiral.frame.T).T
+    h = np.arcsin(np.clip(z, -1, 1)) / a + spiral.theta0 - np.arctan2(y, x)
+    off = np.abs(np.mod(h + np.pi, 2 * np.pi) - np.pi)
+    assert np.all(off * np.hypot(x, y) <= STEP)
+    assert np.allclose(spiral.points(theta), pts, atol=STEP)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lat=st.floats(-1.0, 1.0), lon=_angle, rho1=_radius, rho2=_radius,
+       tangent=st.sampled_from((0, 1)), offset=st.floats(-1e-3, 1e-3), azimuth=_angle)
+def test_near_tangent_circle_pairs_cross_at_most_twice(lat, lon, rho1, rho2, tangent,
+                                                      offset, azimuth):
+    """Circles within a thousandth of tangency, inner or outer, or equal,
+    still yield at most 2 crossings, and an even count."""
+    theta = float(np.clip((abs(rho1 - rho2), rho1 + rho2)[tangent] + offset, 0.0, np.pi))
+    a1 = _unit(lat, lon)
+    e1, e2 = perpendicular_basis(a1)
+    a2 = np.cos(theta) * a1 + np.sin(theta) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    t, _, _ = circle_crossings(geoq.circle_with_radius(a1, rho1),
+                               geoq.circle_with_radius(a2, rho2), STEP)
+    assert len(t) in (0, 2)
+
+
+# Criterion 3's placements (seeds 104 and 105) whose circle encloses a pole
+# and that merging nearby crossings counted even: (node, centre, theta0, a, rho)
+_ENCLOSING_PLACEMENTS = [
+    ([-0.5720197619814826, 0.40458878122642605, -0.713513356573206],
+     [0.7526017083179453, -0.16812424276046464, 0.6366513234362516],
+     2.9790197580188846, 0.05, 0.1 * np.pi),
+    ([-0.05202052620404848, 0.24695876236138264, -0.967628665628705],
+     [0.14717682679160968, -0.18728638716726806, -0.9712171697603913],
+     4.06911187282982, 0.1, 0.2 * np.pi),
+    ([0.864469136849724, 0.4878162450532607, 0.12136071232664257],
+     [-0.12379093218179399, 0.9899474841635714, -0.06840894464745116],
+     1.0792299335078068, 0.2, 0.4 * np.pi),
+    ([0.17628735700139544, -0.5080151144239066, -0.8431153012953374],
+     [0.4655660789703926, -0.6537232273557196, -0.5965686617043812],
+     1.6525167427129495, 0.05, 0.15 * np.pi),
+    ([-0.4109462595167411, 0.336332323624931, 0.8473510133789032],
+     [-0.5959702283818983, 0.10073523903967213, 0.7966629767336049],
+     1.1634405880532988, 0.1, 0.2 * np.pi),
+]
+
+
+@pytest.mark.parametrize("node, center, theta0, a, rho", _ENCLOSING_PLACEMENTS)
+def test_enclosing_placements_cross_an_odd_number_of_times(node, center, theta0, a, rho):
+    node, center = np.array(node), np.array(center)
+    assert not rho < geoq.geodesic_distance(center, node) < np.pi - rho
+    # criterion 3's arguments: merge_tol no longer merges anything
+    n, _ = geoq.count_intersections(geoq.circle_with_radius(center, rho),
+                                    geoq.spiral_for(node, a, theta0),
+                                    step=np.pi / 300, merge_tol=np.pi / 150)
+    assert n % 2 == 1
 
 
 class TestLatitudeMeanLength:
