@@ -7,7 +7,8 @@ mirror copy is the z-reflection by construction, so mirror symmetry and the
 boundary-on-equator property hold exactly at every iterate.
 
 Phases:
-(A) L-BFGS from the Tutte disk map, with three boundary angles pinned
+(A) L-BFGS from the Tutte disk map (the barycentric map built from the
+    solve's own Laplacian), with three boundary angles pinned
     (fixes the residual Moebius gauge and blocks collapse).
 (B) Damped Newton, which refuses steps that add boundary folds or flipped
     triangles. Probes, short strict Newton runs from L-BFGS iterates, decide
@@ -38,7 +39,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
 # Hashed into the CLI's embedding cache key; raise it whenever a change to the
 # solver changes the embedding it returns for the same mesh and settings.
-SOLVER_VERSION = 3
+SOLVER_VERSION = 4
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
 # The handoff probe (phase B; see harmonic_sphere_map and _newton): the first
 # probe's L-BFGS iteration, the largest gap between probes, the Newton steps
@@ -53,8 +54,8 @@ PROBE_REJECTS = 4
 _Z = np.array([1.0, 1.0, -1.0])
 
 
-def cot_weights(points, triangles, n_vertices: int, floor: float | None = None):
-    """Symmetric cotangent edge-weight matrix; optionally floored from below."""
+def cot_weights(points, triangles, n_vertices: int):
+    """Symmetric cotangent edge-weight matrix, each weight floored at WEIGHT_FLOOR."""
     pts = np.asarray(points, dtype=float)[:, :2]
     tri = np.asarray(triangles)
     p0, p1, p2 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
@@ -72,8 +73,7 @@ def cot_weights(points, triangles, n_vertices: int, floor: float | None = None):
     w = 0.5 * np.concatenate([c0, c1, c2])
     m = sparse.coo_matrix((w, (i, j)), shape=(n_vertices, n_vertices))
     m = (m + m.T).tocsr()
-    if floor is not None:
-        m.data = np.maximum(m.data, floor)
+    m.data = np.maximum(m.data, WEIGHT_FLOOR)
     return m
 
 
@@ -131,7 +131,6 @@ class SphericalEmbedding:
     mesh: DoubledMesh
     positions: np.ndarray
     residual: float
-    energy: float = 0.0
     energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stats: EmbeddingStats | None = None
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
@@ -222,17 +221,13 @@ class _System:
         self.dbl = dbl
         self.boundary = dbl.boundary
         self.interior = dbl.copy_map[dbl.n_original:]
-        self.mirror_ids = np.arange(dbl.n_original, dbl.n_vertices)
+        self.mirror = np.s_[dbl.n_original:]   # the mirror of interior[k] is vertex n_original + k
         self.nI, self.nB = len(self.interior), len(dbl.boundary)
-        self.Vd = dbl.n_vertices
-        self.W = cot_weights(dbl.planar, dbl.triangles, self.Vd, floor=WEIGHT_FLOOR)
-        deg = np.asarray(self.W.sum(axis=1)).ravel()
-        self.L = (sparse.diags(deg) - self.W).tocsr()
-        self.L2 = (2.0 * self.L).tocsr()
+        W = cot_weights(dbl.planar, dbl.triangles, dbl.n_vertices)
+        self.L = (sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
         # pins at arc-length thirds of the boundary
         pts = dbl.source.vertices
         seg = np.linalg.norm(pts[np.roll(self.boundary, -1)] - pts[self.boundary], axis=1)
-        self.seg = seg
         cums = np.concatenate([[0.0], np.cumsum(seg)[:-1]]) / seg.sum()
         self.arc_param = cums * 2 * np.pi
         self.pin_pos = np.array(sorted(int(np.argmin(np.abs(cums - f)))
@@ -244,15 +239,16 @@ class _System:
         self.pin_val = self.arc_param[self.pin_pos].copy()
 
     def positions(self, u_int, th):
-        P = np.zeros((self.Vd, 3))
+        P = np.zeros((self.dbl.n_vertices, 3))
         r2 = (u_int ** 2).sum(axis=1)
         d = 1.0 + r2
-        P[self.interior, 0] = 2 * u_int[:, 0] / d
-        P[self.interior, 1] = 2 * u_int[:, 1] / d
-        P[self.interior, 2] = (1.0 - r2) / d
+        Q = np.empty((self.nI, 3))
+        Q[:, :2] = 2 * u_int / d[:, None]
+        Q[:, 2] = (1.0 - r2) / d
+        P[self.interior] = Q
         P[self.boundary, 0] = np.cos(th)
         P[self.boundary, 1] = np.sin(th)
-        P[self.mirror_ids] = P[self.interior] * _Z
+        P[self.mirror] = Q * _Z
         return P
 
     def coords_from_positions(self, P):
@@ -260,22 +256,31 @@ class _System:
         th = np.unwrap(np.arctan2(P[self.boundary, 1], P[self.boundary, 0]))
         return u_int, th
 
-    def energy(self, P) -> float:
-        return float((P * (self.L @ P)).sum())
-
-    def grad(self, u_int, th):
-        P = self.positions(u_int, th)
-        LP = self.L @ P
-        E = float((P * LP).sum())
-        g_P = 2.0 * LP
-        gU = g_P[self.interior] + g_P[self.mirror_ids] * _Z
+    @staticmethod
+    def jacobian(u_int):
+        """(f, jac) of the stereographic map P(u) = (f u, f - 1), f = 2 / (1 + |u|^2):
+        jac[a] = (dP_a/du_x, dP_a/du_y) for the axes a = x, y, z. The z row is
+        grad f = -f^2 u."""
         r2 = (u_int ** 2).sum(axis=1)
         f = 2.0 / (1.0 + r2)
         ux, uy = u_int[:, 0], u_int[:, 1]
         f2 = f * f
+        zx, zy = -f2 * ux, -f2 * uy
+        xy = zx * uy
+        return f, ((f - f2 * ux * ux, xy), (xy, f - f2 * uy * uy), (zx, zy))
+
+    def grad(self, u_int, th):
+        """(E, gI, gth, g_P): the energy, its gradient in u_int and th, and its
+        gradient 2 L P in the positions."""
+        P = self.positions(u_int, th)
+        LP = self.L @ P
+        E = float((P * LP).sum())
+        g_P = 2.0 * LP
+        gx, gy, gz = (g_P[self.interior] + g_P[self.mirror] * _Z).T
+        (xx, xy), (yx, yy), (zx, zy) = self.jacobian(u_int)[1]
         gI = np.empty((self.nI, 2))
-        gI[:, 0] = gU[:, 0] * (f - f2 * ux * ux) + gU[:, 1] * (-f2 * ux * uy) + gU[:, 2] * (-f2 * ux)
-        gI[:, 1] = gU[:, 0] * (-f2 * ux * uy) + gU[:, 1] * (f - f2 * uy * uy) + gU[:, 2] * (-f2 * uy)
+        gI[:, 0] = gx * xx + gy * yx + gz * zx
+        gI[:, 1] = gx * xy + gy * yy + gz * zy
         gB = g_P[self.boundary]
         gth = -gB[:, 0] * np.sin(th) + gB[:, 1] * np.cos(th)
         return E, gI, gth, g_P
@@ -291,54 +296,37 @@ class _System:
         return x[:2 * self.nI].reshape(self.nI, 2), th
 
     def hessian(self, u_int, th, g_P):
-        r2 = (u_int ** 2).sum(axis=1)
-        f = 2.0 / (1.0 + r2)
-        ux, uy = u_int[:, 0], u_int[:, 1]
-        f2, f3 = f * f, f * f * f
-        jac = {
-            0: (f - f2 * ux * ux, -f2 * ux * uy),
-            1: (-f2 * ux * uy, f - f2 * uy * uy),
-            2: (-f2 * ux, -f2 * uy),
-        }
-        colsx = 2 * np.arange(self.nI)
-        colsy = colsx + 1
-        bcols = 2 * self.nI + np.arange(len(self.free_b))
-        bverts = self.boundary[self.free_b]
-        H = None
-        for a in range(3):
-            dx, dy = jac[a]
-            sgn = -1.0 if a == 2 else 1.0
-            if a == 0:
-                bval = -np.sin(th[self.free_b])
-            elif a == 1:
-                bval = np.cos(th[self.free_b])
-            else:
-                bval = np.zeros(len(self.free_b))
-            Ja = sparse.coo_matrix(
-                (np.concatenate([dx, dy, sgn * dx, sgn * dy, bval]),
-                 (np.concatenate([self.interior, self.interior,
-                                  self.mirror_ids, self.mirror_ids, bverts]),
-                  np.concatenate([colsx, colsy, colsx, colsy, bcols]))),
-                shape=(self.Vd, self.ndof)).tocsr()
-            Ha = Ja.T @ self.L2 @ Ja
-            H = Ha if H is None else H + Ha
-        gU = g_P[self.interior] + g_P[self.mirror_ids] * _Z
-        cxx = (gU[:, 0] * (-3 * f2 * ux + 2 * f3 * ux ** 3)
-               + gU[:, 1] * (-f2 * uy + 2 * f3 * ux * ux * uy)
-               + gU[:, 2] * (2 * f3 * ux * ux - f2))
-        cxy = (gU[:, 0] * (-f2 * uy + 2 * f3 * ux * ux * uy)
-               + gU[:, 1] * (-f2 * ux + 2 * f3 * ux * uy * uy)
-               + gU[:, 2] * (2 * f3 * ux * uy))
-        cyy = (gU[:, 0] * (-f2 * ux + 2 * f3 * ux * uy * uy)
-               + gU[:, 1] * (-3 * f2 * uy + 2 * f3 * uy ** 3)
-               + gU[:, 2] * (2 * f3 * uy * uy - f2))
-        gB = g_P[self.boundary][self.free_b]
-        cth = -(gB[:, 0] * np.cos(th[self.free_b]) + gB[:, 1] * np.sin(th[self.free_b]))
-        ii = colsx
+        """The energy's Hessian in the packed coordinates, g_P being grad's: the
+        Gauss-Newton term 2 J_a^T L J_a of each axis a, J_a the Jacobian of P_a,
+        plus the curvature term g . d2P. At an interior vertex that term is
+        G grad(f)^T + grad(f) G^T + s (2 f^3 u u^T - f^2 I), where G = (g_x, g_y)
+        and s = g . (u, 1); at a boundary angle it is -g . (cos th, sin th)."""
+        f, jac = self.jacobian(u_int)
+        thf = th[self.free_b]
+        ucols = np.arange(2 * self.nI).reshape(self.nI, 2)
+        bcols = np.arange(2 * self.nI, self.ndof)
+        upper_and_mirror = np.r_[self.interior, self.dbl.n_original:self.dbl.n_vertices]
+        rows = np.concatenate([np.repeat(upper_and_mirror, 2), self.boundary[self.free_b]])
+        cols = np.concatenate([ucols.ravel(), ucols.ravel(), bcols])
+        H = 0
+        for (dx, dy), sgn, dth in zip(jac, _Z, (-np.sin(thf), np.cos(thf), np.zeros_like(thf))):
+            du = np.stack([dx, dy], axis=1).ravel()
+            Ja = sparse.csr_matrix((np.concatenate([du, sgn * du, dth]), (rows, cols)),
+                                   shape=(self.dbl.n_vertices, self.ndof))
+            H = H + Ja.T @ self.L @ Ja
+        H.data *= 2.0
+        gU = g_P[self.interior] + g_P[self.mirror] * _Z
+        G, df, u = gU[:, :2, None], np.stack(jac[2], axis=1)[:, None, :], u_int[:, :, None]
+        s = (gU[:, 0] * u_int[:, 0] + gU[:, 1] * u_int[:, 1] + gU[:, 2])[:, None, None]
+        f2 = (f * f)[:, None, None]
+        C = G * df
+        C = C + C.transpose(0, 2, 1) + s * (2 * f2 * f[:, None, None] * (u * u.transpose(0, 2, 1))
+                                            - f2 * np.eye(2))
+        gB = g_P[self.boundary[self.free_b]]
         curv = sparse.coo_matrix(
-            (np.concatenate([cxx, cxy, cxy, cyy, cth]),
-             (np.concatenate([ii, ii, ii + 1, ii + 1, bcols]),
-              np.concatenate([ii, ii + 1, ii, ii + 1, bcols]))),
+            (np.concatenate([C.ravel(), -(gB[:, 0] * np.cos(thf) + gB[:, 1] * np.sin(thf))]),
+             (np.concatenate([np.repeat(ucols, 2, axis=1).ravel(), bcols]),
+              np.concatenate([np.tile(ucols, 2).ravel(), bcols]))),
             shape=(self.ndof, self.ndof))
         return (H + curv).tocsc()
 
@@ -353,16 +341,10 @@ def _flip_count(sys_: _System, P) -> int:
 
 
 def _repair_folds(th):
-    thw = np.unwrap(th).copy()
-    for _ in range(32):
-        d = np.diff(thw)
-        bad = np.where(d < 0)[0]
-        if len(bad) == 0:
-            break
-        for k in bad:
-            mid = 0.5 * (thw[k] + thw[k + 1])
-            thw[k], thw[k + 1] = mid - 1e-6, mid + 1e-6
-    return thw
+    """The boundary angles unwrapped and sorted: the vertices keep their order
+    along the boundary and take the angles in increasing order, so an inverted
+    run swaps its values among its own vertices and no fold is left."""
+    return np.sort(np.unwrap(th))
 
 
 def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
@@ -457,23 +439,16 @@ def _conformal_dilate(P, v):
 
 
 def _tutte_start(sys_: _System) -> np.ndarray:
-    """The L-BFGS start: the barycentric map of the region to the unit disk
-    (positive weights), read as stereographic coordinates, with the boundary
-    at its arc-length angles."""
-    mesh = sys_.dbl.source
-    n = mesh.n_vertices
-    W = cot_weights(mesh.vertices, mesh.triangles, n, floor=None)
-    W.data = np.clip(W.data, 1e-3, 1e3)  # positivity for a bijective disk map
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    L = sparse.diags(deg) - W
-    disk = np.zeros((n, 2))
-    bl = sys_.boundary
-    disk[bl] = np.stack([np.cos(sys_.arc_param), np.sin(sys_.arc_param)], axis=1)
-    idx = sys_.interior
-    lhs = L[idx][:, idx].tocsc()
-    rhs = -L[idx][:, bl] @ disk[bl]
-    disk[idx] = splu(lhs).solve(rhs)
-    return np.concatenate([disk[idx].ravel(), sys_.arc_param[sys_.free_b]])
+    """The L-BFGS start: the barycentric map of the region to the unit disk,
+    read as stereographic coordinates, with the boundary at its arc-length
+    angles. It solves on the interior rows of the solve's own Laplacian, whose
+    weights there are the source mesh's planar cotangent weights, floored at
+    WEIGHT_FLOOR, so positive and the disk map bijective."""
+    idx, bl = sys_.interior, sys_.boundary
+    rim = np.stack([np.cos(sys_.arc_param), np.sin(sys_.arc_param)], axis=1)
+    L = sys_.L[idx]
+    disk = splu(L[:, idx].tocsc()).solve(-L[:, bl] @ rim)
+    return np.concatenate([disk.ravel(), sys_.arc_param[sys_.free_b]])
 
 
 def _probe(sys_: _System, x, stats: EmbeddingStats):
@@ -599,7 +574,6 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     lap("recenter")
 
     emb = SphericalEmbedding(mesh=dbl, positions=P, residual=ginf,
-                             energy=sys_.energy(P),
                              energy_trace=np.array(energy_trace), stats=stats)
     if not ginf <= tol:   # a NaN residual is no convergence either
         raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e}",
@@ -612,9 +586,7 @@ def _area_centroid(tri, P) -> np.ndarray:
     of every triangle in `tri` incident to it."""
     ar = 0.5 * np.linalg.norm(np.cross(P[tri[:, 1]] - P[tri[:, 0]],
                                        P[tri[:, 2]] - P[tri[:, 0]]), axis=1)
-    m = np.zeros(len(P))
-    for k in range(3):
-        np.add.at(m, tri[:, k], ar / 3.0)
+    m = np.bincount(tri.T.ravel(), weights=np.tile(ar / 3.0, 3), minlength=len(P))
     return (m[:, None] * P).sum(axis=0) / m.sum()
 
 
@@ -681,23 +653,14 @@ class DistortionReport:
     max_dilatation: float
 
 
-def _planar_angles(pts, tris):
+def _angles(pts, tris, sphere: bool):
+    """Corner angles of every triangle between its two sides there; on the
+    sphere, between the sides' projections onto the tangent plane."""
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
 
     def ang(p0, p1, p2):
-        u, v = p1 - p0, p2 - p0
-        cu = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        return np.arccos(np.clip(cu, -1, 1))
-
-    return np.stack([ang(a, b, c), ang(b, c, a), ang(c, a, b)], axis=1)
-
-
-def _spherical_angles(pos, tris):
-    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-
-    def ang(p0, p1, p2):
-        u = p1 - (p1 * p0).sum(axis=1, keepdims=True) * p0
-        v = p2 - (p2 * p0).sum(axis=1, keepdims=True) * p0
+        u, v = ((p - ((p * p0).sum(axis=1, keepdims=True) if sphere else 1.0) * p0)
+                for p in (p1, p2))
         nu = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
         cu = (u * v).sum(axis=1) / np.maximum(nu, 1e-300)
         return np.arccos(np.clip(cu, -1, 1))
@@ -727,8 +690,8 @@ def _dilatation(emb: SphericalEmbedding) -> np.ndarray:
 def distortion_report(emb: SphericalEmbedding) -> DistortionReport:
     """Per-triangle angle distortion (planar vs spherical) and dilatation."""
     tris = emb.mesh.triangles
-    ap = _planar_angles(emb.mesh.planar, tris)
-    asph = _spherical_angles(emb.positions, tris)
+    ap = _angles(emb.mesh.planar, tris, sphere=False)
+    asph = _angles(emb.positions, tris, sphere=True)
     rel = (np.abs(asph - ap) / ap).mean(axis=1)
     dil = _dilatation(emb)
     finite = dil[np.isfinite(dil)]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import geoq
 from geoq import embedding
+from geoq.config import IRREGULAR
 from geoq.embedding import (PROBE_REJECTS, PROBE_STEPS, _conformal_dilate, _dilatation,
-                            _probe, _System, _tutte_start, embedding_from_text,
-                            embedding_to_text, locate_many)
+                            _fold_count, _probe, _repair_folds, _System, _tutte_start,
+                            embedding_from_text, embedding_to_text, locate_many)
 from geoq.errors import DegenerateMesh, NoConvergence
 
 from conftest import SQUARE, random_unit
@@ -17,10 +20,10 @@ from conftest import SQUARE, random_unit
 _Z = np.array([1.0, 1.0, -1.0])
 
 
-def _square_cover(n_nodes, seed):
+def _cover(n_nodes, seed, region=SQUARE):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-    pts = geoq.generate_deployment(np.array(SQUARE), n_nodes, rng)
-    return geoq.double_cover(geoq.triangulate(pts, boundary=SQUARE))
+    pts = geoq.generate_deployment(np.array(region), n_nodes, rng)
+    return geoq.double_cover(geoq.triangulate(pts, boundary=region))
 
 
 def _refused(sys_, x, stats):
@@ -200,7 +203,94 @@ class TestSolverEdges:
 
         monkeypatch.setattr(embedding, "_newton", nan_residual)
         with pytest.raises(NoConvergence):
-            geoq.harmonic_sphere_map(_square_cover(300, 1))
+            geoq.harmonic_sphere_map(_cover(300, 1))
+
+
+def _packed_state(dbl, which):
+    """A system of dbl and a packed vector: the Tutte start, or the solved
+    embedding's coordinates with the pins moved to its boundary angles."""
+    sys_ = _System(dbl)
+    if which == "tutte":
+        return sys_, _tutte_start(sys_)
+    u_int, th = sys_.coords_from_positions(geoq.harmonic_sphere_map(dbl).positions)
+    sys_.pin_val = th[sys_.pin_pos]
+    return sys_, np.concatenate([u_int.ravel(), th[sys_.free_b]])
+
+
+def _packed_grad(sys_, x):
+    """(energy, packed gradient, g_P) at the packed vector x."""
+    E, gI, gth, g_P = sys_.grad(*sys_.unpack(x))
+    return E, sys_.pack_grad(gI, gth), g_P
+
+
+class TestDerivatives:
+    # central differences with step 1e-5; their truncation error on this mesh
+    # is about 5e-8 in the gradient and 5e-10 of |Hv| in the Hessian
+    @pytest.mark.parametrize("which", ["tutte", "solved"])
+    def test_gradient_matches_energy_differences(self, which):
+        dbl = _cover(200, 1)
+        sys_, x = _packed_state(dbl, which)
+        h = 1e-5
+        fd = np.array([(_packed_grad(sys_, x + h * e)[0] - _packed_grad(sys_, x - h * e)[0])
+                       / (2 * h) for e in np.eye(len(x))])
+        # the solved gradient is about 1e-13, so the tolerance scales with the start's
+        scale = np.abs(_packed_grad(*_packed_state(dbl, "tutte"))[1]).max()
+        assert np.abs(fd - _packed_grad(sys_, x)[1]).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("which", ["tutte", "solved"])
+    def test_hessian_matches_gradient_differences(self, which):
+        sys_, x = _packed_state(_cover(200, 1), which)
+        H = sys_.hessian(*sys_.unpack(x), _packed_grad(sys_, x)[2])
+        h = 1e-5
+        for v in np.random.default_rng(3).normal(size=(3, len(x))):
+            fd = (_packed_grad(sys_, x + h * v)[1] - _packed_grad(sys_, x - h * v)[1]) / (2 * h)
+            Hv = H @ v
+            assert np.abs(fd - Hv).max() <= 1e-6 * np.abs(Hv).max()
+
+
+class TestTutteStart:
+    @pytest.mark.parametrize("region", [SQUARE, IRREGULAR], ids=["square", "irregular"])
+    def test_is_barycentric_map_of_planar_mesh(self, region):
+        # the reference builds the planar mesh's own cotangent Laplacian, its
+        # weights floored at 1e-3 and capped at 1e3, and solves for the interior
+        sys_ = _System(_cover(300, 1, region))
+        mesh = sys_.dbl.source
+        pts, tri, n = mesh.vertices, mesh.triangles, mesh.n_vertices
+        cots = []
+        for k in range(3):
+            a, b, c = pts[tri[:, k]], pts[tri[:, (k + 1) % 3]], pts[tri[:, (k + 2) % 3]]
+            u, v = b - a, c - a
+            cots.append((u * v).sum(axis=1) / np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
+        opposite = [(tri[:, (k + 1) % 3], tri[:, (k + 2) % 3]) for k in range(3)]
+        W = sparse.coo_matrix((0.5 * np.concatenate(cots),
+                               (np.concatenate([i for i, _ in opposite]),
+                                np.concatenate([j for _, j in opposite]))), shape=(n, n))
+        W = (W + W.T).tocsr()
+        assert W.data.max() < 1e3
+        W.data = np.clip(W.data, 1e-3, 1e3)
+        L = sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+        idx, bl = sys_.interior, sys_.boundary
+        rim = np.stack([np.cos(sys_.arc_param), np.sin(sys_.arc_param)], axis=1)
+        disk = splu(L[idx][:, idx].tocsc()).solve(-L[idx][:, bl] @ rim)
+        ref = np.concatenate([disk.ravel(), sys_.arc_param[sys_.free_b]])
+        assert np.array_equal(_tutte_start(sys_), ref)
+
+
+class TestRepairFolds:
+    @pytest.mark.parametrize("start", [0, 17, 36])
+    @pytest.mark.parametrize("run", [2, 3, 4])
+    def test_adjacent_inversions_are_removed(self, start, run):
+        # reversing `run` consecutive angles makes run - 1 adjacent inversions
+        th = np.linspace(0.0, 2 * np.pi, 40, endpoint=False) + 0.3
+        folded = th.copy()
+        folded[start:start + run] = th[start:start + run][::-1]
+        assert _fold_count(folded) == run - 1
+        repaired = _repair_folds(folded)
+        assert _fold_count(repaired) == 0
+        away = np.r_[:start, start + run:len(th)]
+        assert np.array_equal(repaired[away], folded[away])
+        assert np.all(np.abs(repaired[start:start + run] - folded[start:start + run])
+                      <= th[start + run - 1] - th[start])
 
 
 class TestHandoff:
@@ -208,7 +298,7 @@ class TestHandoff:
     def test_handoff_changes_nothing(self, n_nodes, seed, monkeypatch):
         # a probe that always refuses runs L-BFGS to its end, as before the
         # handoff; on these meshes the handoff comes at iterations 220, 120 and 15
-        dbl = _square_cover(n_nodes, seed)
+        dbl = _cover(n_nodes, seed)
         emb = geoq.harmonic_sphere_map(dbl)
         monkeypatch.setattr(embedding, "_probe", _refused)
         ref = geoq.harmonic_sphere_map(dbl)
@@ -221,7 +311,7 @@ class TestHandoff:
         assert boundary_z[0] == boundary_z[1]
 
     def test_failed_probe_is_cheap(self, monkeypatch):
-        sys_ = _System(_square_cover(400, 3))
+        sys_ = _System(_cover(400, 3))
         x = _tutte_start(sys_)
         x_before = x.copy()
         calls = []
@@ -240,7 +330,7 @@ class TestHandoff:
 
     def test_probe_gives_up_after_bounded_rejections(self, monkeypatch):
         # every factorization fails, so every trial step is rejected
-        sys_ = _System(_square_cover(400, 3))
+        sys_ = _System(_cover(400, 3))
         x = _tutte_start(sys_)
         calls = []
 
@@ -255,7 +345,7 @@ class TestHandoff:
 
     def test_stalled_handoff_resumes_lbfgs(self, monkeypatch):
         # the first probe hands over the Tutte start, from which Newton fails
-        dbl = _square_cover(350, 1)
+        dbl = _cover(350, 1)
         monkeypatch.setattr(embedding, "_probe", _refused)
         ref = geoq.harmonic_sphere_map(dbl)
         monkeypatch.setattr(embedding, "_probe",
