@@ -54,11 +54,10 @@ from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed
                       is_read_shared, mixing_angles, quorum_curve, read_quorum,
                       write_quorum)
 # sample is bound for the benchmark's tracer, which wraps geoq.loadsim.sample
-from .sphere import (UNIT_TOL, SphericalCircle, SphericalCurve,
+from .sphere import (TWO_PI, UNIT_TOL, SphericalCircle, SphericalCurve,
                      SphericalSpiral, circle_crossings, sample)
 
 RASTER_STEP_FACTOR = 0.25  # first-hit circle sampling step as a fraction of the median edge length
-TWO_PI = 2 * np.pi
 POLE_TOL = 1e-6  # a boundary reader's far pole lies on a seam edge, where lambda turns by pi
 # Curve x mesh entries (vertices for a circle, edges per spiral branch) of one
 # block: bounds each of a block's float arrays to 2 MB.

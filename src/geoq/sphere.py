@@ -8,6 +8,7 @@ other curve is a level set, whose level function is read at its samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInput, OutOfRange
 
 UNIT_TOL = 1e-9
+TWO_PI = 2 * np.pi
 
 # sampling default shared by callers
 DEFAULT_STEP = np.pi / 2000
@@ -243,7 +245,9 @@ def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
 def _circle_angles(circle: SphericalCircle, step: float) -> np.ndarray:
     """Sample angles at spacing <= step; the last repeats the first point."""
     n = max(int(np.ceil(circle.circumference() / step)), 8)
-    return np.linspace(0.0, 2 * np.pi, n + 1)
+    t = np.arange(n + 1) * (TWO_PI / n)  # np.linspace's values, without its overhead
+    t[-1] = TWO_PI
+    return t
 
 
 def _sample_spiral(spiral: SphericalSpiral, step: float) -> GeodesicPolyline:
@@ -264,12 +268,6 @@ def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:
     raise TypeError(f"not a spherical curve: {type(curve)!r}")
 
 
-def _latlon(spiral: SphericalSpiral, pts) -> tuple[np.ndarray, np.ndarray]:
-    """Latitude and longitude of the points in the spiral's local frame."""
-    x, y, z = (pts @ spiral.frame.T).T
-    return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
-
-
 def circle_crossings(circle: SphericalCircle, other, step: float):
     """Where `other`, a circle or a spiral, crosses `circle`, found on
     `circle` sampled at `step`: (t, points, theta) in order of t, each
@@ -283,8 +281,12 @@ def circle_crossings(circle: SphericalCircle, other, step: float):
         in the angle, so at most 2 crossings, interpolated linearly in f;
       - a spiral where h / 2 pi of a branch (`branches`) passes an integer,
         lambda unwrapped by each segment's principal increment, as along its
-        chord. Regula falsi places the crossing, which counts when its theta
-        lies in the sweep; samples at most a apart pass one level each.
+        chord (the rule `loadsim` applies on mesh edges). One pass runs in
+        the spiral's local frame: the circle's centre and radii are rotated
+        into it once, and each sample's latitude and longitude come from
+        cos t and sin t. Two regula falsi steps place the crossing on its
+        segment's bracket, and it counts when its theta lies in the sweep;
+        samples at most a apart pass one level each.
 
     Guarantees, except where a pole lies between an arc and its chord:
     every crossing counted is a real crossing on that arc of the circle;
@@ -303,29 +305,47 @@ def circle_crossings(circle: SphericalCircle, other, step: float):
     if not isinstance(other, SphericalSpiral):
         raise TypeError(f"circle_crossings needs a circle or a spiral, not {type(other)!r}")
     t = _circle_angles(circle, min(step, other.a))
-    phi, lam = _latlon(other, circle.points(t))
-    lam = np.unwrap(lam)  # principal increments, the rule `loadsim` applies on an edge
-    tc, theta = [], []
-    for base, pitch, phase, _, _ in other.branches():
-        g = (phi / pitch + phase - lam) / (2 * np.pi)
-        seg = np.flatnonzero(np.diff(np.floor(g)))
-        level = np.floor(np.maximum(g[seg], g[seg + 1]))
-        ta, ga, tb, gb = t[seg], g[seg] - level, t[seg + 1], g[seg + 1] - level
-        for _ in range(2):  # regula falsi on the segment's bracket
-            tm = ta + np.clip(ga / (ga - gb), 0.0, 1.0) * (tb - ta)
-            phi_m, lam_m = _latlon(other, circle.points(tm))
-            lam_m += 2 * np.pi * np.round((lam[seg] - lam_m) / (2 * np.pi))
-            gm = (phi_m / pitch + phase - lam_m) / (2 * np.pi) - level
-            left = (gm < 0) == (ga < 0)
-            ta, ga = np.where(left, tm, ta), np.where(left, gm, ga)
-            tb, gb = np.where(left, tb, tm), np.where(left, gb, gm)
-        tc.append(tm)
-        theta.append(base + phi_m / pitch)
-    tc, theta = np.concatenate(tc), np.concatenate(theta)
+    # the circle's centre and its two radii, rotated into the spiral's frame:
+    # a sample's local coordinates are c + cos t u + sin t v
+    e1, e2 = circle.basis
+    cos_rho, sin_rho = math.cos(circle.rho), math.sin(circle.rho)
+    local = other.frame @ np.array([cos_rho * circle.axis, sin_rho * e1, sin_rho * e2]).T
+    x, y, z = local[:, :1] + local[:, 1:] @ np.array([np.cos(t), np.sin(t)])
+    phi, lam = np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
+    # lambda unwrapped: each increment d between samples is taken as its
+    # principal value d - 2 pi round(d / 2 pi), the rule `loadsim` applies
+    # on a mesh edge
+    lam[1:] -= TWO_PI * np.rint((lam[1:] - lam[:-1]) / TWO_PI).cumsum()
+    (cx, ux, vx), (cy, uy, vy), (cz, uz, vz) = local.tolist()
     lo, hi = other.theta_range()
-    keep = np.flatnonzero((theta >= lo - UNIT_TOL) & (theta <= hi + UNIT_TOL))
-    keep = keep[np.argsort(tc[keep], kind="stable")]
-    return tc[keep], circle.points(tc[keep]), theta[keep]
+    found = []
+    for base, pitch, phase, _, _ in other.branches():
+        g = (phi / pitch + phase - lam) / TWO_PI
+        turn = np.floor(g)
+        seg = np.flatnonzero(turn[1:] != turn[:-1])
+        for ta, tb, ga, gb, lam_a in zip(t[seg].tolist(), t[seg + 1].tolist(),
+                                         g[seg].tolist(), g[seg + 1].tolist(),
+                                         lam[seg].tolist()):
+            level = math.floor(max(ga, gb))
+            ga, gb = ga - level, gb - level
+            for _ in range(2):  # regula falsi on the segment's bracket
+                tm = ta + min(max(ga / (ga - gb), 0.0), 1.0) * (tb - ta)
+                cos_t, sin_t = math.cos(tm), math.sin(tm)
+                xm, ym = cx + cos_t * ux + sin_t * vx, cy + cos_t * uy + sin_t * vy
+                phi_m = math.atan2(cz + cos_t * uz + sin_t * vz, math.hypot(xm, ym))
+                lam_m = math.atan2(ym, xm)
+                lam_m += TWO_PI * round((lam_a - lam_m) / TWO_PI)
+                gm = (phi_m / pitch + phase - lam_m) / TWO_PI - level
+                if (gm < 0) == (ga < 0):
+                    ta, ga = tm, gm
+                else:
+                    tb, gb = tm, gm
+            theta = base + phi_m / pitch
+            if lo - UNIT_TOL <= theta <= hi + UNIT_TOL:
+                found.append((tm, theta))
+    found.sort(key=lambda crossing: crossing[0])
+    tc, theta = np.array(found, dtype=float).reshape(-1, 2).T
+    return tc, circle.points(tc), theta
 
 
 def count_intersections(c1: SphericalCurve, c2: SphericalCurve,

@@ -23,6 +23,14 @@ def _bench(workload: str, trace: int) -> dict:
     return out
 
 
+def test_selftest_passes():
+    # the benchmark's checks each pass on real geoq outputs and fail on
+    # corrupted copies of them
+    res = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=600, check=False)
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("workload", ("embed", "montecarlo", "expected", "intersect"))
 def test_workload_round(workload):
     _bench(workload, trace=0)

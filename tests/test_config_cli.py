@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,29 @@ class TestSvgHelpers:
         svg = heatmap_svg(np.array([[0, 0], [1, 0], [0, 1]]), np.array([2.0, 2.0, 2.0]))
         assert svg.count("<circle") == 3
         xml.dom.minidom.parseString(svg)
+
+
+_RUN_FROM_SAVED = """
+import sys
+import geoq, geoq.cli
+from geoq.config import ExperimentConfig
+emb = geoq.load_embedding(sys.argv[1])
+cfg = ExperimentConfig(nodes=emb.n_nodes, kind="GeoQuorum", contributors=10, queriers=4,
+                       read_termination="first_hit")
+metrics, load, _ = geoq.cli.run_once(cfg, 1, 4.0, emb)
+assert load.sum() > 0
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+def test_run_from_saved_embedding_loads_no_solver(emb400, tmp_path):
+    # the solver's scipy modules are imported on the first solve, so a fresh
+    # process that runs from a saved embedding never loads them
+    path = tmp_path / "emb.txt"
+    geoq.save_embedding(emb400, path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-c", _RUN_FROM_SAVED, str(path)],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=300, check=False)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

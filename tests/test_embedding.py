@@ -205,6 +205,26 @@ class TestSolverEdges:
         with pytest.raises(NoConvergence):
             geoq.harmonic_sphere_map(_cover(300, 1))
 
+    def test_nonfinite_recentering_stops_at_once(self, monkeypatch):
+        # the first recentering round ends at NaN coordinates: the solve
+        # stops there, without a warning, and reports the state before it
+        newton = embedding._newton
+
+        def nan_in_recentering(sys_, u_int, th, iters, stats, **kwargs):
+            u_int, th, ginf, ok = newton(sys_, u_int, th, iters, stats, **kwargs)
+            if stats.recenter_rounds:
+                u_int = np.full_like(u_int, np.nan)
+            return u_int, th, ginf, ok
+
+        monkeypatch.setattr(embedding, "_newton", nan_in_recentering)
+        with pytest.raises(NoConvergence) as err:
+            geoq.harmonic_sphere_map(_cover(300, 1))
+        best = err.value.best
+        assert np.isfinite(best.positions).all()
+        assert np.isfinite(err.value.residual)
+        assert best.stats.recenter_rounds == 1
+        assert np.isfinite(best.stats.centroid_norm)
+
 
 def _packed_state(dbl, which):
     """A system of dbl and a packed vector: the Tutte start, or the solved

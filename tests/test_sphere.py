@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 import geoq
 from geoq.errors import DegenerateInput, OutOfRange
-from geoq.sphere import circle_crossings, perpendicular_basis, rotation_to_south_pole
+from geoq.sphere import (_circle_angles, circle_crossings, perpendicular_basis,
+                         rotation_to_south_pole)
 
 from conftest import random_unit
 
@@ -394,6 +395,80 @@ def test_enclosing_placements_cross_an_odd_number_of_times(node, center, theta0,
                                     geoq.spiral_for(node, a, theta0),
                                     step=np.pi / 300, merge_tol=np.pi / 150)
     assert n % 2 == 1
+
+
+def _reference_spiral_crossings(circle, spiral, step):
+    """circle_crossings' spiral branch computed the direct way: the circle's
+    world points rotated into the spiral's frame, np.unwrap, and two regula
+    falsi steps run on numpy arrays."""
+    def latlon(pts):
+        x, y, z = (pts @ spiral.frame.T).T
+        return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
+
+    n = max(int(np.ceil(circle.circumference() / min(step, spiral.a))), 8)
+    t = np.linspace(0.0, 2 * np.pi, n + 1)
+    phi, lam = latlon(circle.points(t))
+    lam = np.unwrap(lam)
+    tc, theta = [], []
+    for base, pitch, phase, _, _ in spiral.branches():
+        g = (phi / pitch + phase - lam) / (2 * np.pi)
+        seg = np.flatnonzero(np.diff(np.floor(g)))
+        level = np.floor(np.maximum(g[seg], g[seg + 1]))
+        ta, ga, tb, gb = t[seg], g[seg] - level, t[seg + 1], g[seg + 1] - level
+        for _ in range(2):
+            tm = ta + np.clip(ga / (ga - gb), 0.0, 1.0) * (tb - ta)
+            phi_m, lam_m = latlon(circle.points(tm))
+            lam_m += 2 * np.pi * np.round((lam[seg] - lam_m) / (2 * np.pi))
+            gm = (phi_m / pitch + phase - lam_m) / (2 * np.pi) - level
+            left = (gm < 0) == (ga < 0)
+            ta, ga = np.where(left, tm, ta), np.where(left, gm, ga)
+            tb, gb = np.where(left, tb, tm), np.where(left, gb, gm)
+        tc.append(tm)
+        theta.append(base + phi_m / pitch)
+    tc, theta = np.concatenate(tc), np.concatenate(theta)
+    lo, hi = spiral.theta_range()
+    keep = np.flatnonzero((theta >= lo - 1e-9) & (theta <= hi + 1e-9))
+    keep = keep[np.argsort(tc[keep], kind="stable")]
+    return tc[keep], circle.points(tc[keep]), theta[keep]
+
+
+@pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 0.7, 1.3])
+@pytest.mark.parametrize("step", [np.pi / 300, 0.01], ids=["pi/300", "0.01"])
+def test_spiral_crossings_match_reference(a, step):
+    rng = np.random.default_rng(int(a * 100) + (step == 0.01))
+    for i in range(40):
+        node = random_unit(rng)
+        # every fourth circle is centred on the spiral's node
+        center = node if i % 4 == 0 else random_unit(rng)
+        rho = rng.uniform(0.02, 0.5 * np.pi)
+        circle, spiral = (geoq.circle_with_radius(center, rho),
+                          geoq.spiral_for(node, a, rng.uniform(0.0, 2 * np.pi)))
+        t, pts, theta = circle_crossings(circle, spiral, step)
+        t_ref, pts_ref, theta_ref = _reference_spiral_crossings(circle, spiral, step)
+        assert len(t) == len(t_ref)
+        assert np.abs(t - t_ref).max(initial=0.0) <= 1e-12
+        assert np.abs(theta - theta_ref).max(initial=0.0) <= 1e-12
+        assert np.abs(pts - pts_ref).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.3, 1.0, np.pi / 2])
+@pytest.mark.parametrize("step", [np.pi / 2000, np.pi / 300, 0.01, 0.5])
+def test_circle_angles_are_linspace(rho, step):
+    circle = geoq.circle_with_radius([0.0, 0.0, 1.0], rho)
+    n = max(int(np.ceil(circle.circumference() / step)), 8)
+    assert np.array_equal(_circle_angles(circle, step), np.linspace(0.0, 2 * np.pi, n + 1))
+
+
+def test_spiral_crossings_none_between_arms():
+    # the spiral from the south pole with a = 0.05 and theta0 = 0 meets the
+    # meridian lambda = 0 at latitudes 2 pi a k; a circle of radius 0.05
+    # halfway between two of them crosses neither
+    spiral = geoq.spiral_for(np.array([0.0, 0.0, -1.0]), 0.05, 0.0)
+    circle = geoq.circle_with_radius(_unit(np.sin(0.05 * np.pi), 0.0), 0.05)
+    for step in (np.pi / 300, 0.01):
+        t, pts, theta = circle_crossings(circle, spiral, step)
+        assert (t.shape, pts.shape, theta.shape) == ((0,), (0, 3), (0,))
+        assert len(_reference_spiral_crossings(circle, spiral, step)[0]) == 0
 
 
 class TestLatitudeMeanLength:
