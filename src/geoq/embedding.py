@@ -14,6 +14,10 @@ Phases:
     triangles. Probes, short strict Newton runs from L-BFGS iterates, decide
     when L-BFGS hands the solve over; if Newton then stalls, L-BFGS resumes
     and Newton polishes its end point (the rule is in harmonic_sphere_map).
+    The Hessian's sparsity pattern is built once per solve, on the first
+    Newton step, and every Hessian is summed into it; the damping tau goes
+    onto its stored diagonal. The first factorization's minimum-degree
+    ordering is stored, and every later one factors in that order.
 (C) Recentering rounds until the area-weighted centroid and the residual are
     under tolerance: each round takes one Newton step on the two-parameter
     equatorial Moebius dilation that zeroes the centroid, then a short Newton
@@ -37,7 +41,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 20000
 # Hashed into the CLI's embedding cache key; raise it whenever a change to the
 # solver changes the embedding it returns for the same mesh and settings.
-SOLVER_VERSION = 4
+SOLVER_VERSION = 5
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
 # The handoff probe (phase B; see harmonic_sphere_map and _newton): the first
 # probe's L-BFGS iteration, the largest gap between probes, the Newton steps
@@ -225,6 +229,43 @@ class SphericalEmbedding:
 # ---------------------------------------------------------------------------
 # solver
 
+@dataclass
+class _Pattern:
+    """The fixed sparsity pattern of a system's Hessian: the CSC matrix of
+    rows and indptr (_System._build_pattern says what lap, curv and diag
+    hold). Once the first factorization has stored its fill-reducing
+    ordering, perm is its column permutation and inv the inverse, and the
+    Hessian reordered by it is the CSC matrix of data[perm_data], perm_rows
+    and perm_indptr, with its diagonal at perm_diag. perm_data and perm_rows
+    are allocated with the pattern and filled in place: allocated after the
+    first factorization, they would pin the heap above its memory and raise
+    the solve's peak RSS."""
+
+    rows: np.ndarray
+    indptr: np.ndarray
+    lap: np.ndarray
+    curv: np.ndarray
+    diag: np.ndarray
+    perm_data: np.ndarray
+    perm_rows: np.ndarray
+    perm: np.ndarray | None = None
+    inv: np.ndarray | None = None
+    perm_indptr: np.ndarray | None = None
+    perm_diag: np.ndarray | None = None
+
+    def order_by(self, perm) -> None:
+        """Store the ordering that moves row and column i to perm[i]."""
+        self.perm = perm.astype(np.int32)
+        self.inv = np.argsort(self.perm).astype(np.int32)
+        rows = self.perm[self.rows]
+        cols = np.repeat(self.perm, np.diff(self.indptr))
+        self.perm_data[:] = np.argsort(cols.astype(np.int64) * len(perm) + rows)
+        self.perm_rows[:] = rows[self.perm_data]
+        self.perm_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=len(perm)))]).astype(np.int32)
+        self.perm_diag = np.flatnonzero(self.perm_rows == cols[self.perm_data]).astype(np.int32)
+
+
 class _System:
     """Index plumbing and energy/gradient/hessian for the symmetric solve."""
 
@@ -248,6 +289,7 @@ class _System:
         self.free_b = np.setdiff1d(np.arange(self.nB), self.pin_pos)
         self.ndof = 2 * self.nI + len(self.free_b)
         self.pin_val = self.arc_param[self.pin_pos].copy()
+        self._pattern: _Pattern | None = None   # the Hessian's, built by its first call
 
     def positions(self, u_int, th):
         P = np.zeros((self.dbl.n_vertices, 3))
@@ -306,26 +348,60 @@ class _System:
         th[self.pin_pos] = self.pin_val
         return x[:2 * self.nI].reshape(self.nI, 2), th
 
+    def _build_pattern(self) -> _Pattern:
+        """The Hessian's sparsity pattern: the Laplacian's vertex pairs mapped
+        to the packed dofs, S = Q^T L Q with Q[v, i] = 1 where v (an interior
+        vertex, its mirror or a free boundary vertex) owns dof i, in CSC
+        order. S holds the interior 2 x 2 diagonal blocks and the diagonal,
+        where the curvature term adds to it; curv and diag are the places of
+        those entries in data."""
+        nI2, ndof = 2 * self.nI, self.ndof
+        owner = np.concatenate([np.repeat(self.interior, 2), self.boundary[self.free_b],
+                                self.dbl.n_original + np.arange(nI2) // 2])
+        Q = sparse.csr_matrix((np.ones(len(owner)), (owner, np.r_[:ndof, :nI2])),
+                              shape=(self.dbl.n_vertices, ndof))
+        S = (Q.T @ self.L @ Q).tocsc()
+        S.sort_indices()
+        rows = S.indices.astype(np.int32)
+        # CSC order sorts the key col * ndof + row: find the places of the
+        # interior blocks' entries (2k + a, 2k + b), the boundary diagonal and
+        # the diagonal
+        key = np.repeat(np.arange(0, ndof * ndof, ndof), np.diff(S.indptr)) + rows
+        k2, a, b = np.arange(0, nI2, 2)[:, None, None], np.arange(2)[:, None], np.arange(2)
+        bdiag = np.arange(nI2, ndof) * (ndof + 1)
+        curv = np.searchsorted(key, np.concatenate([((k2 + b) * ndof + k2 + a).ravel(), bdiag]))
+        diag = np.searchsorted(key, np.arange(ndof) * (ndof + 1))
+        return _Pattern(rows=rows, indptr=S.indptr.astype(np.int32), lap=2.0 * S.data,
+                        curv=curv.astype(np.int32), diag=diag.astype(np.int32),
+                        perm_data=np.empty_like(rows), perm_rows=np.empty_like(rows))
+
     def hessian(self, u_int, th, g_P):
         """The energy's Hessian in the packed coordinates, g_P being grad's: the
         Gauss-Newton term 2 J_a^T L J_a of each axis a, J_a the Jacobian of P_a,
         plus the curvature term g . d2P. At an interior vertex that term is
         G grad(f)^T + grad(f) G^T + s (2 f^3 u u^T - f^2 I), where G = (g_x, g_y)
-        and s = g . (u, 1); at a boundary angle it is -g . (cos th, sin th)."""
+        and s = g . (u, 1); at a boundary angle it is -g . (cos th, sin th).
+
+        The pattern is built on the first call, and every call fills its
+        data. An interior vertex and its mirror have the same derivatives up
+        to the sign of the z row, and no edge joins the two copies'
+        interiors, so the Gauss-Newton entry (i, j) is 2 S_ij sum_a
+        D[a, i] D[a, j], S being the pattern's Laplacian and D[a, i] the
+        derivative of P_a at the upper vertex that owns dof i."""
+        if self._pattern is None:
+            self._pattern = self._build_pattern()
+        pat = self._pattern
         f, jac = self.jacobian(u_int)
         thf = th[self.free_b]
-        ucols = np.arange(2 * self.nI).reshape(self.nI, 2)
-        bcols = np.arange(2 * self.nI, self.ndof)
-        upper_and_mirror = np.r_[self.interior, self.dbl.n_original:self.dbl.n_vertices]
-        rows = np.concatenate([np.repeat(upper_and_mirror, 2), self.boundary[self.free_b]])
-        cols = np.concatenate([ucols.ravel(), ucols.ravel(), bcols])
-        H = 0
-        for (dx, dy), sgn, dth in zip(jac, _Z, (-np.sin(thf), np.cos(thf), np.zeros_like(thf))):
-            du = np.stack([dx, dy], axis=1).ravel()
-            Ja = sparse.csr_matrix((np.concatenate([du, sgn * du, dth]), (rows, cols)),
-                                   shape=(self.dbl.n_vertices, self.ndof))
-            H = H + Ja.T @ self.L @ Ja
-        H.data *= 2.0
+        D = np.zeros((3, self.ndof))
+        D[:, :2 * self.nI] = np.transpose(jac, (0, 2, 1)).reshape(3, -1)
+        D[0, 2 * self.nI:] = -np.sin(thf)
+        D[1, 2 * self.nI:] = np.cos(thf)
+        counts = np.diff(pat.indptr)   # CSC: entry e lies in column repeat(arange, counts)[e]
+        data = D[0].take(pat.rows) * np.repeat(D[0], counts)
+        for Da in D[1:]:
+            data += Da.take(pat.rows) * np.repeat(Da, counts)
+        data *= pat.lap
         gU = g_P[self.interior] + g_P[self.mirror] * _Z
         G, df, u = gU[:, :2, None], np.stack(jac[2], axis=1)[:, None, :], u_int[:, :, None]
         s = (gU[:, 0] * u_int[:, 0] + gU[:, 1] * u_int[:, 1] + gU[:, 2])[:, None, None]
@@ -334,12 +410,29 @@ class _System:
         C = C + C.transpose(0, 2, 1) + s * (2 * f2 * f[:, None, None] * (u * u.transpose(0, 2, 1))
                                             - f2 * np.eye(2))
         gB = g_P[self.boundary[self.free_b]]
-        curv = sparse.coo_matrix(
-            (np.concatenate([C.ravel(), -(gB[:, 0] * np.cos(thf) + gB[:, 1] * np.sin(thf))]),
-             (np.concatenate([np.repeat(ucols, 2, axis=1).ravel(), bcols]),
-              np.concatenate([np.tile(ucols, 2).ravel(), bcols]))),
-            shape=(self.ndof, self.ndof))
-        return (H + curv).tocsc()
+        data[pat.curv] += np.concatenate([C.ravel(),
+                                          -(gB[:, 0] * np.cos(thf) + gB[:, 1] * np.sin(thf))])
+        return sparse.csc_matrix((data, pat.rows, pat.indptr), shape=(self.ndof, self.ndof))
+
+    def solve(self, H, tau, rhs):
+        """(H + tau I)^-1 rhs by sparse LU with diagonal pivots, H being
+        hessian's; tau goes onto H's stored diagonal. The first factorization
+        takes a minimum-degree ordering of A + A^T, and the system keeps it:
+        every later one factors the matrix already in that order. Raises
+        RuntimeError where the matrix is singular."""
+        pat = self._pattern
+        lu_opts = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        if pat.perm is None:
+            data = H.data.copy()
+            data[pat.diag] += tau
+            lu = splu(sparse.csc_matrix((data, pat.rows, pat.indptr), shape=H.shape),
+                      permc_spec="MMD_AT_PLUS_A", **lu_opts)
+            pat.order_by(lu.perm_c)
+            return lu.solve(rhs)
+        data = H.data.take(pat.perm_data)
+        data[pat.perm_diag] += tau
+        A = sparse.csc_matrix((data, pat.perm_rows, pat.perm_indptr), shape=H.shape)
+        return splu(A, permc_spec="NATURAL", **lu_opts).solve(rhs.take(pat.inv)).take(pat.perm)
 
 
 def _fold_count(th) -> int:
@@ -362,14 +455,17 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
             grad_target: float = 1e-12, strict: bool = False):
     """Damped Newton; accepts only gradient-decreasing, fold/flip-safe steps.
 
-    Each iteration factors H + tau I, raising tau tenfold after every rejected
-    trial; the run stalls when 40 trials in a row are rejected. A strict run
-    (a probe, or the Newton finish after a handoff) fails sooner: at its
-    (PROBE_REJECTS + 1)-th rejected trial in all, or at an accepted step that
-    shrinks the gradient's max-norm by less than the factor PROBE_SHRINK. A
-    strict run therefore factors at most iters + PROBE_REJECTS times. Neither
-    u_int nor th is written to. Returns (u_int, th, ginf, ok); ok is False
-    when the run stalled or failed.
+    Each iteration fills one Hessian H into the system's fixed pattern and
+    factors H + tau I, tau added to H's stored diagonal, raising tau tenfold
+    after every rejected trial; the run stalls when 40 trials in a row are
+    rejected. Every factorization after the system's first takes the
+    fill-reducing ordering that the first one stored (see _System.solve).
+    A strict run (a probe, or the Newton finish after a handoff) fails
+    sooner: at its (PROBE_REJECTS + 1)-th rejected trial in all, or at an
+    accepted step that shrinks the gradient's max-norm by less than the
+    factor PROBE_SHRINK. A strict run therefore factors at most iters +
+    PROBE_REJECTS times. Neither u_int nor th is written to. Returns (u_int,
+    th, ginf, ok); ok is False when the run stalled or failed.
     """
     _, gI, gth, g_P = sys_.grad(u_int, th)
     g = sys_.pack_grad(gI, gth)
@@ -378,13 +474,12 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
     base_flips = _flip_count(sys_, sys_.positions(u_int, th))
     tau = 1e-6
     rejected = 0
-    eye = sparse.identity(sys_.ndof, format="csc")
     for _ in range(iters):
         if ginf < grad_target:
             break
         H = sys_.hessian(u_int, th, g_P)
         for _ in range(40):
-            step = _trial_step(sys_, H + tau * eye, g, u_int, th, base_folds, base_flips)
+            step = _trial_step(sys_, H, tau, g, u_int, th, base_folds, base_flips)
             if step is not None:
                 break
             stats.newton_rejected += 1
@@ -403,17 +498,18 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
     return u_int, th, ginf, True
 
 
-def _trial_step(sys_: _System, A, g, u_int, th, base_folds: int, base_flips: int):
-    """The step A dx = -g from (u_int, th): the new (u_int, th, g, g_P), or
-    None when A is singular, the step adds boundary folds or flipped
-    triangles, or it does not lower the gradient's max-norm.
+def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_folds: int,
+                base_flips: int):
+    """The step (H + tau I) dx = -g from (u_int, th): the new (u_int, th, g,
+    g_P), or None when the matrix is singular, the step adds boundary folds or
+    flipped triangles, or it does not lower the gradient's max-norm.
 
-    A is symmetric, so its LU takes a minimum-degree ordering of A + A^T and
-    diagonal pivots.
+    The matrix is symmetric, so sys_.solve factors it with diagonal pivots in
+    the minimum-degree ordering of A + A^T that the system's first
+    factorization stored.
     """
     try:
-        dx = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True)).solve(-g)
+        dx = sys_.solve(H, tau, -g)
     except RuntimeError:
         return None
     u_new = u_int + dx[:2 * sys_.nI].reshape(sys_.nI, 2)
@@ -737,6 +833,9 @@ def distortion_report(emb: SphericalEmbedding) -> DistortionReport:
 # embedding text format: the planar mesh block, then one "x y z" line per
 # original vertex (mirror positions follow from the z reflection)
 
+POSITION_TOL = 1e-6  # how far a read position's norm may be from 1
+
+
 def embedding_to_text(emb: SphericalEmbedding) -> str:
     head = mesh_to_text(emb.mesh.source)
     pos = emb.positions[:emb.mesh.n_original]
@@ -745,17 +844,32 @@ def embedding_to_text(emb: SphericalEmbedding) -> str:
 
 
 def embedding_from_text(text: str) -> SphericalEmbedding:
+    """The embedding that embedding_to_text wrote. Raises DegenerateMesh where a
+    position line does not hold three numbers or its point is not within
+    POSITION_TOL of the unit sphere (a truncated or corrupted file)."""
     from .mesh import double_cover  # at call time: perfbench times mesh.double_cover by wrapping it
 
     rows = [ln for ln in text.splitlines() if ln.strip()]
-    nv, nf, nb = (int(x) for x in rows[0].split())
+    try:
+        nv, nf, nb = (int(x) for x in rows[0].split())
+    except (ValueError, IndexError) as exc:
+        raise DegenerateMesh(f"malformed embedding text header: {exc}") from exc
     mesh_rows = rows[:1 + nv + nf + nb]
     mesh = mesh_from_text("\n".join(mesh_rows))
     pos_rows = rows[1 + nv + nf + nb:]
     if len(pos_rows) != nv:
         raise DegenerateMesh(f"embedding text has {len(pos_rows)} position lines, "
                              f"expected {nv}")
-    upper = np.array([[float(x) for x in r.split()] for r in pos_rows])
+    try:   # a ragged or non-numeric line is a ValueError
+        upper = np.array([r.split() for r in pos_rows], dtype=float)
+    except ValueError as exc:
+        raise DegenerateMesh(f"malformed position line in embedding text: {exc}") from exc
+    if upper.shape != (nv, 3):
+        raise DegenerateMesh(f"position lines have {upper.shape[-1]} fields, expected 3")
+    off = np.flatnonzero(~(np.abs(np.linalg.norm(upper, axis=1) - 1.0) <= POSITION_TOL))
+    if len(off):
+        raise DegenerateMesh(f"{len(off)} position line(s) not on the unit sphere, "
+                             f"the first is line {off[0]}: {pos_rows[off[0]]!r}")
     dbl = double_cover(mesh)
     P = np.empty((dbl.n_vertices, 3))
     P[:nv] = upper

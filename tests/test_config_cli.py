@@ -269,6 +269,22 @@ class TestMain:
         assert main(["map", "--config", str(cfg_path),
                      "--out", str(tmp_path / "onc")]) == 3
 
+    def test_exit_code_corrupt_cache(self, tmp_path, monkeypatch, capsys):
+        # a truncated cache file is a typed error (exit 2), not a traceback
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("GEOQ_CACHE_DIR", str(cache))
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(small_cfg(repetitions=1, nodes=200,
+                                                     contributors=10, queriers=2)))
+        out = str(tmp_path / "o")
+        assert main(["map", "--config", str(cfg_path), "--out", out]) == 0
+        (cached,) = cache.glob("emb_*.txt")
+        text = cached.read_text()
+        cached.write_text(text[:text.rstrip("\n").rindex(" ")])
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(config_to_text(small_cfg(repetitions=1)))

@@ -12,7 +12,8 @@ from geoq import embedding
 from geoq.config import IRREGULAR
 from geoq.embedding import (PROBE_REJECTS, PROBE_STEPS, _conformal_dilate, _dilatation,
                             _fold_count, _probe, _repair_folds, _System, _tutte_start,
-                            embedding_from_text, embedding_to_text, locate_many)
+                            embedding_from_text, embedding_residual, embedding_to_text,
+                            locate_many)
 from geoq.errors import DegenerateMesh, NoConvergence
 
 from conftest import SQUARE, random_unit
@@ -268,6 +269,137 @@ class TestDerivatives:
             assert np.abs(fd - Hv).max() <= 1e-6 * np.abs(Hv).max()
 
 
+def _reference_hessian(sys_, u_int, th, g_P):
+    """The Hessian assembled as three sparse products J_a^T L J_a, J_a the
+    Jacobian of the positions' axis a, plus the curvature term: the form the
+    fixed-pattern assembly replaced."""
+    f, jac = sys_.jacobian(u_int)
+    thf = th[sys_.free_b]
+    ucols = np.arange(2 * sys_.nI).reshape(sys_.nI, 2)
+    bcols = np.arange(2 * sys_.nI, sys_.ndof)
+    upper_and_mirror = np.r_[sys_.interior, sys_.dbl.n_original:sys_.dbl.n_vertices]
+    rows = np.concatenate([np.repeat(upper_and_mirror, 2), sys_.boundary[sys_.free_b]])
+    cols = np.concatenate([ucols.ravel(), ucols.ravel(), bcols])
+    H = 0
+    for (dx, dy), sgn, dth in zip(jac, _Z, (-np.sin(thf), np.cos(thf), np.zeros_like(thf))):
+        du = np.stack([dx, dy], axis=1).ravel()
+        Ja = sparse.csr_matrix((np.concatenate([du, sgn * du, dth]), (rows, cols)),
+                               shape=(sys_.dbl.n_vertices, sys_.ndof))
+        H = H + Ja.T @ sys_.L @ Ja
+    H.data *= 2.0
+    gU = g_P[sys_.interior] + g_P[sys_.mirror] * _Z
+    G, df, u = gU[:, :2, None], np.stack(jac[2], axis=1)[:, None, :], u_int[:, :, None]
+    s = (gU[:, 0] * u_int[:, 0] + gU[:, 1] * u_int[:, 1] + gU[:, 2])[:, None, None]
+    f2 = (f * f)[:, None, None]
+    C = G * df
+    C = C + C.transpose(0, 2, 1) + s * (2 * f2 * f[:, None, None] * (u * u.transpose(0, 2, 1))
+                                        - f2 * np.eye(2))
+    gB = g_P[sys_.boundary[sys_.free_b]]
+    curv = sparse.coo_matrix(
+        (np.concatenate([C.ravel(), -(gB[:, 0] * np.cos(thf) + gB[:, 1] * np.sin(thf))]),
+         (np.concatenate([np.repeat(ucols, 2, axis=1).ravel(), bcols]),
+          np.concatenate([np.tile(ucols, 2).ravel(), bcols]))),
+        shape=(sys_.ndof, sys_.ndof))
+    H = (H + curv).tocsc()
+    H.sort_indices()
+    return H
+
+
+def _lu_calls(monkeypatch):
+    """Record every splu call of the solver as (permc_spec, result)."""
+    calls = []
+    lu = embedding.splu
+
+    def recorded(A, **kwargs):
+        res = lu(A, **kwargs)
+        calls.append((kwargs.get("permc_spec"), res))
+        return res
+
+    monkeypatch.setattr(embedding, "splu", recorded)
+    return calls
+
+
+class TestAssembly:
+    # the fixed-pattern Hessian against the three-product assembly, at the
+    # Tutte start and where the solve ended (its best state where the small
+    # IRREGULAR covers do not converge)
+    @pytest.mark.parametrize("which", ["tutte", "solved"])
+    @pytest.mark.parametrize("region, n_nodes, seed", [(SQUARE, 300, 1), (IRREGULAR, 300, 2)],
+                             ids=["square", "irregular"])
+    def test_matches_product_assembly(self, region, n_nodes, seed, which):
+        dbl = _cover(n_nodes, seed, region)
+        sys_ = _System(dbl)
+        if which == "tutte":
+            u_int, th = sys_.unpack(_tutte_start(sys_))
+        else:
+            try:
+                P = geoq.harmonic_sphere_map(dbl).positions
+            except NoConvergence as err:
+                P = err.best.positions
+            u_int, th = sys_.coords_from_positions(P)
+            sys_.pin_val = th[sys_.pin_pos]
+        g_P = sys_.grad(u_int, th)[3]
+        H, ref = sys_.hessian(u_int, th, g_P), _reference_hessian(sys_, u_int, th, g_P)
+        assert H.format == "csc" and H.shape == ref.shape
+        if which == "tutte":
+            assert np.array_equal(H.indptr, ref.indptr)
+            assert np.array_equal(H.indices, ref.indices)
+        # sparse sums drop the entries that cancel to exactly 0, so at a
+        # solved state the reference can lack a few entries of the pattern,
+        # where the fixed pattern holds round-off
+        stored, ref_stored = (sparse.csc_matrix((np.ones(M.nnz), M.indices, M.indptr),
+                                                shape=M.shape).toarray() > 0 for M in (H, ref))
+        assert not (ref_stored & ~stored).any()
+        assert (stored & ~ref_stored).sum() <= 4
+        assert np.abs(H.toarray() - ref.toarray()).max() <= 1e-12 * np.abs(ref.data).max()
+        # the system builds its pattern once, and every Hessian shares it
+        pattern = sys_._pattern
+        H2 = sys_.hessian(u_int * 0.9, th, g_P)
+        assert sys_._pattern is pattern
+        assert np.shares_memory(H2.indices, H.indices)
+
+
+class TestOrdering:
+    def test_one_ordering_per_solve(self, monkeypatch):
+        calls = _lu_calls(monkeypatch)
+        emb = geoq.harmonic_sphere_map(_cover(400, 1))
+        trials = [c for c in calls if c[0] in ("MMD_AT_PLUS_A", "NATURAL")]
+        assert [c[0] for c in trials].count("MMD_AT_PLUS_A") == 1
+        assert trials[0][0] == "MMD_AT_PLUS_A"
+        assert len(trials) == emb.stats.newton_accepted + emb.stats.newton_rejected
+        assert len(calls) == len(trials) + 1   # and the Tutte start's
+
+    def test_stored_ordering_matches_fresh_one(self, monkeypatch):
+        sys_ = _System(_cover(400, 1))
+        u_int, th = sys_.unpack(_tutte_start(sys_))
+        _, gI, gth, g_P = sys_.grad(u_int, th)
+        g = sys_.pack_grad(gI, gth)
+        H = sys_.hessian(u_int, th, g_P)
+        calls = _lu_calls(monkeypatch)
+        sys_.solve(H, 1e-6, -g)
+        tau = 1e-3
+        dx = sys_.solve(H, tau, -g)
+        assert [c[0] for c in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+        stored = calls[1][1]
+        assert np.array_equal(stored.perm_c, np.arange(sys_.ndof))
+        fresh = splu((H + tau * sparse.identity(sys_.ndof, format="csc")).tocsc(),
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+        assert stored.L.nnz + stored.U.nnz == fresh.L.nnz + fresh.U.nnz
+        ref = fresh.solve(-g)
+        assert np.abs(dx - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_residual_and_load_build_no_pattern(self, emb400, tmp_path, monkeypatch):
+        def no_pattern(self):
+            raise AssertionError("a Hessian pattern was built")
+
+        monkeypatch.setattr(_System, "_build_pattern", no_pattern)
+        path = tmp_path / "emb.txt"
+        geoq.save_embedding(emb400, path)
+        assert geoq.load_embedding(path).residual < 1e-6
+        assert embedding_residual(emb400) < 1e-6
+
+
 class TestTutteStart:
     @pytest.mark.parametrize("region", [SQUARE, IRREGULAR], ids=["square", "irregular"])
     def test_is_barycentric_map_of_planar_mesh(self, region):
@@ -391,7 +523,34 @@ class TestHandoff:
         assert f"nit={st.lbfgs_nit} " in st.summary() and "\n" not in st.summary()
 
 
+def _with_position_line(emb, line):
+    """emb's text with its last position line replaced by line."""
+    text = embedding_to_text(emb)
+    return text[:text.rstrip("\n").rindex("\n") + 1] + line + "\n"
+
+
 class TestEmbeddingIO:
+    @pytest.mark.parametrize("line", ["0.6 0.8", "0.6 0.8 0.0 0.0", "0.6 zero 0.8",
+                                      "nan 0.6 0.8", "inf 0.0 0.0", "0.5 0.5 0.5",
+                                      "0.6 0.8 3e-3"],
+                             ids=["two-fields", "four-fields", "non-numeric", "nan",
+                                  "inf", "off-unit", "just-off-unit"])
+    def test_corrupt_position_line(self, emb400, line):
+        with pytest.raises(DegenerateMesh):
+            embedding_from_text(_with_position_line(emb400, line))
+
+    def test_corrupt_header(self, emb400):
+        text = embedding_to_text(emb400)
+        with pytest.raises(DegenerateMesh):
+            embedding_from_text("x" + text)
+        with pytest.raises(DegenerateMesh):
+            embedding_from_text("")
+
+    def test_position_near_unit_loads(self, emb400):
+        x, y, z = emb400.positions[emb400.mesh.n_original - 1] * (1 + 5e-7)
+        emb = embedding_from_text(_with_position_line(emb400, f"{x:.17g} {y:.17g} {z:.17g}"))
+        assert np.isfinite(emb.residual)
+
     def test_round_trip(self, emb400, tmp_path):
         text = embedding_to_text(emb400)
         again = embedding_from_text(text)
