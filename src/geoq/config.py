@@ -60,7 +60,7 @@ class ExperimentConfig:
     repetitions: int = 10
     robustness_trials: int = 0
     solver_tol: float = 1e-7
-    solver_max_iters: int = 20000
+    solver_max_iters: int = 40        # Newton steps per round of the sphere solve
     # sweep
     sweep_parameter: str = ""
     sweep_values: tuple = ()

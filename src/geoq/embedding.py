@@ -7,63 +7,59 @@ mirror copy is the z-reflection by construction, so mirror symmetry and the
 boundary-on-equator property hold exactly at every iterate.
 
 Phases:
-(A) L-BFGS from the Tutte disk map (the barycentric map built from the
-    solve's own Laplacian), with three boundary angles pinned
-    (fixes the residual Moebius gauge and blocks collapse).
-(B) Damped Newton, which refuses steps that add boundary folds or flipped
-    triangles. Probes, short strict Newton runs from L-BFGS iterates, decide
-    when L-BFGS hands the solve over; if Newton then stalls, L-BFGS resumes
-    and Newton polishes its end point (the rule is in harmonic_sphere_map).
-    The Hessian's sparsity pattern is built once per solve, on the first
-    Newton step, and every Hessian is summed into it; the damping tau goes
-    onto its stored diagonal. The first factorization's minimum-degree
-    ordering is stored, and every later one factors in that order.
-(C) Recentering rounds until the area-weighted centroid and the residual are
-    under tolerance: each round takes one Newton step on the two-parameter
-    equatorial Moebius dilation that zeroes the centroid, then a short Newton
-    re-solve. A non-finite centroid or residual ends the solve.
-Every solve returns an EmbeddingStats record of what each phase did.
+(A) The disk start: the discrete Riemann map of the region onto the unit
+    disk, read as stereographic coordinates. The boundary takes the angles
+    of the harmonic measure of the interior vertex farthest from the
+    boundary, and the interior the barycentric map with that rim; both
+    solves share one LU of the solve's own Laplacian.
+(B) Rounds of Newton until the area-weighted centroid and the residual are
+    under tolerance. Each round takes one Newton step on the two-parameter
+    equatorial Moebius dilation that zeroes the centroid, then runs damped
+    Newton with three boundary angles pinned where the dilation put them
+    (fixing the rotation). Newton refuses steps that add boundary folds or
+    flipped triangles. The Hessian's sparsity pattern is built once per
+    solve, on the first Newton step, and every Hessian is summed into it;
+    the damping tau goes onto its stored diagonal. The first factorization's
+    minimum-degree ordering is stored, and every later one factors in that
+    order. A stalled Newton run or a non-finite centroid or residual ends
+    the solve.
+Every solve returns an EmbeddingStats record of what it did.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
 from .mesh import (DoubledMesh, chord_edges, edge_table, mesh_from_text,
                    mesh_to_text, triangle_neighbors)
 
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
+
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITERS = 20000
+DEFAULT_MAX_ITERS = 40   # Newton steps per round
 # Hashed into the CLI's embedding cache key; raise it whenever a change to the
 # solver changes the embedding it returns for the same mesh and settings.
-SOLVER_VERSION = 5
+SOLVER_VERSION = 6
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
-# The handoff probe (phase B; see harmonic_sphere_map and _newton): the first
-# probe's L-BFGS iteration, the largest gap between probes, the Newton steps
-# of a probe, the factor each step must shrink the gradient's max-norm by,
-# and the rejected trial steps a strict Newton run survives.
-PROBE_FIRST = 15
-PROBE_EVERY = 100
-PROBE_STEPS = 3
-PROBE_SHRINK = 0.5
-PROBE_REJECTS = 4
 
 _Z = np.array([1.0, 1.0, -1.0])
 
 
-# scipy's optimizer and sparse LU are imported on the first solve, since a
-# run from a saved embedding needs neither; the benchmark's tracer wraps
-# these two names
+# Never called: the benchmark's tracer (perfbench/tracing.py) wraps
+# geoq.embedding.minimize, and its test checks that the name is bound.
 def minimize(*args, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
 
+# scipy's sparse LU is imported on the first solve, since a run from a saved
+# embedding needs none; the benchmark's tracer wraps this name
 def splu(*args, **kwargs):
     from scipy.sparse.linalg import splu as scipy_splu
     return scipy_splu(*args, **kwargs)
@@ -99,38 +95,22 @@ def _triple_products(P, tri) -> np.ndarray:
 
 @dataclass
 class EmbeddingStats:
-    """What one solve did, phase by phase.
+    """What one solve did: the Newton steps accepted and rejected over all
+    rounds, the rounds, the norm of the returned map's area-weighted
+    centroid, and seconds, the wall time of the set-up (the system and the
+    disk start) and of the rounds."""
 
-    lbfgs_* sum over the L-BFGS runs (two when a handoff is taken back); the
-    message is the last run's. Newton steps count every Newton run, probes
-    included. seconds maps each phase (setup, lbfgs, probes, newton,
-    recenter) to its wall time; lbfgs excludes the probes run inside it.
-    """
-
-    lbfgs_nit: int = 0
-    lbfgs_nfev: int = 0
-    lbfgs_message: str = ""
-    probes: int = 0
-    probes_failed: int = 0
-    handoff: bool = False
-    resumed: bool = False
     newton_accepted: int = 0
     newton_rejected: int = 0
-    folds_repaired: int = 0
     recenter_rounds: int = 0
     centroid_norm: float = 0.0
     seconds: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         """The record on one line."""
-        handoff = "resumed" if self.resumed else ("handoff" if self.handoff else "no handoff")
         secs = " ".join(f"{k}={v:.2f}" for k, v in self.seconds.items())
-        return (f"lbfgs nit={self.lbfgs_nit} nfev={self.lbfgs_nfev} "
-                f"({self.lbfgs_message}); probes={self.probes} "
-                f"failed={self.probes_failed} {handoff}; newton "
-                f"accepted={self.newton_accepted} rejected={self.newton_rejected}; "
-                f"folds_repaired={self.folds_repaired}; recenter "
-                f"rounds={self.recenter_rounds} |c|={self.centroid_norm:.1e}; "
+        return (f"newton accepted={self.newton_accepted} rejected={self.newton_rejected}; "
+                f"recenter rounds={self.recenter_rounds} |c|={self.centroid_norm:.1e}; "
                 f"seconds {secs}")
 
 
@@ -146,7 +126,6 @@ class SphericalEmbedding:
     mesh: DoubledMesh
     positions: np.ndarray
     residual: float
-    energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stats: EmbeddingStats | None = None
     _tri_centroids: np.ndarray | None = field(default=None, repr=False)
     _kdtree: cKDTree | None = field(default=None, repr=False)
@@ -202,6 +181,8 @@ class SphericalEmbedding:
 
     def kdtree(self) -> cKDTree:
         if self._kdtree is None:
+            # imported here: a run from a saved embedding may never locate a point
+            from scipy.spatial import cKDTree
             self._kdtree = cKDTree(self.tri_centroids())
         return self._kdtree
 
@@ -277,18 +258,17 @@ class _System:
         self.nI, self.nB = len(self.interior), len(dbl.boundary)
         W = cot_weights(dbl.planar, dbl.triangles, dbl.n_vertices)
         self.L = (sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
-        # pins at arc-length thirds of the boundary
+        # pins at arc-length thirds of the boundary: the three boundary angles
+        # that Newton holds where they are and the packed coordinates leave out
         pts = dbl.source.vertices
         seg = np.linalg.norm(pts[np.roll(self.boundary, -1)] - pts[self.boundary], axis=1)
         cums = np.concatenate([[0.0], np.cumsum(seg)[:-1]]) / seg.sum()
-        self.arc_param = cums * 2 * np.pi
         self.pin_pos = np.array(sorted(int(np.argmin(np.abs(cums - f)))
                                        for f in (0.0, 1.0 / 3.0, 2.0 / 3.0)))
         if len(set(self.pin_pos.tolist())) < 3:
             self.pin_pos = np.array([0, self.nB // 3, (2 * self.nB) // 3])
         self.free_b = np.setdiff1d(np.arange(self.nB), self.pin_pos)
         self.ndof = 2 * self.nI + len(self.free_b)
-        self.pin_val = self.arc_param[self.pin_pos].copy()
         self._pattern: _Pattern | None = None   # the Hessian's, built by its first call
 
     def positions(self, u_int, th):
@@ -340,13 +320,6 @@ class _System:
 
     def pack_grad(self, gI, gth):
         return np.concatenate([gI.ravel(), gth[self.free_b]])
-
-    def unpack(self, x):
-        """(u_int, th) of an L-BFGS vector, the pins filled in; u_int is a view of x."""
-        th = np.empty(self.nB)
-        th[self.free_b] = x[2 * self.nI:]
-        th[self.pin_pos] = self.pin_val
-        return x[:2 * self.nI].reshape(self.nI, 2), th
 
     def _build_pattern(self) -> _Pattern:
         """The Hessian's sparsity pattern: the Laplacian's vertex pairs mapped
@@ -444,15 +417,7 @@ def _flip_count(sys_: _System, P) -> int:
     return int(min((det > 1e-14).sum(), (det < -1e-14).sum()))
 
 
-def _repair_folds(th):
-    """The boundary angles unwrapped and sorted: the vertices keep their order
-    along the boundary and take the angles in increasing order, so an inverted
-    run swaps its values among its own vertices and no fold is left."""
-    return np.sort(np.unwrap(th))
-
-
-def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
-            grad_target: float = 1e-12, strict: bool = False):
+def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
     """Damped Newton; accepts only gradient-decreasing, fold/flip-safe steps.
 
     Each iteration fills one Hessian H into the system's fixed pattern and
@@ -460,12 +425,10 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
     after every rejected trial; the run stalls when 40 trials in a row are
     rejected. Every factorization after the system's first takes the
     fill-reducing ordering that the first one stored (see _System.solve).
-    A strict run (a probe, or the Newton finish after a handoff) fails
-    sooner: at its (PROBE_REJECTS + 1)-th rejected trial in all, or at an
-    accepted step that shrinks the gradient's max-norm by less than the
-    factor PROBE_SHRINK. A strict run therefore factors at most iters +
-    PROBE_REJECTS times. Neither u_int nor th is written to. Returns (u_int,
-    th, ginf, ok); ok is False when the run stalled or failed.
+    The pinned boundary angles stay as th holds them. The run stops early
+    once the gradient's max-norm is under 1e-12. Neither u_int nor th is
+    written to. Returns (u_int, th, ginf, ok); ok is False when the run
+    stalled.
     """
     _, gI, gth, g_P = sys_.grad(u_int, th)
     g = sys_.pack_grad(gI, gth)
@@ -473,9 +436,8 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
     base_folds = _fold_count(th)
     base_flips = _flip_count(sys_, sys_.positions(u_int, th))
     tau = 1e-6
-    rejected = 0
     for _ in range(iters):
-        if ginf < grad_target:
+        if ginf < 1e-12:
             break
         H = sys_.hessian(u_int, th, g_P)
         for _ in range(40):
@@ -483,17 +445,12 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats,
             if step is not None:
                 break
             stats.newton_rejected += 1
-            rejected += 1
             tau *= 10
-            if strict and rejected > PROBE_REJECTS:
-                return u_int, th, ginf, False
         else:
             return u_int, th, ginf, False
         stats.newton_accepted += 1
         u_int, th, g, g_P = step
-        ginf, last = float(np.abs(g).max()), ginf
-        if strict and ginf > PROBE_SHRINK * last:
-            return u_int, th, ginf, False
+        ginf = float(np.abs(g).max())
         tau = max(tau * 0.25, 1e-14)
     return u_int, th, ginf, True
 
@@ -545,133 +502,71 @@ def _conformal_dilate(P, v):
     return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
-def _tutte_start(sys_: _System) -> np.ndarray:
-    """The L-BFGS start: the barycentric map of the region to the unit disk,
-    read as stereographic coordinates, with the boundary at its arc-length
-    angles. It solves on the interior rows of the solve's own Laplacian, whose
-    weights there are the source mesh's planar cotangent weights, floored at
-    WEIGHT_FLOOR, so positive and the disk map bijective."""
+def _disk_start(sys_: _System):
+    """The start (u_int, th): the discrete Riemann map of the region onto the
+    unit disk that sends z0 to 0, read as stereographic coordinates, z0 being
+    the interior vertex farthest in the plane from every boundary vertex.
+
+    The harmonic measure of z0, G with L_II G = e_z0, gives the boundary
+    fluxes q = -L_BI G, which are positive and sum to 1. Boundary vertex b
+    takes the angle 2 pi (q_0 + ... + q_(b-1) + q_b / 2), and the interior the
+    barycentric map with that rim. Both solves share one LU of the interior
+    rows of the solve's own Laplacian, whose weights there are the source
+    mesh's planar cotangent weights, floored at WEIGHT_FLOOR, so positive and
+    the disk map bijective."""
     idx, bl = sys_.interior, sys_.boundary
-    rim = np.stack([np.cos(sys_.arc_param), np.sin(sys_.arc_param)], axis=1)
+    pts = sys_.dbl.planar
+    inner, gap = pts[idx], np.full(sys_.nI, np.inf)
+    for b in pts[bl]:
+        gap = np.minimum(gap, ((inner - b) ** 2).sum(axis=1))
+    e_z0 = np.zeros(sys_.nI)
+    e_z0[np.argmax(gap)] = 1.0
     L = sys_.L[idx]
-    disk = splu(L[:, idx].tocsc()).solve(-L[:, bl] @ rim)
-    return np.concatenate([disk.ravel(), sys_.arc_param[sys_.free_b]])
-
-
-def _probe(sys_: _System, x, stats: EmbeddingStats):
-    """A strict Newton run of PROBE_STEPS steps from the L-BFGS vector x (not
-    written to): the (u_int, th) it ends at if it did not fail, else None."""
-    u_int, th, _, ok = _newton(sys_, *sys_.unpack(x), iters=PROBE_STEPS, stats=stats,
-                               strict=True)
-    return (u_int, th) if ok else None
-
-
-class _Laps:
-    """Charges the wall time since the previous lap to a named phase."""
-
-    def __init__(self, seconds: dict):
-        self.seconds, self.t = seconds, time.perf_counter()
-
-    def __call__(self, phase: str) -> None:
-        t = time.perf_counter()
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + t - self.t
-        self.t = t
+    L_IB = L[:, bl]
+    lu = splu(L[:, idx].tocsc())
+    q = -(L_IB.T @ lu.solve(e_z0))
+    th = 2 * np.pi * (np.cumsum(q) - 0.5 * q)
+    return lu.solve(-L_IB @ np.stack([np.cos(th), np.sin(th)], axis=1)), th
 
 
 def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> SphericalEmbedding:
     """Compute the symmetric harmonic map of the doubled mesh to the unit sphere.
 
-    L-BFGS runs from the Tutte start and is probed at its iterations 15, 30,
-    60, 120, 220, 320, ...: the gap between probes doubles from PROBE_FIRST
-    until it reaches PROBE_EVERY. Early probes are dense because Newton can
-    often finish from one of the first few dozen iterates; later ones are
-    sparse because a failed probe costs as much as dozens of L-BFGS
-    iterations. A probe that does not fail hands the solve to a strict
-    Newton run from where the probe ended; a failed one leaves L-BFGS and its
-    memory as they were. If that Newton run ends above tol, or with a
-    boundary fold or a flipped triangle, L-BFGS resumes from the iterate it
-    handed off, probes no more, and Newton polishes its end point as without
-    a handoff.
+    Newton runs from the disk start in rounds, at most 24. Each round moves
+    the map by the equatorial Moebius dilation that one Newton step takes
+    towards a zero area-weighted centroid, its Jacobian a forward
+    difference, and then runs _newton for at most max_iters steps; the three
+    pinned boundary angles stay where the dilation put them. The rounds stop
+    when the centroid's norm is under 5e-7 and the residual under tol.
 
     Raises NoConvergence (carrying the best embedding) if the stationarity
-    residual stays above tol, or at once if recentering meets a non-finite
-    centroid or residual (carrying the last state where both were finite).
+    residual is above tol after the last round or a stalled Newton run, or
+    at once if a round meets a non-finite centroid or residual (carrying
+    the last state where both were finite).
     """
     ch = chord_edges(dbl.source)
     if ch:
         raise DegenerateMesh(
             f"{len(ch)} interior edge(s) join boundary vertices; the doubled "
             f"surface is not simplicial there and cannot be embedded")
+    t0 = time.perf_counter()
     stats = EmbeddingStats()
-    lap = _Laps(stats.seconds)
     sys_ = _System(dbl)
-    x0 = _tutte_start(sys_)
-    lap("setup")
+    u_int, th = _disk_start(sys_)
+    _, gI, gth, _ = sys_.grad(u_int, th)
+    ginf = float(np.abs(sys_.pack_grad(gI, gth)).max())
+    t1 = time.perf_counter()
 
-    energy_trace: list[float] = []
-    handoff = None
-    next_probe = PROBE_FIRST
-
-    def objective(x):
-        E, gI, gth, _ = sys_.grad(*sys_.unpack(x))
-        return E, sys_.pack_grad(gI, gth)
-
-    # scipy hands the iterate's result (with .x and .fun) only to a callback
-    # whose one parameter is named intermediate_result
-    def callback(intermediate_result):
-        nonlocal handoff, next_probe
-        energy_trace.append(intermediate_result.fun)
-        if stats.handoff or len(energy_trace) < next_probe:
-            return
-        next_probe += min(next_probe, PROBE_EVERY)
-        lap("lbfgs")
-        stats.probes += 1
-        handoff = _probe(sys_, intermediate_result.x, stats)
-        lap("probes")
-        if handoff is not None:
-            raise StopIteration
-        stats.probes_failed += 1
-
-    def lbfgs(x, iters):
-        res = minimize(objective, x, jac=True, method="L-BFGS-B", callback=callback,
-                       options=dict(maxiter=iters, maxfun=2 * iters,
-                                    ftol=1e-16, gtol=1e-12, maxcor=40))
-        stats.lbfgs_nit += res.nit
-        stats.lbfgs_nfev += res.nfev
-        stats.lbfgs_message = str(res.message)
-        lap("lbfgs")
-        return res
-
-    res = lbfgs(x0, max_iters)
-    if handoff is not None:
-        stats.handoff = True
-        u_int, th, ginf, _ = _newton(sys_, *handoff, iters=40, stats=stats, strict=True)
-        lap("newton")
-        stats.resumed = not (ginf <= tol and _fold_count(th) == 0
-                             and _flip_count(sys_, sys_.positions(u_int, th)) == 0)
-        if stats.resumed:
-            res = lbfgs(res.x, max_iters - stats.lbfgs_nit)
-    if handoff is None or stats.resumed:
-        u_int, th = sys_.unpack(res.x)
-        stats.folds_repaired = _fold_count(th)
-        if stats.folds_repaired:
-            th = _repair_folds(th)
-            sys_.pin_val = th[sys_.pin_pos].copy()
-        u_int, th, ginf, _ = _newton(sys_, u_int, th, iters=40, stats=stats)
-        lap("newton")
-
-    # recentering (phase C): the centroid's z part vanishes by symmetry; the
-    # Jacobian of its xy part in the dilation vector is a forward difference.
-    # A non-finite centroid or residual stops it, keeping the last state
-    # where both were finite.
-    tri = sys_.dbl.triangles
+    # the centroid's z part vanishes by symmetry; the Jacobian of its xy part
+    # in the dilation vector is a forward difference
+    tri = dbl.triangles
     P = sys_.positions(u_int, th)
-    last, diverged = (P, ginf), False
+    last, diverged, stalled = (P, ginf), False, False
     for _ in range(24):
         c = _area_centroid(tri, P)[:2]
         diverged = not (np.isfinite(c).all() and np.isfinite(ginf))
-        if diverged or (np.linalg.norm(c) < 5e-7 and ginf < tol):
+        if diverged or stalled or (np.linalg.norm(c) < 5e-7 and ginf < tol):
             break
         last = P, ginf
         stats.recenter_rounds += 1
@@ -682,23 +577,25 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         if diverged:
             break
         P = _conformal_dilate(P, -np.linalg.solve(J, c))
-        u_int, th = sys_.coords_from_positions(P)
-        sys_.pin_val = th[sys_.pin_pos].copy()
-        u_int, th, ginf, _ = _newton(sys_, u_int, th, iters=8, stats=stats)
+        u_int, th, ginf, ok = _newton(sys_, *sys_.coords_from_positions(P), iters=max_iters,
+                                      stats=stats)
+        # a run that stalls at round-off under tol has converged; only the
+        # centroid may still need rounds
+        stalled = not (ok or ginf <= tol)
         P = sys_.positions(u_int, th)
     if diverged:
         P, ginf = last
     stats.centroid_norm = float(np.linalg.norm(_area_centroid(tri, P)))
-    lap("recenter")
+    stats.seconds = {"setup": t1 - t0, "rounds": time.perf_counter() - t1}
 
-    emb = SphericalEmbedding(mesh=dbl, positions=P, residual=ginf,
-                             energy_trace=np.array(energy_trace), stats=stats)
+    emb = SphericalEmbedding(mesh=dbl, positions=P, residual=ginf, stats=stats)
     if diverged:
         raise NoConvergence(f"recentering stopped after {stats.recenter_rounds} round(s) at a "
                             f"non-finite centroid or residual; best residual {ginf:.3e}",
                             residual=ginf, best=emb)
     if not ginf <= tol:   # a NaN residual is no convergence either
-        raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e}",
+        why = "a stalled Newton run" if stalled else f"{stats.recenter_rounds} round(s)"
+        raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e} after {why}",
                             residual=ginf, best=emb)
     return emb
 

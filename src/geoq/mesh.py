@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateInput, DegenerateMesh
 
@@ -229,6 +228,8 @@ def triangulate(points, boundary=None) -> PlanarMesh:
             near = distance_to_polygon(pts[~inside], poly) <= 1e-9 * diam
             if not near.all():
                 raise DegenerateInput("some points fall outside the boundary polygon")
+    # imported here: a run from a saved embedding never triangulates
+    from scipy.spatial import Delaunay, QhullError
     try:
         tri = Delaunay(pts)
     except QhullError as exc:

@@ -104,7 +104,7 @@ class TestMapCache:
         cmd_map(cfg, tmp_path)
         first = capsys.readouterr().out
         assert "solved" in first
-        assert "solver: lbfgs nit=" in first
+        assert "solver: newton accepted=" in first
         cmd_map(cfg, tmp_path)
         second = capsys.readouterr().out
         assert "cache hit" in second
@@ -318,12 +318,14 @@ cfg = ExperimentConfig(nodes=emb.n_nodes, kind="GeoQuorum", contributors=10, que
                        read_termination="first_hit")
 metrics, load, _ = geoq.cli.run_once(cfg, 1, 4.0, emb)
 assert load.sum() > 0
-print(sorted(m for m in ("scipy.optimize", "scipy.sparse.linalg") if m in sys.modules))
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse.linalg", "scipy.spatial")
+             if m in sys.modules))
 """
 
 
 def test_run_from_saved_embedding_loads_no_solver(emb400, tmp_path):
-    # the solver's scipy modules are imported on the first solve, so a fresh
+    # the solver's scipy modules are imported on the first solve, and
+    # scipy.spatial on the first triangulation or point location, so a fresh
     # process that runs from a saved embedding never loads them
     path = tmp_path / "emb.txt"
     geoq.save_embedding(emb400, path)

@@ -10,10 +10,9 @@ from scipy.sparse.linalg import splu
 import geoq
 from geoq import embedding
 from geoq.config import IRREGULAR
-from geoq.embedding import (PROBE_REJECTS, PROBE_STEPS, _conformal_dilate, _dilatation,
-                            _fold_count, _probe, _repair_folds, _System, _tutte_start,
-                            embedding_from_text, embedding_residual, embedding_to_text,
-                            locate_many)
+from geoq.embedding import (_conformal_dilate, _dilatation, _disk_start, _System,
+                            _triple_products, embedding_from_text, embedding_residual,
+                            embedding_to_text, locate_many)
 from geoq.errors import DegenerateMesh, NoConvergence
 
 from conftest import SQUARE, random_unit
@@ -25,10 +24,6 @@ def _cover(n_nodes, seed, region=SQUARE):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     pts = geoq.generate_deployment(np.array(region), n_nodes, rng)
     return geoq.double_cover(geoq.triangulate(pts, boundary=region))
-
-
-def _refused(sys_, x, stats):
-    return None
 
 
 class TestInvariants:
@@ -53,11 +48,6 @@ class TestInvariants:
 
     def test_residual_below_tol(self, emb400):
         assert emb400.residual <= 1e-7
-
-    def test_energy_trace_monotone(self, emb400):
-        e = emb400.energy_trace
-        assert len(e) > 10
-        assert all(e[i + 1] <= e[i] * (1 + 1e-9) for i in range(len(e) - 1))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
@@ -228,19 +218,29 @@ class TestSolverEdges:
 
 
 def _packed_state(dbl, which):
-    """A system of dbl and a packed vector: the Tutte start, or the solved
-    embedding's coordinates with the pins moved to its boundary angles."""
+    """A system of dbl with its pins fixed at the state's angles, and the
+    packed vector of the state: the disk start, or the solved embedding's
+    coordinates."""
     sys_ = _System(dbl)
     if which == "tutte":
-        return sys_, _tutte_start(sys_)
-    u_int, th = sys_.coords_from_positions(geoq.harmonic_sphere_map(dbl).positions)
-    sys_.pin_val = th[sys_.pin_pos]
+        u_int, th = _disk_start(sys_)
+    else:
+        u_int, th = sys_.coords_from_positions(geoq.harmonic_sphere_map(dbl).positions)
+    sys_.pinned = th[sys_.pin_pos]
     return sys_, np.concatenate([u_int.ravel(), th[sys_.free_b]])
+
+
+def _unpack(sys_, x):
+    """(u_int, th) of a packed vector, the pins filled in from sys_.pinned."""
+    th = np.empty(sys_.nB)
+    th[sys_.free_b] = x[2 * sys_.nI:]
+    th[sys_.pin_pos] = sys_.pinned
+    return x[:2 * sys_.nI].reshape(sys_.nI, 2), th
 
 
 def _packed_grad(sys_, x):
     """(energy, packed gradient, g_P) at the packed vector x."""
-    E, gI, gth, g_P = sys_.grad(*sys_.unpack(x))
+    E, gI, gth, g_P = sys_.grad(*_unpack(sys_, x))
     return E, sys_.pack_grad(gI, gth), g_P
 
 
@@ -261,7 +261,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("which", ["tutte", "solved"])
     def test_hessian_matches_gradient_differences(self, which):
         sys_, x = _packed_state(_cover(200, 1), which)
-        H = sys_.hessian(*sys_.unpack(x), _packed_grad(sys_, x)[2])
+        H = sys_.hessian(*_unpack(sys_, x), _packed_grad(sys_, x)[2])
         h = 1e-5
         for v in np.random.default_rng(3).normal(size=(3, len(x))):
             fd = (_packed_grad(sys_, x + h * v)[1] - _packed_grad(sys_, x - h * v)[1]) / (2 * h)
@@ -321,7 +321,7 @@ def _lu_calls(monkeypatch):
 
 class TestAssembly:
     # the fixed-pattern Hessian against the three-product assembly, at the
-    # Tutte start and where the solve ended (its best state where the small
+    # disk start and where the solve ended (its best state where the small
     # IRREGULAR covers do not converge)
     @pytest.mark.parametrize("which", ["tutte", "solved"])
     @pytest.mark.parametrize("region, n_nodes, seed", [(SQUARE, 300, 1), (IRREGULAR, 300, 2)],
@@ -330,14 +330,13 @@ class TestAssembly:
         dbl = _cover(n_nodes, seed, region)
         sys_ = _System(dbl)
         if which == "tutte":
-            u_int, th = sys_.unpack(_tutte_start(sys_))
+            u_int, th = _disk_start(sys_)
         else:
             try:
                 P = geoq.harmonic_sphere_map(dbl).positions
             except NoConvergence as err:
                 P = err.best.positions
             u_int, th = sys_.coords_from_positions(P)
-            sys_.pin_val = th[sys_.pin_pos]
         g_P = sys_.grad(u_int, th)[3]
         H, ref = sys_.hessian(u_int, th, g_P), _reference_hessian(sys_, u_int, th, g_P)
         assert H.format == "csc" and H.shape == ref.shape
@@ -367,11 +366,11 @@ class TestOrdering:
         assert [c[0] for c in trials].count("MMD_AT_PLUS_A") == 1
         assert trials[0][0] == "MMD_AT_PLUS_A"
         assert len(trials) == emb.stats.newton_accepted + emb.stats.newton_rejected
-        assert len(calls) == len(trials) + 1   # and the Tutte start's
+        assert len(calls) == len(trials) + 1   # and the disk start's
 
     def test_stored_ordering_matches_fresh_one(self, monkeypatch):
         sys_ = _System(_cover(400, 1))
-        u_int, th = sys_.unpack(_tutte_start(sys_))
+        u_int, th = _disk_start(sys_)
         _, gI, gth, g_P = sys_.grad(u_int, th)
         g = sys_.pack_grad(gI, gth)
         H = sys_.hessian(u_int, th, g_P)
@@ -404,7 +403,9 @@ class TestTutteStart:
     @pytest.mark.parametrize("region", [SQUARE, IRREGULAR], ids=["square", "irregular"])
     def test_is_barycentric_map_of_planar_mesh(self, region):
         # the reference builds the planar mesh's own cotangent Laplacian, its
-        # weights floored at 1e-3 and capped at 1e3, and solves for the interior
+        # weights floored at 1e-3 and capped at 1e3, then the harmonic measure
+        # of the interior vertex farthest from the boundary vertices, the rim
+        # it gives and the barycentric disk map with that rim
         sys_ = _System(_cover(300, 1, region))
         mesh = sys_.dbl.source
         pts, tri, n = mesh.vertices, mesh.triangles, mesh.n_vertices
@@ -422,105 +423,58 @@ class TestTutteStart:
         W.data = np.clip(W.data, 1e-3, 1e3)
         L = sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W
         idx, bl = sys_.interior, sys_.boundary
-        rim = np.stack([np.cos(sys_.arc_param), np.sin(sys_.arc_param)], axis=1)
-        disk = splu(L[idx][:, idx].tocsc()).solve(-L[idx][:, bl] @ rim)
-        ref = np.concatenate([disk.ravel(), sys_.arc_param[sys_.free_b]])
-        assert np.array_equal(_tutte_start(sys_), ref)
-
-
-class TestRepairFolds:
-    @pytest.mark.parametrize("start", [0, 17, 36])
-    @pytest.mark.parametrize("run", [2, 3, 4])
-    def test_adjacent_inversions_are_removed(self, start, run):
-        # reversing `run` consecutive angles makes run - 1 adjacent inversions
-        th = np.linspace(0.0, 2 * np.pi, 40, endpoint=False) + 0.3
-        folded = th.copy()
-        folded[start:start + run] = th[start:start + run][::-1]
-        assert _fold_count(folded) == run - 1
-        repaired = _repair_folds(folded)
-        assert _fold_count(repaired) == 0
-        away = np.r_[:start, start + run:len(th)]
-        assert np.array_equal(repaired[away], folded[away])
-        assert np.all(np.abs(repaired[start:start + run] - folded[start:start + run])
-                      <= th[start + run - 1] - th[start])
+        L_II, L_IB = L[idx][:, idx].tocsc(), L[idx][:, bl]
+        depth = [min(np.linalg.norm(pts[i] - pts[b]) for b in bl) for i in idx]
+        G = splu(L_II).solve(np.eye(len(idx))[int(np.argmax(depth))])
+        q = -(L_IB.T @ G)
+        assert q.min() > 0 and abs(q.sum() - 1.0) < 1e-12
+        theta = 2 * np.pi * np.array([q[:b].sum() + q[b] / 2 for b in range(len(bl))])
+        rim = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        disk = splu(L_II).solve(-L_IB @ rim)
+        u_int, th = _disk_start(sys_)
+        assert np.abs(th - theta).max() < 1e-12
+        assert np.abs(u_int - disk).max() < 1e-12
+        # the rim turns once, in order, and no triangle of the start is flipped
+        assert np.all(np.diff(th) > 0) and th[0] > 0 and th[-1] < 2 * np.pi
+        det = _triple_products(sys_.positions(u_int, th), sys_.dbl.triangles)
+        assert np.all(det > 0) or np.all(det < 0)
 
 
 class TestHandoff:
-    @pytest.mark.parametrize("n_nodes, seed", [(300, 2), (350, 4), (400, 1)])
-    def test_handoff_changes_nothing(self, n_nodes, seed, monkeypatch):
-        # a probe that always refuses runs L-BFGS to its end, as before the
-        # handoff; on these meshes the handoff comes at iterations 220, 120 and 15
-        dbl = _cover(n_nodes, seed)
-        emb = geoq.harmonic_sphere_map(dbl)
-        monkeypatch.setattr(embedding, "_probe", _refused)
-        ref = geoq.harmonic_sphere_map(dbl)
-        assert emb.stats.handoff and not emb.stats.resumed
-        assert not ref.stats.handoff and ref.stats.lbfgs_nit > emb.stats.lbfgs_nit
-        assert np.abs(emb.positions - ref.positions).max() < 1e-9
-        assert emb.residual < 1e-7 and ref.residual < 1e-7
-        assert len(emb.flipped_triangles()) == len(ref.flipped_triangles())
-        boundary_z = [np.abs(e.positions[dbl.boundary, 2]).max() for e in (emb, ref)]
-        assert boundary_z[0] == boundary_z[1]
-
-    def test_failed_probe_is_cheap(self, monkeypatch):
-        sys_ = _System(_cover(400, 3))
-        x = _tutte_start(sys_)
-        x_before = x.copy()
-        calls = []
-        lu = embedding.splu
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lu(*args, **kwargs)
-
-        monkeypatch.setattr(embedding, "splu", counted)
-        stats = geoq.EmbeddingStats()
-        assert _probe(sys_, x, stats) is None
-        assert 0 < len(calls) <= PROBE_STEPS + PROBE_REJECTS
-        assert stats.newton_accepted + stats.newton_rejected == len(calls)
-        assert np.array_equal(x, x_before)
-
-    def test_probe_gives_up_after_bounded_rejections(self, monkeypatch):
-        # every factorization fails, so every trial step is rejected
-        sys_ = _System(_cover(400, 3))
-        x = _tutte_start(sys_)
-        calls = []
-
-        def singular(*args, **kwargs):
-            calls.append(1)
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(embedding, "splu", singular)
-        stats = geoq.EmbeddingStats()
-        assert _probe(sys_, x, stats) is None
-        assert len(calls) == stats.newton_rejected == PROBE_REJECTS + 1
-
-    def test_stalled_handoff_resumes_lbfgs(self, monkeypatch):
-        # the first probe hands over the Tutte start, from which Newton fails
-        dbl = _cover(350, 1)
-        monkeypatch.setattr(embedding, "_probe", _refused)
-        ref = geoq.harmonic_sphere_map(dbl)
-        monkeypatch.setattr(embedding, "_probe",
-                            lambda sys_, x, stats: sys_.unpack(_tutte_start(sys_)))
-        emb = geoq.harmonic_sphere_map(dbl)
-        st = emb.stats
-        assert st.handoff and st.resumed
-        assert st.probes == 1 and st.probes_failed == 0
-        assert emb.residual < 1e-7
-        assert np.abs(emb.positions - ref.positions).max() < 1e-9
-        e = emb.energy_trace
-        assert len(e) == st.lbfgs_nit
-        assert all(e[i + 1] <= e[i] * (1 + 1e-9) for i in range(len(e) - 1))
-
     def test_stats_record_the_solve(self, emb400):
         st = emb400.stats
-        assert st.lbfgs_nit == len(emb400.energy_trace)
-        assert st.lbfgs_nfev >= st.lbfgs_nit and st.lbfgs_message
-        assert st.handoff and st.probes - st.probes_failed == 1
-        assert st.newton_accepted > 0 and st.centroid_norm < 5e-7
-        assert set(st.seconds) == {"setup", "lbfgs", "probes", "newton", "recenter"}
+        assert st.newton_accepted > 0 and st.newton_rejected >= 0
+        assert st.recenter_rounds > 0 and st.centroid_norm < 5e-7
+        assert st.centroid_norm == np.linalg.norm(emb400.area_centroid())
+        assert set(st.seconds) == {"setup", "rounds"}
         assert all(v >= 0 for v in st.seconds.values())
-        assert f"nit={st.lbfgs_nit} " in st.summary() and "\n" not in st.summary()
+        assert f"accepted={st.newton_accepted} " in st.summary() and "\n" not in st.summary()
+
+    def test_irregular_region_converges(self):
+        # the rounded L of the irregular preset, 2000 nodes, seed 1
+        dbl = _cover(2000, 1, IRREGULAR)
+        emb = geoq.harmonic_sphere_map(dbl)
+        assert emb.residual < 1e-7
+        assert len(emb.flipped_triangles()) == 0
+        assert np.all(emb.positions[dbl.boundary, 2] == 0.0)
+        assert np.linalg.norm(emb.area_centroid()) < 5e-7
+
+    def test_stalled_newton_ends_the_solve(self, monkeypatch):
+        # a Newton run that reports a stall after one step in round 1 ends
+        # the solve there, carrying the state that step reached
+        newton = embedding._newton
+
+        def stalls(sys_, u_int, th, iters, stats):
+            u_int, th, ginf, _ = newton(sys_, u_int, th, 1, stats)
+            return u_int, th, ginf, False
+
+        monkeypatch.setattr(embedding, "_newton", stalls)
+        with pytest.raises(NoConvergence, match="stalled") as err:
+            geoq.harmonic_sphere_map(_cover(300, 1))
+        best = err.value.best
+        assert best.stats.recenter_rounds == 1 and best.stats.newton_accepted == 1
+        assert np.isfinite(best.positions).all()
+        assert 1e-7 < err.value.residual < np.inf
 
 
 def _with_position_line(emb, line):
