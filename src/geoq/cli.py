@@ -2,14 +2,17 @@
 
     geoq generate|map|run|sweep --config <path> [--seed N] [--out <dir>]
 
+`map`, `run` and `sweep` build each seed's deployment from the config and
+solve its embedding in process, once per command for each deployment and
+solver setting; every rate and sweep value runs on that one embedding.
+`map` also saves each embedding as <out>/cache/emb_<nodes>_<seed>.txt, a
+file that geoq itself never reads.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence.
-GEOQ_CACHE_DIR overrides the embedding cache location.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
-import os
 import sys
 import time
 from dataclasses import replace
@@ -18,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config, preset
-from .embedding import (SOLVER_VERSION, SphericalEmbedding, distortion_report,
-                        harmonic_sphere_map, load_embedding, save_embedding)
+from .embedding import (SphericalEmbedding, distortion_report, harmonic_sphere_map,
+                        save_embedding)
 from .errors import ConfigError, GeoqError, NoConvergence
-from .loadsim import Metrics, Workload, run as run_workload
-from .mesh import (PlanarMesh, double_cover, generate_deployment, load_mesh,
-                   mesh_to_text, save_mesh, triangulate)
+from .loadsim import Workload, run as run_workload
+from .mesh import PlanarMesh, double_cover, generate_deployment, save_mesh, triangulate
 from .quorums import DataType, QuorumSystemKind, hash_location
 from .svgplot import heatmap_svg
 
@@ -42,22 +44,6 @@ def _num(x) -> str:
 
 def mesh_path(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
     return out / f"mesh_{cfg.nodes}_{seed}.txt"
-
-
-def cache_dir(cfg: ExperimentConfig, out: Path) -> Path:
-    env = os.environ.get("GEOQ_CACHE_DIR")
-    if env:
-        return Path(env)
-    if cfg.cache:
-        return Path(cfg.cache)
-    return out / "cache"
-
-
-def _mesh_digest(mesh_text: str, cfg: ExperimentConfig) -> str:
-    h = hashlib.blake2b(digest_size=12)
-    h.update(mesh_text.encode())
-    h.update(f"{cfg.solver_tol}:{cfg.solver_max_iters}:{SOLVER_VERSION}".encode())
-    return h.hexdigest()
 
 
 def _kind_from(cfg: ExperimentConfig) -> QuorumSystemKind:
@@ -88,47 +74,30 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return paths
 
 
-def ensure_embedding(cfg: ExperimentConfig, seed: int, out: Path,
-                     quiet: bool = False) -> SphericalEmbedding:
-    """Mesh + embedding for one seed, via the on-disk cache when fresh."""
-    mpath = mesh_path(out, cfg, seed)
-    if mpath.exists():
-        mesh = load_mesh(mpath)
-    else:
-        mesh = build_mesh(cfg, seed)
-        out.mkdir(parents=True, exist_ok=True)
-        save_mesh(mesh, mpath)
-    digest = _mesh_digest(mesh_to_text(mesh), cfg)
-    cdir = cache_dir(cfg, out)
-    cpath = cdir / f"emb_{digest}.txt"
-    if cpath.exists():
-        emb = load_embedding(cpath)
-        if not quiet:
-            print(f"map: seed={seed} cache hit {cpath}")
-        return emb
-    dbl = double_cover(mesh)
-    emb = harmonic_sphere_map(dbl, tol=cfg.solver_tol, max_iters=cfg.solver_max_iters)
-    cdir.mkdir(parents=True, exist_ok=True)
-    save_embedding(emb, cpath)
-    if not quiet:
-        print(f"map: seed={seed} solved residual={emb.residual:.3e} -> {cpath}")
-    return emb
+def embed_seed(cfg: ExperimentConfig, seed: int) -> SphericalEmbedding:
+    """The sphere embedding of one seed's deployment, solved from the config."""
+    return harmonic_sphere_map(double_cover(build_mesh(cfg, seed)), tol=cfg.solver_tol,
+                               max_iters=cfg.solver_max_iters)
 
 
 def cmd_map(cfg: ExperimentConfig, out: Path) -> list[SphericalEmbedding]:
-    """Embed every repetition's mesh and print convergence diagnostics."""
+    """Embed every repetition's deployment, save each embedding under
+    out/cache, and print convergence diagnostics."""
+    cdir = out / "cache"
+    cdir.mkdir(parents=True, exist_ok=True)
     embs = []
     for rep in range(cfg.repetitions):
         seed = cfg.seed + rep
-        emb = ensure_embedding(cfg, seed, out)
+        emb = embed_seed(cfg, seed)
+        path = cdir / f"emb_{cfg.nodes}_{seed}.txt"
+        save_embedding(emb, path)
         z_max = float(np.abs(emb.positions[emb.mesh.boundary, 2]).max())
         rep_report = distortion_report(emb)
         print(f"map: seed={seed} boundary|z|max={z_max:.2e} "
               f"flips={len(emb.flipped_triangles())} "
               f"angle_err_mean={rep_report.mean_angle_error * 100:.2f}% "
-              f"residual={emb.residual:.3e}")
-        print(f"map: seed={seed} solver: "
-              f"{emb.stats.summary() if emb.stats else 'cached'}")
+              f"residual={emb.residual:.3e} -> {path}")
+        print(f"map: seed={seed} solver: {emb.stats.summary()}")
         embs.append(emb)
     return embs
 
@@ -162,7 +131,7 @@ def run_once(cfg: ExperimentConfig, seed: int, r: float,
     return metrics, load, ms
 
 
-def _rows_for_config(cfg: ExperimentConfig, out: Path, collect_loads=None) -> list[dict]:
+def _rows_for_config(cfg: ExperimentConfig, embs: dict, collect_loads=None) -> list[dict]:
     rows = []
     kind = _kind_from(cfg)
     a_str = cfg.a if cfg.kind == "GeoQuorum" else ""
@@ -171,7 +140,11 @@ def _rows_for_config(cfg: ExperimentConfig, out: Path, collect_loads=None) -> li
         per_rep = []
         for rep in range(cfg.repetitions):
             seed = cfg.seed + rep
-            emb = ensure_embedding(cfg, seed, out, quiet=True)
+            key = (cfg.nodes, cfg.region, cfg.polygon, seed, cfg.solver_tol,
+                   cfg.solver_max_iters)
+            if key not in embs:   # solved once per command, on its first rate
+                embs[key] = embed_seed(cfg, seed)
+            emb = embs[key]
             metrics, load, ms = run_once(cfg, seed, r, emb)
             exp_id = f"{cfg.kind}_r{r:g}"
             rows.append(dict(experiment_id=exp_id, kind=cfg.kind, r=r, a=a_str,
@@ -219,7 +192,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> list[dict]:
         last_load["emb"] = emb
         last_load["load"] = load
 
-    rows = _rows_for_config(cfg, out, collect_loads=keep if cfg.svg else None)
+    rows = _rows_for_config(cfg, {}, collect_loads=keep if cfg.svg else None)
     csv_path = out / cfg.csv
     csv_path.write_text(rows_to_csv(rows))
     print(f"run: wrote {len(rows)} rows -> {csv_path}")
@@ -241,10 +214,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> list[dict]:
     rows: list[dict] = []
     csv_path = out / cfg.csv
     prefix = len(cfg.sweep_values) > 1  # a degenerate sweep matches cmd_run exactly
+    embs: dict = {}   # shared by the sweep values that keep the deployment
     try:
         for value in cfg.sweep_values:
             sub = cfg.with_param(cfg.sweep_parameter, value)
-            sub_rows = _rows_for_config(sub, out)
+            sub_rows = _rows_for_config(sub, embs)
             if prefix:
                 tag = f"{value:g}" if isinstance(value, float) else str(value)
                 for row in sub_rows:

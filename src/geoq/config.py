@@ -68,7 +68,6 @@ class ExperimentConfig:
     # outputs
     csv: str = "results.csv"
     svg: str = ""
-    cache: str = ""
 
     def region_polygon(self) -> np.ndarray:
         if self.region == "square":
@@ -114,7 +113,7 @@ _SECTIONS = {
                  "mix_samples", "read_termination", "data_id", "hash_override"),
     "run": ("repetitions", "robustness_trials", "solver_tol", "solver_max_iters"),
     "sweep": ("sweep_parameter", "sweep_values", "link_r_w"),
-    "outputs": ("csv", "svg", "cache"),
+    "outputs": ("csv", "svg"),
 }
 
 _KEY_TO_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}

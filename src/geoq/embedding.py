@@ -43,9 +43,7 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 40   # Newton steps per round
-# Hashed into the CLI's embedding cache key; raise it whenever a change to the
-# solver changes the embedding it returns for the same mesh and settings.
-SOLVER_VERSION = 6
+CENTROID_TOL = 5e-7      # the area-weighted centroid's norm at a converged solve
 WEIGHT_FLOOR = 1e-3  # keeps seam triangles strictly oriented; raising weights preserves PSD
 
 _Z = np.array([1.0, 1.0, -1.0])
@@ -538,12 +536,14 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     towards a zero area-weighted centroid, its Jacobian a forward
     difference, and then runs _newton for at most max_iters steps; the three
     pinned boundary angles stay where the dilation put them. The rounds stop
-    when the centroid's norm is under 5e-7 and the residual under tol.
+    when the centroid's norm is under CENTROID_TOL and the residual under
+    tol.
 
     Raises NoConvergence (carrying the best embedding) if the stationarity
-    residual is above tol after the last round or a stalled Newton run, or
-    at once if a round meets a non-finite centroid or residual (carrying
-    the last state where both were finite).
+    residual is above tol after the last round or a stalled Newton run, if
+    the centroid's norm is not under CENTROID_TOL after the last round
+    (carrying that round's state), or at once if a round meets a non-finite
+    centroid or residual (carrying the last state where both were finite).
     """
     ch = chord_edges(dbl.source)
     if ch:
@@ -566,7 +566,7 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     for _ in range(24):
         c = _area_centroid(tri, P)[:2]
         diverged = not (np.isfinite(c).all() and np.isfinite(ginf))
-        if diverged or stalled or (np.linalg.norm(c) < 5e-7 and ginf < tol):
+        if diverged or stalled or (np.linalg.norm(c) < CENTROID_TOL and ginf < tol):
             break
         last = P, ginf
         stats.recenter_rounds += 1
@@ -585,7 +585,7 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         P = sys_.positions(u_int, th)
     if diverged:
         P, ginf = last
-    stats.centroid_norm = float(np.linalg.norm(_area_centroid(tri, P)))
+    stats.centroid_norm = c_norm = float(np.linalg.norm(_area_centroid(tri, P)))
     stats.seconds = {"setup": t1 - t0, "rounds": time.perf_counter() - t1}
 
     emb = SphericalEmbedding(mesh=dbl, positions=P, residual=ginf, stats=stats)
@@ -597,6 +597,9 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         why = "a stalled Newton run" if stalled else f"{stats.recenter_rounds} round(s)"
         raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e} after {why}",
                             residual=ginf, best=emb)
+    if not c_norm < CENTROID_TOL:
+        raise NoConvergence(f"area centroid |c| = {c_norm:.1e} not under {CENTROID_TOL:.0e} "
+                            f"after {stats.recenter_rounds} round(s)", residual=ginf, best=emb)
     return emb
 
 

@@ -352,9 +352,8 @@ def test_criterion_8_robustness_total_load_tradeoff():
     assert ok
 
 
-def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_9_cli_determinism(tmp_path):
     """The same config and seed produce byte-identical CSV, runtimes aside."""
-    monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
     cfg = ExperimentConfig(nodes=300, seed=5, kind="GeoQuorum", r_w=0.2 * np.pi,
                            a=0.2, contributors=20, queriers=5, r_values=(4.0,),
                            repetitions=2, csv="out.csv")

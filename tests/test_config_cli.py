@@ -98,31 +98,16 @@ class TestGenerate:
         assert inside.all()
 
 
-class TestMapCache:
-    def test_cache_reuse(self, tmp_path, capsys):
-        cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2)
-        cmd_map(cfg, tmp_path)
-        first = capsys.readouterr().out
-        assert "solved" in first
-        assert "solver: newton accepted=" in first
-        cmd_map(cfg, tmp_path)
-        second = capsys.readouterr().out
-        assert "cache hit" in second
-        assert "solver: cached" in second
-
-    def test_cache_dir_env(self, tmp_path, monkeypatch):
-        cdir = tmp_path / "mycache"
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(cdir))
-        cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2)
-        cmd_map(cfg, tmp_path / "out")
-        assert any(cdir.glob("emb_*.txt"))
-
-    def test_digest_covers_solver_version(self, monkeypatch):
-        # a changed solver must not be served an embedding cached by the old one
-        cfg = small_cfg()
-        before = cli._mesh_digest("mesh", cfg)
-        monkeypatch.setattr(cli, "SOLVER_VERSION", cli.SOLVER_VERSION + 1)
-        assert cli._mesh_digest("mesh", cfg) != before
+class TestMap:
+    def test_writes_one_embedding_file(self, tmp_path, capsys):
+        # perfbench/make_fixture.py maps this config and copies the single
+        # out/cache/emb_*.txt it finds
+        cfg_path = tmp_path / "map.cfg"
+        cfg_path.write_text("repetitions = 1\n")
+        assert main(["map", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert "solver: newton accepted=" in capsys.readouterr().out
+        (saved,) = (tmp_path / "o" / "cache").glob("emb_*.txt")
+        assert geoq.load_embedding(saved).residual < 1e-7
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -145,8 +130,7 @@ class TestRun:
         assert std_row["system_load"] == pytest.approx(sys_loads.std())
         assert (tmp_path / "out.csv").exists()
 
-    def test_csv_deterministic_modulo_runtime(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_csv_deterministic_modulo_runtime(self, tmp_path):
         cfg = small_cfg()
         cmd_run(cfg, tmp_path / "r1")
         cmd_run(cfg, tmp_path / "r2")
@@ -163,16 +147,14 @@ class TestRun:
 
 
 class TestSweep:
-    def test_multi_value_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_multi_value_rows(self, tmp_path):
         cfg = small_cfg(sweep_parameter="a", sweep_values=(0.1, 0.2))
         rows = cmd_sweep(cfg, tmp_path)
         single = cmd_run(cfg.with_param("a", 0.1), tmp_path / "single")
         assert len(rows) == 2 * len(single)
         assert all(r["experiment_id"].startswith("a=") for r in rows)
 
-    def test_single_value_matches_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_single_value_matches_run(self, tmp_path):
         cfg = small_cfg(sweep_parameter="a", sweep_values=(0.2,))
         sweep_rows = cmd_sweep(cfg, tmp_path / "s")
         run_rows = cmd_run(cfg, tmp_path / "r")
@@ -180,8 +162,7 @@ class TestSweep:
         b = strip_runtime((tmp_path / "r" / "out.csv").read_text())
         assert a == b
 
-    def test_kind_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_kind_sweep(self, tmp_path):
         cfg = small_cfg(sweep_parameter="kind", sweep_values=("QG", "GeoQuorum"))
         rows = cmd_sweep(cfg, tmp_path)
         kinds = {r["kind"] for r in rows}
@@ -196,8 +177,7 @@ class TestSweep:
         # round-trips through the text format
         assert config_from_text(config_to_text(cfg)) == cfg
 
-    def test_partial_marker_on_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_partial_marker_on_failure(self, tmp_path):
         cfg = small_cfg(sweep_parameter="k", sweep_values=(1.0, -2.0))
         with pytest.raises(ConfigError):
             cmd_sweep(cfg, tmp_path)
@@ -209,9 +189,52 @@ class TestSweep:
             cmd_sweep(small_cfg(), tmp_path)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The node count of every deployment that geoq.cli solves, in call order."""
+    calls = []
+    solve = cli.harmonic_sphere_map
+
+    def counted(dbl, **kwargs):
+        calls.append(dbl.n_original)
+        return solve(dbl, **kwargs)
+
+    monkeypatch.setattr(cli, "harmonic_sphere_map", counted)
+    return calls
+
+
+class TestSolveOnce:
+    def test_run_solves_each_seed_once(self, tmp_path, solves):
+        rows = cmd_run(small_cfg(r_values=(4.0, 6.0)), tmp_path)
+        assert solves == [300, 300]
+        assert [r["r"] for r in rows] == [4.0] * 4 + [6.0] * 4   # rate-major
+
+    def test_kind_sweep_shares_the_embeddings(self, tmp_path, solves):
+        cfg = small_cfg(r_values=(4.0, 6.0), sweep_parameter="kind",
+                        sweep_values=("QG", "GeoQuorum"))
+        cmd_sweep(cfg, tmp_path)
+        assert solves == [300, 300]
+
+    def test_nodes_sweep_solves_each_deployment(self, tmp_path, solves):
+        cfg = small_cfg(contributors=10, sweep_parameter="nodes", sweep_values=(200, 300))
+        cmd_sweep(cfg, tmp_path)
+        assert solves == [200, 200, 300, 300]
+
+    def test_mesh_file_of_another_region_is_not_read(self, tmp_path):
+        # `geoq generate` on a 1.5 x 1 rectangle leaves mesh files of the same
+        # nodes and seeds; a square run beside them must not use them
+        cfg = small_cfg()
+        rect = ((0.0, 0.0), (1.5, 0.0), (1.5, 1.0), (0.0, 1.0))
+        cmd_generate(replace(cfg, region="polygon", polygon=rect), tmp_path / "mixed")
+        cmd_run(cfg, tmp_path / "mixed")
+        cmd_run(cfg, tmp_path / "empty")
+        a = strip_runtime((tmp_path / "mixed" / "out.csv").read_text())
+        b = strip_runtime((tmp_path / "empty" / "out.csv").read_text())
+        assert a == b
+
+
 class TestRobustnessColumns:
-    def test_populated_when_requested(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_populated_when_requested(self, tmp_path):
         cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2,
                         robustness_trials=2)
         rows = cmd_run(cfg, tmp_path)
@@ -236,8 +259,7 @@ class TestHashOverride:
 
 
 class TestMain:
-    def test_exit_codes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_exit_codes(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(config_to_text(small_cfg(repetitions=1, nodes=200,
                                                      contributors=10, queriers=2)))
@@ -247,11 +269,10 @@ class TestMain:
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run"]) == 2
 
-    def test_exit_code_accessor_on_hash_point(self, tmp_path, monkeypatch, capsys):
+    def test_exit_code_accessor_on_hash_point(self, tmp_path, capsys):
         # a QL querier at the hash point has no latitude circle
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
         cfg = small_cfg(repetitions=1, nodes=200, kind="QL", contributors=10, queriers=5)
-        emb = cli.ensure_embedding(cfg, cfg.seed, tmp_path / "o", quiet=True)
+        emb = cli.embed_seed(cfg, cfg.seed)
         querier = cli._workload_for(cfg, cfg.seed, 4.0, emb).data_types[0].queriers[0]
         hash_point = tuple(emb.node_positions()[querier].tolist())
         cfg_path = tmp_path / "c.cfg"
@@ -260,8 +281,7 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_exit_code_no_convergence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache_nc"))
+    def test_exit_code_no_convergence(self, tmp_path):
         cfg_path = tmp_path / "nc.cfg"
         cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2,
                         solver_max_iters=2, solver_tol=1e-16)
@@ -269,21 +289,13 @@ class TestMain:
         assert main(["map", "--config", str(cfg_path),
                      "--out", str(tmp_path / "onc")]) == 3
 
-    def test_exit_code_corrupt_cache(self, tmp_path, monkeypatch, capsys):
-        # a truncated cache file is a typed error (exit 2), not a traceback
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(cache))
+    def test_cache_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            config_from_text("cache = x\n")
         cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(config_to_text(small_cfg(repetitions=1, nodes=200,
-                                                     contributors=10, queriers=2)))
-        out = str(tmp_path / "o")
-        assert main(["map", "--config", str(cfg_path), "--out", out]) == 0
-        (cached,) = cache.glob("emb_*.txt")
-        text = cached.read_text()
-        cached.write_text(text[:text.rstrip("\n").rindex(" ")])
-        capsys.readouterr()
-        assert main(["run", "--config", str(cfg_path), "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        cfg_path.write_text("cache = x\n")
+        assert main(["map", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
@@ -292,8 +304,7 @@ class TestMain:
                      "--out", str(tmp_path / "g")]) == 0
         assert (tmp_path / "g" / "mesh_300_9.txt").exists()
 
-    def test_preset_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOQ_CACHE_DIR", str(tmp_path / "cache"))
+    def test_preset_flag(self, tmp_path):
         assert main(["generate", "--preset", "comparison", "--seed", "3",
                      "--out", str(tmp_path / "p")]) == 0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from geoq.errors import DegenerateMesh, NoConvergence
 from conftest import SQUARE, random_unit
 
 _Z = np.array([1.0, 1.0, -1.0])
+RECT = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
 
 
 def _cover(n_nodes, seed, region=SQUARE):
@@ -215,6 +217,29 @@ class TestSolverEdges:
         assert np.isfinite(err.value.residual)
         assert best.stats.recenter_rounds == 1
         assert np.isfinite(best.stats.centroid_norm)
+
+    def test_uncentred_rounds_are_no_convergence(self):
+        # the 2 x 1 rectangle, 300 nodes, seed 2: the last round ends under tol
+        # but off centre
+        with pytest.raises(NoConvergence, match="centroid") as err:
+            geoq.harmonic_sphere_map(_cover(300, 2, RECT))
+        best = err.value.best
+        assert best.stats.recenter_rounds == 24
+        assert best.stats.centroid_norm >= embedding.CENTROID_TOL
+        assert best.stats.centroid_norm == np.linalg.norm(best.area_centroid())
+        assert err.value.residual <= 1e-7
+
+    def test_stalled_recentering_is_no_convergence(self, monkeypatch):
+        # every third dilation, the one each round moves the map by, is dropped
+        dilate, calls = embedding._conformal_dilate, itertools.count(1)
+
+        def drops_the_step(P, v):
+            return P if next(calls) % 3 == 0 else dilate(P, v)
+
+        monkeypatch.setattr(embedding, "_conformal_dilate", drops_the_step)
+        with pytest.raises(NoConvergence, match="centroid") as err:
+            geoq.harmonic_sphere_map(_cover(400, 3))
+        assert err.value.best.stats.centroid_norm >= embedding.CENTROID_TOL
 
 
 def _packed_state(dbl, which):

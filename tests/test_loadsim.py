@@ -243,6 +243,26 @@ def test_load_linear_in_write_rate(emb400, kind, seed, r1, dr):
         assert (reads[queriers] > 1 - 1e-6).all()
 
 
+def _charged_nodes(curve, emb):
+    """The physical nodes that the curve's level set charges."""
+    _, tris, (_, on) = geoq.level_sets([curve], emb)
+    verts = np.concatenate([emb.mesh.triangles[tris].ravel(), on])
+    return set(emb.mesh.original_vertex(verts).tolist())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2 * np.pi),
+       rho=st.floats(1e-3, np.pi / 2))
+def test_mirror_circle_charges_the_same_nodes(emb400, z, lon, rho):
+    # the embedding is its own z-mirror with the copies swapped, so a circle
+    # and its mirror image charge the same physical nodes
+    s = np.sqrt(1.0 - z * z)
+    axis = np.array([s * np.cos(lon), s * np.sin(lon), z])
+    circle = geoq.circle_with_radius(axis, rho)
+    mirror = geoq.circle_with_radius(axis * np.array([1.0, 1.0, -1.0]), rho)
+    assert _charged_nodes(circle, emb400) == _charged_nodes(mirror, emb400)
+
+
 class TestCharge:
     def test_adjacent_triangles_four_vertices(self, emb400):
         nb = emb400.neighbors()
