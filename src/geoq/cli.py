@@ -8,6 +8,9 @@ solver setting; every rate and sweep value runs on that one embedding.
 `map` also saves each embedding as <out>/cache/emb_<nodes>_<seed>.txt, a
 file that geoq itself never reads.
 
+`run` is the one-value case of `sweep`: each writes one CSV (on a failure, the
+rows so far and a `partial` row) and, with `svg` set, the last run's heatmap.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence.
 """
 from __future__ import annotations
@@ -35,15 +38,11 @@ CSV_COLUMNS = ("experiment_id", "kind", "r", "a", "R_W", "seed",
 
 
 def _num(x) -> str:
-    if x is None or x == "":
+    if x is None:
         return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.6g}"
-
-
-def mesh_path(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
-    return out / f"mesh_{cfg.nodes}_{seed}.txt"
 
 
 def _kind_from(cfg: ExperimentConfig) -> QuorumSystemKind:
@@ -66,7 +65,7 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     for rep in range(cfg.repetitions):
         seed = cfg.seed + rep
         mesh = build_mesh(cfg, seed)
-        path = mesh_path(out, cfg, seed)
+        path = out / f"mesh_{cfg.nodes}_{seed}.txt"
         save_mesh(mesh, path)
         paths.append(path)
         print(f"generate: seed={seed} nodes={mesh.n_vertices} "
@@ -131,77 +130,75 @@ def run_once(cfg: ExperimentConfig, seed: int, r: float,
     return metrics, load, ms
 
 
-def _rows_for_config(cfg: ExperimentConfig, embs: dict, collect_loads=None) -> list[dict]:
+def _rows_for_config(cfg: ExperimentConfig, embs: dict):
+    """The CSV rows of every rate and repetition, and the (embedding, load)
+    of the last run."""
     rows = []
-    kind = _kind_from(cfg)
-    a_str = cfg.a if cfg.kind == "GeoQuorum" else ""
-    rw_str = cfg.r_w if cfg.kind == "GeoQuorum" else ""
+    geo = cfg.kind == "GeoQuorum"
     for r in cfg.r_values:
+        common = dict(experiment_id=f"{cfg.kind}_r{r:g}", kind=cfg.kind, r=r,
+                      a=cfg.a if geo else "", R_W=cfg.r_w if geo else "")
         per_rep = []
         for rep in range(cfg.repetitions):
             seed = cfg.seed + rep
-            key = (cfg.nodes, cfg.region, cfg.polygon, seed, cfg.solver_tol,
-                   cfg.solver_max_iters)
+            key = (cfg.nodes, cfg.polygon, seed, cfg.solver_tol, cfg.solver_max_iters)
             if key not in embs:   # solved once per command, on its first rate
                 embs[key] = embed_seed(cfg, seed)
             emb = embs[key]
             metrics, load, ms = run_once(cfg, seed, r, emb)
-            exp_id = f"{cfg.kind}_r{r:g}"
-            rows.append(dict(experiment_id=exp_id, kind=cfg.kind, r=r, a=a_str,
-                             R_W=rw_str, seed=seed,
-                             system_load=metrics.system_load,
-                             total_load=metrics.total_load,
-                             robustness_geometric=metrics.robustness_geometric,
-                             robustness_discrete=metrics.robustness_discrete,
-                             runtime_ms=ms))
+            rows.append(common | dict(seed=seed, system_load=metrics.system_load,
+                                      total_load=metrics.total_load,
+                                      robustness_geometric=metrics.robustness_geometric,
+                                      robustness_discrete=metrics.robustness_discrete,
+                                      runtime_ms=ms))
             per_rep.append(metrics)
-            if collect_loads is not None:
-                collect_loads(cfg, seed, r, emb, load)
-        sys_loads = np.array([m.system_load for m in per_rep])
-        tot_loads = np.array([m.total_load for m in per_rep])
+        sys_loads = [m.system_load for m in per_rep]
+        tot_loads = [m.total_load for m in per_rep]
         for stat, reducer in (("mean", np.mean), ("stddev", np.std)):
-            rows.append(dict(experiment_id=f"{cfg.kind}_r{r:g}", kind=cfg.kind,
-                             r=r, a=a_str, R_W=rw_str, seed=stat,
-                             system_load=float(reducer(sys_loads)),
-                             total_load=float(reducer(tot_loads)),
-                             robustness_geometric="", robustness_discrete="",
-                             runtime_ms=""))
-    return rows
+            rows.append(common | dict(seed=stat, system_load=float(reducer(sys_loads)),
+                                      total_load=float(reducer(tot_loads)),
+                                      robustness_geometric="", robustness_discrete="",
+                                      runtime_ms=""))
+    return rows, (emb, load)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
     out = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row.get(col, "")
-            if col in ("experiment_id", "kind") or isinstance(v, str):
-                cells.append(str(v))
-            else:
-                cells.append(_num(v))
-        out.append(",".join(cells))
+        cells = (row.get(col, "") for col in CSV_COLUMNS)
+        out.append(",".join(v if isinstance(v, str) else _num(v) for v in cells))
     return "\n".join(out) + "\n"
+
+
+def _run_configs(cfg: ExperimentConfig, out: Path, command: str, configs) -> list[dict]:
+    """Run each (experiment id prefix, config) of `configs` into one CSV, and
+    the last run's heatmap when `svg` is set. On a GeoqError, also one raised
+    while `configs` builds a config, the CSV holds the rows so far and `partial`."""
+    out.mkdir(parents=True, exist_ok=True)
+    rows: list[dict] = []
+    csv_path = out / cfg.csv
+    embs: dict = {}   # shared by the configs that keep the deployment
+    try:
+        for prefix, sub in configs:
+            sub_rows, (emb, load) = _rows_for_config(sub, embs)
+            for row in sub_rows:
+                row["experiment_id"] = prefix + row["experiment_id"]
+            rows.extend(sub_rows)
+    except GeoqError:
+        rows.append({col: "" for col in CSV_COLUMNS} | {"experiment_id": "partial"})
+        csv_path.write_text(rows_to_csv(rows))
+        raise
+    csv_path.write_text(rows_to_csv(rows))
+    print(f"{command}: wrote {len(rows)} rows -> {csv_path}")
+    if cfg.svg:
+        (out / cfg.svg).write_text(heatmap_svg(emb.mesh.source.vertices, load))
+        print(f"{command}: wrote heatmap -> {out / cfg.svg}")
+    return rows
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Run the workload for each rate and repetition; emit CSV and heatmap."""
-    out.mkdir(parents=True, exist_ok=True)
-    last_load = {}
-
-    def keep(cfg_, seed, r, emb, load):
-        last_load["emb"] = emb
-        last_load["load"] = load
-
-    rows = _rows_for_config(cfg, {}, collect_loads=keep if cfg.svg else None)
-    csv_path = out / cfg.csv
-    csv_path.write_text(rows_to_csv(rows))
-    print(f"run: wrote {len(rows)} rows -> {csv_path}")
-    if cfg.svg and last_load:
-        emb = last_load["emb"]
-        svg = heatmap_svg(emb.mesh.source.vertices, last_load["load"])
-        (out / cfg.svg).write_text(svg)
-        print(f"run: wrote heatmap -> {out / cfg.svg}")
-    return rows
+    return _run_configs(cfg, out, "run", [("", cfg)])
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> list[dict]:
@@ -210,28 +207,15 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> list[dict]:
         raise ConfigError("sweep requires sweep_parameter")
     if not cfg.sweep_values:
         raise ConfigError("sweep requires sweep_values")
-    out.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    csv_path = out / cfg.csv
-    prefix = len(cfg.sweep_values) > 1  # a degenerate sweep matches cmd_run exactly
-    embs: dict = {}   # shared by the sweep values that keep the deployment
-    try:
+
+    def configs():   # built lazily, so a bad value fails after the rows before it
         for value in cfg.sweep_values:
-            sub = cfg.with_param(cfg.sweep_parameter, value)
-            sub_rows = _rows_for_config(sub, embs)
-            if prefix:
-                tag = f"{value:g}" if isinstance(value, float) else str(value)
-                for row in sub_rows:
-                    row["experiment_id"] = (f"{cfg.sweep_parameter}={tag}_"
-                                            + row["experiment_id"])
-            rows.extend(sub_rows)
-    except GeoqError:
-        rows.append({col: "" for col in CSV_COLUMNS} | {"experiment_id": "partial"})
-        csv_path.write_text(rows_to_csv(rows))
-        raise
-    csv_path.write_text(rows_to_csv(rows))
-    print(f"sweep: wrote {len(rows)} rows -> {csv_path}")
-    return rows
+            tag = f"{value:g}" if isinstance(value, float) else str(value)
+            # a one-value sweep matches cmd_run exactly
+            prefix = f"{cfg.sweep_parameter}={tag}_" if len(cfg.sweep_values) > 1 else ""
+            yield prefix, cfg.with_param(cfg.sweep_parameter, value)
+
+    return _run_configs(cfg, out, "sweep", configs())
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Experiment configuration: a flat `key = value` text format with sections.
 
 Every field has a default, so an empty file is a valid config; serializing and
-re-parsing a config reproduces it exactly.
+re-parsing a config reproduces it exactly. Every config is validated where it
+is built, however it is built, and an invalid one raises `ConfigError`.
 """
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
-from .quorums import KIND_NAMES
+from .errors import ConfigError, OutOfRange
+from .quorums import QuorumSystemKind
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -38,8 +39,7 @@ IRREGULAR = _rounded_l_polygon()
 class ExperimentConfig:
     # deployment
     nodes: int = 2000
-    region: str = "square"            # square | polygon
-    polygon: tuple = SQUARE           # used when region == polygon
+    polygon: tuple = SQUARE           # the deployment region's outline
     seed: int = 1
     # system
     kind: str = "QG"
@@ -69,45 +69,38 @@ class ExperimentConfig:
     csv: str = "results.csv"
     svg: str = ""
 
+    def __post_init__(self):
+        _validate(self)
+
     def region_polygon(self) -> np.ndarray:
-        if self.region == "square":
-            return np.asarray(SQUARE, dtype=float)
-        if self.region == "polygon":
-            return np.asarray(self.polygon, dtype=float)
-        raise ConfigError(f"unknown region {self.region!r}")
+        return np.asarray(self.polygon, dtype=float)
 
     def with_param(self, name: str, value):
         """A copy with one sweep parameter replaced (used by cmd_sweep)."""
-        if name == "kind":
-            kind = str(value)
-            if kind not in KIND_NAMES:
-                raise ConfigError(f"unknown system kind {kind!r}")
-            return replace(self, kind=kind)
-        if name == "a":
-            new = replace(self, a=float(value))
-            if self.link_r_w:
-                k = max(int(np.floor(self.r_w / (self.a * np.pi) + 1e-9)), 1)
-                new = replace(new, r_w=k * float(value) * np.pi)
-            return new
-        if name == "r_w":
-            return replace(self, r_w=float(value))
         if name == "k":
             # robustness target with r_w held fixed: a = r_w / (k pi)
             k = int(value)
             if k < 1:
                 raise ConfigError("robustness target k must be >= 1")
             return replace(self, a=self.r_w / (k * np.pi))
-        if name == "nodes":
-            return replace(self, nodes=int(value))
-        if name == "contributors":
-            return replace(self, contributors=int(value))
-        if name == "queriers":
-            return replace(self, queriers=int(value))
-        raise ConfigError(f"unknown sweep parameter {name!r}")
+        if name not in _SWEEP_TYPES:
+            raise ConfigError(f"unknown sweep parameter {name!r}")
+        try:
+            changes = {name: _SWEEP_TYPES[name](value)}
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} sweep value {value!r}") from exc
+        if name == "a" and self.link_r_w:
+            k = max(int(np.floor(self.r_w / (self.a * np.pi) + 1e-9)), 1)
+            changes["r_w"] = k * changes["a"] * np.pi
+        return replace(self, **changes)
 
+
+# the sweep parameters that replace one field, with its type; `k` derives a
+_SWEEP_TYPES = {"kind": str, "a": float, "r_w": float, "nodes": int,
+                "contributors": int, "queriers": int}
 
 _SECTIONS = {
-    "deployment": ("nodes", "region", "polygon", "seed"),
+    "deployment": ("nodes", "polygon", "seed"),
     "system": ("kind", "r_w", "a", "dual"),
     "workload": ("contributors", "queriers", "r_values", "mode", "events",
                  "mix_samples", "read_termination", "data_id", "hash_override"),
@@ -205,20 +198,25 @@ def config_from_text(text: str) -> ExperimentConfig:
         if key not in _KEY_TO_SECTION:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    cfg = ExperimentConfig(**values)
-    _validate(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.nodes < 16:
         raise ConfigError("nodes must be at least 16")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if not cfg.r_values:
         raise ConfigError("r_values must be non-empty")
     if not all(math.isfinite(r) and r > 0 for r in cfg.r_values):
         raise ConfigError(f"r_values must be finite and positive, got {cfg.r_values}")
-    if cfg.kind not in KIND_NAMES:
-        raise ConfigError(f"unknown system kind {cfg.kind!r}")
+    try:   # the kind name, and GeoQuorum's r_w and a
+        if cfg.kind == "GeoQuorum":
+            QuorumSystemKind.geoquorum(cfg.r_w, cfg.a, dual=cfg.dual)
+        else:
+            QuorumSystemKind(cfg.kind)
+    except OutOfRange as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.mode not in ("montecarlo", "expected"):
         raise ConfigError(f"unknown workload mode {cfg.mode!r}")
     if cfg.read_termination not in ("full", "first_hit"):
@@ -227,8 +225,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("need at least one contributor")
     if cfg.contributors + cfg.queriers > cfg.nodes:
         raise ConfigError("more accessors than nodes")
+    if cfg.events < 1 or cfg.mix_samples < 1:
+        raise ConfigError("events and mix_samples must be >= 1")
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
+    if cfg.robustness_trials < 0:
+        raise ConfigError("robustness_trials must be >= 0")
+    if cfg.solver_max_iters < 1:
+        raise ConfigError("solver_max_iters must be >= 1")
+    if not (math.isfinite(cfg.solver_tol) and cfg.solver_tol > 0):
+        raise ConfigError(f"solver_tol must be finite and positive, got {cfg.solver_tol}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,6 +266,6 @@ def preset(name: str) -> ExperimentConfig:
                                 sweep_values=(1, 2, 3, 4, 5))
     if name == "irregular":
         return ExperimentConfig(nodes=4000, contributors=400, queriers=100,
-                                region="polygon", polygon=IRREGULAR,
+                                polygon=IRREGULAR,
                                 kind="GeoQuorum", r_w=0.2 * np.pi, a=0.2)
     raise ConfigError(f"unknown preset {name!r}")

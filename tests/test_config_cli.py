@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -28,8 +29,7 @@ def small_cfg(**kw):
 class TestConfigFormat:
     def test_round_trip(self):
         cfg = small_cfg(svg="heat.svg", sweep_parameter="a",
-                        sweep_values=(0.1, 0.2), region="polygon",
-                        polygon=((0, 0), (2, 0), (1, 1.5)))
+                        sweep_values=(0.1, 0.2), polygon=((0, 0), (2, 0), (1, 1.5)))
         text = config_to_text(cfg)
         again = config_from_text(text)
         assert again == cfg
@@ -59,6 +59,19 @@ class TestConfigFormat:
                 config_from_text(f"r_values = {bad}\n")
         with pytest.raises(ConfigError):
             config_from_text("[workload]\ncontributors = 5000\n")
+        for bad in ("seed = -1", "events = 0", "mix_samples = 0", "robustness_trials = -3",
+                    "solver_max_iters = 0", "solver_tol = 0", "solver_tol = -1e-7",
+                    "solver_tol = nan", "solver_tol = inf", "kind = Q",
+                    "kind = GeoQuorum\na = 0", "kind = GeoQuorum\nr_w = 4",
+                    "kind = GeoQuorum\nr_w = 0.1\na = 0.2"):
+            with pytest.raises(ConfigError):
+                config_from_text(bad + "\n")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = config_from_text(block)
+        assert cfg.kind == "GeoQuorum" and cfg.sweep_parameter == "a"
 
     def test_presets(self):
         assert preset("comparison").kind == "GeoQuorum"
@@ -72,6 +85,10 @@ class TestConfigFormat:
         sub = cfg.with_param("k", 3)
         kind = geoq.QuorumSystemKind.geoquorum(sub.r_w, sub.a)
         assert kind.robustness_target() == 3
+
+    def test_with_param_bad_value(self):
+        with pytest.raises(ConfigError):
+            small_cfg().with_param("nodes", "many")
 
     def test_with_param_linked_r_w(self):
         cfg = small_cfg(r_w=0.025 * np.pi, a=0.025, link_r_w=True)
@@ -88,8 +105,8 @@ class TestGenerate:
 
     def test_polygon_region_nodes_inside(self, tmp_path):
         tri_poly = ((0.0, 0.0), (3.0, 0.0), (1.5, 2.0))
-        cfg = small_cfg(region="polygon", polygon=tri_poly, repetitions=1,
-                        nodes=200, contributors=10, queriers=2)
+        cfg = small_cfg(polygon=tri_poly, repetitions=1, nodes=200, contributors=10,
+                        queriers=2)
         path = cmd_generate(cfg, tmp_path)[0]
         mesh = geoq.load_mesh(path)
         from geoq.mesh import distance_to_polygon
@@ -174,7 +191,12 @@ class TestSweep:
         assert cfg.sweep_parameter == "kind"
         assert set(cfg.sweep_values) == {"QG", "QGm", "QL", "GeoQuorum"}
         assert cfg.r_values == (4.0, 6.0, 8.0, 10.0)
+
+    @pytest.mark.parametrize("name", ["comparison", "load-tuning", "robustness",
+                                      "irregular", "paper-scale"])
+    def test_preset_round_trips(self, name):
         # round-trips through the text format
+        cfg = preset(name)
         assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_partial_marker_on_failure(self, tmp_path):
@@ -183,6 +205,22 @@ class TestSweep:
             cmd_sweep(cfg, tmp_path)
         text = (tmp_path / "out.csv").read_text()
         assert "partial" in text
+
+    def test_value_over_the_node_count_is_partial(self, tmp_path):
+        cfg = small_cfg(repetitions=1, contributors=10, queriers=2,
+                        sweep_parameter="contributors", sweep_values=(10, 400))
+        with pytest.raises(ConfigError):
+            cmd_sweep(cfg, tmp_path)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == [
+            "contributors=10_GeoQuorum_r4"] * 3 + ["partial"]
+
+    def test_heatmap_one_marker_per_node(self, tmp_path):
+        cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2,
+                        svg="heat.svg", sweep_parameter="kind", sweep_values=("QG", "QL"))
+        cmd_sweep(cfg, tmp_path)
+        doc = xml.dom.minidom.parse(str(tmp_path / "heat.svg"))
+        assert len(doc.getElementsByTagName("circle")) == cfg.nodes
 
     def test_requires_parameter(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -225,7 +263,7 @@ class TestSolveOnce:
         # nodes and seeds; a square run beside them must not use them
         cfg = small_cfg()
         rect = ((0.0, 0.0), (1.5, 0.0), (1.5, 1.0), (0.0, 1.0))
-        cmd_generate(replace(cfg, region="polygon", polygon=rect), tmp_path / "mixed")
+        cmd_generate(replace(cfg, polygon=rect), tmp_path / "mixed")
         cmd_run(cfg, tmp_path / "mixed")
         cmd_run(cfg, tmp_path / "empty")
         a = strip_runtime((tmp_path / "mixed" / "out.csv").read_text())
@@ -289,12 +327,36 @@ class TestMain:
         assert main(["map", "--config", str(cfg_path),
                      "--out", str(tmp_path / "onc")]) == 3
 
+    def test_failed_run_writes_partial(self, tmp_path):
+        cfg = small_cfg(repetitions=1, nodes=200, contributors=10, queriers=2,
+                        solver_max_iters=2, solver_tol=1e-16)
+        cfg_path = tmp_path / "nc.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        lines = (tmp_path / "o" / "out.csv").read_text().splitlines()
+        assert lines == [",".join(CSV_COLUMNS), "partial" + "," * (len(CSV_COLUMNS) - 1)]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        assert main(["run", "--preset", "comparison", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_cache_key_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             config_from_text("cache = x\n")
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("cache = x\n")
         assert main(["map", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_region_key_rejected(self, tmp_path, capsys):
+        # `polygon` alone names the region
+        with pytest.raises(ConfigError):
+            config_from_text("region = polygon\n")
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("region = square\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_seed_override(self, tmp_path):

@@ -243,6 +243,23 @@ def test_load_linear_in_write_rate(emb400, kind, seed, r1, dr):
         assert (reads[queriers] > 1 - 1e-6).all()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(LINEARITY_KINDS), mode=st.sampled_from(["montecarlo", "expected"]),
+       termination=st.sampled_from(["full", "first_hit"]), seed=st.integers(0, 2**16),
+       r1=st.floats(0.5, 8.0), d1=st.floats(0.5, 8.0), d2=st.floats(0.5, 8.0))
+def test_loads_collinear_in_write_rate(emb400, kind, mode, termination, seed, r1, d1, d2):
+    # the curves do not depend on the rate, so three rates give collinear
+    # loads at every node: (L3 - L1)(r2 - r1) = (L2 - L1)(r3 - r1)
+    rates = (r1, r1 + d1, r1 + d1 + d2)
+    l1, l2, l3 = (geoq.run(_workload(emb400, n_contrib=8, n_query=3, r=r,
+                                     seed=seed % 7 + 1, mode=mode),
+                           kind, emb400, np.random.default_rng(seed),
+                           read_termination=termination)[1] for r in rates)
+    lhs = (l3 - l1) * (rates[1] - rates[0])
+    rhs = (l2 - l1) * (rates[2] - rates[0])
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9 * np.abs(lhs).max())
+
+
 def _charged_nodes(curve, emb):
     """The physical nodes that the curve's level set charges."""
     _, tris, (_, on) = geoq.level_sets([curve], emb)
