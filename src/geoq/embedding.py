@@ -16,13 +16,12 @@ Phases:
     under tolerance. Each round takes one Newton step on the two-parameter
     equatorial Moebius dilation that zeroes the centroid, then runs damped
     Newton with three boundary angles pinned where the dilation put them
-    (fixing the rotation). Newton refuses steps that add boundary folds or
-    flipped triangles. The Hessian's sparsity pattern is built once per
-    solve, on the first Newton step, and every Hessian is summed into it;
-    the damping tau goes onto its stored diagonal. The first factorization's
-    minimum-degree ordering is stored, and every later one factors in that
-    order. A stalled Newton run or a non-finite centroid or residual ends
-    the solve.
+    (fixing the rotation). Newton refuses steps that add flipped triangles.
+    The Hessian's sparsity pattern is built once per solve, on the first
+    Newton step, and every Hessian is summed into it; the damping tau goes
+    onto its stored diagonal. The first factorization's minimum-degree
+    ordering is stored, and every later one factors in that order. A
+    stalled Newton run or a non-finite centroid or residual ends the solve.
 Every solve returns an EmbeddingStats record of what it did.
 """
 from __future__ import annotations
@@ -406,17 +405,13 @@ class _System:
         return splu(A, permc_spec="NATURAL", **lu_opts).solve(rhs.take(pat.inv)).take(pat.perm)
 
 
-def _fold_count(th) -> int:
-    return int((np.diff(np.unwrap(th)) < 0).sum())
-
-
 def _flip_count(sys_: _System, P) -> int:
     det = _triple_products(P, sys_.dbl.triangles)
     return int(min((det > 1e-14).sum(), (det < -1e-14).sum()))
 
 
 def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
-    """Damped Newton; accepts only gradient-decreasing, fold/flip-safe steps.
+    """Damped Newton; accepts only gradient-decreasing, flip-safe steps.
 
     Each iteration fills one Hessian H into the system's fixed pattern and
     factors H + tau I, tau added to H's stored diagonal, raising tau tenfold
@@ -431,7 +426,6 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
     _, gI, gth, g_P = sys_.grad(u_int, th)
     g = sys_.pack_grad(gI, gth)
     ginf = float(np.abs(g).max())
-    base_folds = _fold_count(th)
     base_flips = _flip_count(sys_, sys_.positions(u_int, th))
     tau = 1e-6
     for _ in range(iters):
@@ -439,7 +433,7 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
             break
         H = sys_.hessian(u_int, th, g_P)
         for _ in range(40):
-            step = _trial_step(sys_, H, tau, g, u_int, th, base_folds, base_flips)
+            step = _trial_step(sys_, H, tau, g, u_int, th, base_flips)
             if step is not None:
                 break
             stats.newton_rejected += 1
@@ -453,11 +447,11 @@ def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
     return u_int, th, ginf, True
 
 
-def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_folds: int,
-                base_flips: int):
+def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_flips: int):
     """The step (H + tau I) dx = -g from (u_int, th): the new (u_int, th, g,
-    g_P), or None when the matrix is singular, the step adds boundary folds or
-    flipped triangles, or it does not lower the gradient's max-norm.
+    g_P), or None when the matrix is singular, the step adds flipped
+    triangles (a fold of two boundary angles flips the triangle on their
+    edge), or it does not lower the gradient's max-norm.
 
     The matrix is symmetric, so sys_.solve factors it with diagonal pivots in
     the minimum-degree ordering of A + A^T that the system's first
@@ -470,8 +464,7 @@ def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_folds: int,
     u_new = u_int + dx[:2 * sys_.nI].reshape(sys_.nI, 2)
     th_new = th.copy()
     th_new[sys_.free_b] = th[sys_.free_b] + dx[2 * sys_.nI:]
-    if (_fold_count(th_new) > base_folds
-            or _flip_count(sys_, sys_.positions(u_new, th_new)) > base_flips):
+    if _flip_count(sys_, sys_.positions(u_new, th_new)) > base_flips:
         return None
     _, gI, gth, g_P = sys_.grad(u_new, th_new)
     g_new = sys_.pack_grad(gI, gth)
@@ -481,22 +474,18 @@ def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_folds: int,
 
 
 def _conformal_dilate(P, v):
-    """Moebius dilation by the equatorial vector v = (vx, vy): toward the axis
-    v/|v| with tan(theta'/2) = exp(-|v|) tan(theta/2). An equatorial axis keeps
-    the equator and the z-reflection symmetry."""
-    nv = float(np.hypot(v[0], v[1]))
-    if nv < 1e-300:   # the identity: exp(-|v|) rounds to 1; v/|v| may not be unit
-        return P
-    axis = np.array([v[0], v[1], 0.0]) / nv
-    cu = P @ axis
-    w = P - cu[:, None] * axis[None, :]
-    wn = np.linalg.norm(w, axis=1)
-    theta = np.arctan2(wn, cu)
-    tp = 2.0 * np.arctan(np.exp(-nv) * np.tan(theta / 2.0))
-    what = np.zeros_like(w)
-    ok = wn > 1e-12
-    what[ok] = w[ok] / wn[ok, None]
-    Q = np.cos(tp)[:, None] * axis[None, :] + np.sin(tp)[:, None] * what
+    """Moebius dilation by the equatorial vector v = (vx, vy): the boost of
+    rapidity s = |v| towards e = v/|v|, with tan(theta'/2) = exp(-s)
+    tan(theta/2) for the polar angle about e. With u = p . e,
+        p -> ((u + tanh s) e + sech s (p - u e)) / (1 + u tanh s).
+    An equatorial axis keeps the equator and the z-reflection symmetry.
+    sech s = 2 exp(-s) / (1 + exp(-2 s)) underflows where cosh s overflows."""
+    s = float(np.hypot(v[0], v[1]))
+    e = np.array([v[0], v[1], 0.0]) / max(s, 1e-300)   # v = 0: e = 0, the identity
+    beta, x = np.tanh(s), np.exp(-s)
+    u = (P[:, 0] * e[0] + P[:, 1] * e[1])[:, None]
+    den = 1 + beta * u
+    Q = (u + beta) / den * e + (P - u * e) * (2 * x / (1 + x * x) / den)
     return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
@@ -694,22 +683,20 @@ def _angles(pts, tris, sphere: bool):
 
 
 def _dilatation(emb: SphericalEmbedding) -> np.ndarray:
-    """Per-triangle quasi-conformal dilatation: the singular-value ratio of the
-    linear map from the planar triangle to the embedded one, each in an
-    orthonormal frame of its plane; inf where either triangle is degenerate."""
+    """Per-triangle quasi-conformal dilatation: the singular-value ratio
+    s1 / s2 of the linear map from the planar triangle to the embedded one,
+    inf where the planar det or the embedded |u x v| is 0. With j1, j2 the
+    map's columns times det, s1 / s2 = (|j1|^2 + |j2|^2 + hypot(|j1|^2 -
+    |j2|^2, 2 j1 . j2)) / (2 |j1 x j2|), and |j1 x j2| = |det| |u x v|."""
     tris = emb.mesh.triangles
     p2, p3 = emb.mesh.planar[tris], emb.positions[tris]
-    src = np.stack([p2[:, 1] - p2[:, 0], p2[:, 2] - p2[:, 0]], axis=2)  # (n, 2, 2) edge columns
-    dst = np.stack([p3[:, 1] - p3[:, 0], p3[:, 2] - p3[:, 0]], axis=2)  # (n, 3, 2)
-    n = np.cross(dst[:, :, 0], dst[:, :, 1])
-    nn = np.linalg.norm(n, axis=1)
-    ok = (nn >= 1e-300) & (np.linalg.det(src) != 0)
-    f1 = dst[ok, :, 0] / np.linalg.norm(dst[ok, :, 0], axis=1, keepdims=True)
-    frame = np.stack([f1, np.cross(n[ok] / nn[ok, None], f1)], axis=1)  # (m, 2, 3) rows
-    sv = np.linalg.svd(frame @ dst[ok] @ np.linalg.inv(src[ok]), compute_uv=False)
-    dil = np.full(len(tris), np.inf)
-    dil[ok] = sv[:, 0] / np.maximum(sv[:, 1], 1e-300)
-    return dil
+    (ax, ay), (bx, by) = (p2[:, 1] - p2[:, 0]).T, (p2[:, 2] - p2[:, 0]).T
+    u, v = p3[:, 1] - p3[:, 0], p3[:, 2] - p3[:, 0]
+    det, uxv = ax * by - ay * bx, np.linalg.norm(np.cross(u, v), axis=1)
+    j1, j2 = by[:, None] * u - ay[:, None] * v, ax[:, None] * v - bx[:, None] * u
+    e, g, f = (j1 * j1).sum(axis=1), (j2 * j2).sum(axis=1), (j1 * j2).sum(axis=1)
+    return np.divide(e + g + np.hypot(e - g, 2 * f), 2 * np.abs(det) * uxv,
+                     out=np.full(len(tris), np.inf), where=(uxv >= 1e-300) & (det != 0))
 
 
 def distortion_report(emb: SphericalEmbedding) -> DistortionReport:

@@ -193,6 +193,24 @@ def chord_edges(mesh: PlanarMesh) -> list[tuple[int, int]]:
     return [tuple(e) for e in ab[np.isin(ab, mesh.boundary).all(axis=1)].tolist()]
 
 
+def _flip_chords(vertices, triangles) -> np.ndarray:
+    """The CCW triangles with each chord's two triangles (a, b, c) and
+    (b, a, d) replaced in place by (a, d, c) and (d, b, c), where c or d is
+    interior and cd crosses ab; each flip removes a chord and adds none."""
+    t = np.array(triangles)
+    while True:
+        et = edge_table(t)
+        on_b = np.isin(np.arange(len(vertices)), et.tail[et.slots(1)])
+        s, u = et.slots(2), et.slots(2, 1)   # slot 3t + i faces vertex i of t
+        a, b, c, d = et.tail[s], et.head[s], t.ravel()[s], t.ravel()[u]
+        for k in np.flatnonzero(on_b[a] & on_b[b] & ~(on_b[c] & on_b[d])):
+            if _segments_intersect(*vertices[[a[k], b[k], c[k], d[k]]]):
+                t[[s[k] // 3, u[k] // 3]] = [[a[k], d[k], c[k]], [d[k], b[k], c[k]]]
+                break   # one flip per pass: two chords may share a triangle
+        else:
+            return t
+
+
 def validate_mesh(mesh: PlanarMesh) -> None:
     """Raise unless the mesh is a triangulated disk.
 
@@ -214,8 +232,9 @@ def triangulate(points, boundary=None) -> PlanarMesh:
     Without `boundary` the convex hull is the region boundary. With a simple
     polygon `boundary` containing all points, triangles whose centroid falls
     outside the polygon are dropped, so the mesh follows the (possibly
-    non-convex) outline traced by the points nearest the polygon.
-    """
+    non-convex) outline traced by the points nearest the polygon. Chords,
+    which the double cannot take, are flipped away where they can be
+    (`_flip_chords`)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise DegenerateInput("need at least 3 planar points")
@@ -240,6 +259,7 @@ def triangulate(points, boundary=None) -> PlanarMesh:
         T = T[point_in_polygon(cent, poly)]
         if len(T) == 0:
             raise DegenerateInput("no triangles remain inside the polygon")
+    T = _flip_chords(pts, T)
     mesh = PlanarMesh(vertices=pts, triangles=T, boundary=_boundary_loop(T))
     validate_mesh(mesh)
     return mesh

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .sphere import (DEFAULT_STEP, SphericalCircle, SphericalCurve,
-                     circle_with_radius, count_intersections, geodesic_distance,
+                     count_intersections, geodesic_distance,
                      great_circle_through, latitude_circle,
                      perpendicular_basis, require_unit, spiral_for)
 
@@ -113,18 +113,9 @@ def hash_location(data_id: str, seed: int, override=None) -> np.ndarray:
     return np.array([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _great_circle_at(point, psi: float) -> SphericalCircle:
-    """Great circle through `point` whose axis lies at angle psi in the
-    point's perpendicular plane."""
-    point = require_unit(point)
-    e1, e2 = perpendicular_basis(point)
-    axis = np.cos(psi) * e1 + np.sin(psi) * e2
-    return SphericalCircle(axis=axis, rho=np.pi / 2, start=point.copy())
-
-
 def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
     """Circle of geodesic radius rho through `point`, centred at angle psi
-    around it.
+    around it; rho = pi/2 is a great circle.
 
     Radii above pi/2 are expressed as the complementary circle around the
     antipodal center, which is the identical point set.
@@ -135,8 +126,7 @@ def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
               + np.sin(rho) * (np.cos(psi) * e1 + np.sin(psi) * e2))
     if rho > np.pi / 2:
         center, rho = -center, np.pi - rho
-    circ = circle_with_radius(center, rho)
-    return SphericalCircle(axis=circ.axis, rho=circ.rho, start=point.copy())
+    return SphericalCircle(axis=center, rho=float(rho), start=point.copy())
 
 
 ROLES = ("write", "read")
@@ -171,7 +161,7 @@ def quorum_curve(kind: QuorumSystemKind, role: str, node, hash_point,
         if write != kind.dual:
             return _circle_at(node, kind.r_w, psi)
         return spiral_for(node, kind.a, psi)
-    return _great_circle_at(node if write else hash_point, psi)
+    return _circle_at(node if write else hash_point, np.pi / 2, psi)
 
 
 def mixing_angles(k: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 Points are numpy arrays of shape (3,) with unit norm; polylines are (n, 3) arrays.
 All operations are pure functions over immutable values.
 
-Every crossing pair has a circle, and its crossings are found on it: the
-other curve is a level set, whose level function is read at its samples.
+Every crossing pair has a circle, and its crossings are found on it: a
+circle's in closed form, a spiral's from its level function at samples.
 """
 from __future__ import annotations
 
@@ -269,38 +269,39 @@ def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:
 
 
 def circle_crossings(circle: SphericalCircle, other, step: float):
-    """Where `other`, a circle or a spiral, crosses `circle`, found on
-    `circle` sampled at `step`: (t, points, theta) in order of t, each
-    crossing's angle along `circle` (`SphericalCircle.points`), its point on
-    `circle`, and its theta along a spiral `other` (None for a circle).
+    """Where `other`, a circle or a spiral, crosses `circle`: (t, points,
+    theta) in order of t, each crossing's angle along `circle`
+    (`SphericalCircle.points`), its point on `circle`, and its theta along a
+    spiral `other` (None for a circle).
 
-    `other` is crossed on each segment between samples where its level
-    function passes a level:
-      - a circle (n, rho) where f = p . n - cos rho changes sign, a sample
-        within UNIT_TOL of the plane counting as positive; f is a sinusoid
-        in the angle, so at most 2 crossings, interpolated linearly in f;
-      - a spiral where h / 2 pi of a branch (`branches`) passes an integer,
-        lambda unwrapped by each segment's principal increment, as along its
-        chord (the rule `loadsim` applies on mesh edges). One pass runs in
-        the spiral's local frame: the circle's centre and radii are rotated
-        into it once, and each sample's latitude and longitude come from
-        cos t and sin t. Two regula falsi steps place the crossing on its
-        segment's bracket, and it counts when its theta lies in the sweep;
-        samples at most a apart pass one level each.
+    A circle (n, rho) is crossed in closed form, without `step`: on `circle`,
+    p . n - cos rho = A cos t + B sin t - d, with roots t = atan2(B, A) -+
+    arccos(d / R), R = hypot(A, B), and none when |d| >= R (tangency).
 
-    Guarantees, except where a pole lies between an arc and its chord:
-    every crossing counted is a real crossing on that arc of the circle;
-    a crossing is missed only with another, where the level function
+    A spiral is crossed on `circle` sampled at `step`, on each segment
+    between samples where h / 2 pi of a branch (`branches`) passes an
+    integer, lambda unwrapped by each segment's principal increment, as
+    along its chord (the rule `loadsim` applies on mesh edges). One pass
+    runs in the spiral's local frame: the circle's centre and radii are
+    rotated into it once, and each sample's latitude and longitude come from
+    cos t and sin t. Two regula falsi steps place the crossing on its
+    segment's bracket, and it counts when its theta lies in the sweep;
+    samples at most a apart pass one level each.
+
+    Guarantees on a spiral, except where a pole lies between an arc and its
+    chord: every crossing counted is a real crossing on that arc of the
+    circle; a crossing is missed only with another, where the level function
     passes a level and comes back within one segment, so misses come in
     pairs within one step; and the count on a spiral branch has the parity
     of the sampled circle's winding about the spiral's axis, so it is odd
     exactly when the circle encloses one pole.
     """
     if isinstance(other, SphericalCircle):
-        t = _circle_angles(circle, step)
-        f = circle.points(t) @ other.axis - np.cos(other.rho)
-        seg = np.flatnonzero(np.diff(f >= -UNIT_TOL))
-        tc = t[seg] + np.clip(f[seg] / (f[seg] - f[seg + 1]), 0.0, 1.0) * (t[seg + 1] - t[seg])
+        a, b = (math.sin(circle.rho) * np.array(circle.basis) @ other.axis).tolist()
+        d = math.cos(other.rho) - math.cos(circle.rho) * float(circle.axis @ other.axis)
+        r = math.hypot(a, b)
+        tc = (np.sort(np.mod(math.atan2(b, a) + np.array([-1.0, 1.0]) * math.acos(d / r), TWO_PI))
+              if abs(d) < r else np.empty(0))
         return tc, circle.points(tc), None
     if not isinstance(other, SphericalSpiral):
         raise TypeError(f"circle_crossings needs a circle or a spiral, not {type(other)!r}")
@@ -352,9 +353,10 @@ def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
                         step: float = DEFAULT_STEP, merge_tol: float = 0.0):
     """Count the transversal crossings of a circle with a circle or a spiral:
     (count, points) of `circle_crossings` on the SphericalCircle argument
-    (the first when both are), sampled at `step`. Exact tangency is not
-    counted, which undercounts conservatively. `merge_tol` has no effect;
-    it is still checked to be at most 2 step, as callers pass it."""
+    (the first when both are). Two circles' crossings are exact; a spiral's
+    are found on the circle sampled at `step`. Tangency is not counted, which
+    undercounts conservatively. `merge_tol` has no effect; it is still
+    checked to be at most 2 step, as callers pass it."""
     if step <= 0:
         raise OutOfRange("step must be positive")
     if merge_tol > 2 * step * (1 + 1e-9):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ from conftest import SQUARE, random_unit
 
 _Z = np.array([1.0, 1.0, -1.0])
 RECT = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+
+
+def _polar_angle_dilate(P, v):
+    """The equatorial dilation by its polar angles about e = v/|v|:
+    tan(theta'/2) = exp(-|v|) tan(theta/2), written apart from the library's
+    closed form as the reference."""
+    nv = float(np.hypot(v[0], v[1]))
+    if nv < 1e-300:
+        return P
+    axis = np.array([v[0], v[1], 0.0]) / nv
+    cu = P @ axis
+    w = P - cu[:, None] * axis[None, :]
+    wn = np.linalg.norm(w, axis=1)
+    theta = np.arctan2(wn, cu)
+    tp = 2.0 * np.arctan(np.exp(-nv) * np.tan(theta / 2.0))
+    what = np.zeros_like(w)
+    ok = wn > 1e-12
+    what[ok] = w[ok] / wn[ok, None]
+    Q = np.cos(tp)[:, None] * axis[None, :] + np.sin(tp)[:, None] * what
+    return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
 def _cover(n_nodes, seed, region=SQUARE):
@@ -65,6 +86,16 @@ class TestInvariants:
         assert np.all(Q[:10, 2] == 0.0)
         assert np.array_equal(_conformal_dilate(P * _Z, (vx, vy)), Q * _Z)
         assert np.abs(_conformal_dilate(Q, (-vx, -vy)) - P).max() < 1e-12
+        assert np.abs(Q - _polar_angle_dilate(P, (vx, vy))).max() < 1e-13
+
+    def test_large_dilation_is_finite(self):
+        # cosh(800) overflows; the dilation takes every point to the axis
+        P = random_unit(np.random.default_rng(5), 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = _conformal_dilate(P, (480.0, 640.0))
+        assert np.abs(np.linalg.norm(Q, axis=1) - 1.0).max() < 1e-12
+        assert np.allclose(Q, [0.6, 0.8, 0.0], rtol=0, atol=1e-12)
 
     def test_region_center_maps_near_pole(self):
         # 4-fold symmetric deployment; the center vertex lands near the pole
@@ -483,6 +514,17 @@ class TestHandoff:
         assert len(emb.flipped_triangles()) == 0
         assert np.all(emb.positions[dbl.boundary, 2] == 0.0)
         assert np.linalg.norm(emb.area_centroid()) < 5e-7
+
+    @pytest.mark.parametrize("n_nodes, seed, region", [(2000, 1, SQUARE), (4000, 1, IRREGULAR),
+                                                       (1000, 1, RECT)],
+                             ids=["square-2000-s1", "irregular-4000-s1", "rect-1000-s1"])
+    def test_dilated_solves_converge(self, n_nodes, seed, region):
+        # solves whose rounds the dilation moves; the rectangle's Newton runs
+        # converge only through rejected steps
+        emb = geoq.harmonic_sphere_map(_cover(n_nodes, seed, region))
+        assert emb.residual <= 1e-7
+        assert emb.stats.centroid_norm < embedding.CENTROID_TOL
+        assert len(emb.flipped_triangles()) == 0
 
     def test_stalled_newton_ends_the_solve(self, monkeypatch):
         # a Newton run that reports a stall after one step in round 1 ends

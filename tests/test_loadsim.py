@@ -544,6 +544,17 @@ class TestFirstHit:
             assert abs(geoq.geodesic_distance(end, write.axis) - write.rho) < 1e-4
             assert not _crosses(write, before)
 
+    def test_ql_cut_lies_on_the_write_circle(self):
+        # a latitude read around the hash crosses every great-circle write
+        # through the hash; the cut is their exact crossing
+        kind = geoq.QuorumSystemKind("QL")
+        for write, read in self._pairs(kind, 15, 30):
+            lo, hi = _first_hit_keep(read, [write], self.STEP)
+            assert lo == 0.0 and 0.0 < hi < 2 * np.pi
+            before, end = _scan(read, lo, hi, self.STEP / 8)
+            assert abs(end @ write.axis - np.cos(write.rho)) < 1e-12
+            assert not _crosses(write, before)
+
     def test_qg_read_stops_at_the_hash(self):
         # every QG write passes the hash, where each QG read starts
         kind = geoq.QuorumSystemKind("QG")

@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geoq
+from geoq import config
+from geoq.cli import build_mesh
 from geoq.config import IRREGULAR
 from geoq.errors import DegenerateInput
 from geoq.mesh import (_boundary_loop, chord_edges, corner_anchors, mesh_from_text,
@@ -61,6 +63,22 @@ class TestTriangulate:
         pts = np.vstack([np.array(SQUARE), [[2.0, 2.0]]])
         with pytest.raises(DegenerateInput):
             geoq.triangulate(pts, boundary=SQUARE)
+
+    @pytest.mark.parametrize("polygon, n_nodes, seed", [(IRREGULAR, 2000, 11),
+                                                        (config.SQUARE, 300, 4)])
+    def test_deployment_chord_is_flipped(self, polygon, n_nodes, seed, monkeypatch):
+        # the Delaunay triangulation of these deployments holds one chord,
+        # which cuts off a corner; the flip replaces its two triangles, keeps
+        # every other, and the solve takes the mesh
+        cfg = config.ExperimentConfig(nodes=n_nodes, polygon=polygon)
+        mesh = build_mesh(cfg, seed)
+        assert not chord_edges(mesh)
+        emb = geoq.harmonic_sphere_map(geoq.double_cover(mesh))
+        assert len(emb.flipped_triangles()) == 0
+        monkeypatch.setattr(geoq.mesh, "_flip_chords", lambda vertices, triangles: triangles)
+        delaunay = build_mesh(cfg, seed)
+        assert len(chord_edges(delaunay)) == 1
+        assert (mesh.triangles != delaunay.triangles).any(axis=1).sum() == 2
 
 
 class TestDoubleCover:

@@ -241,6 +241,23 @@ class TestCountIntersections:
         n, _ = geoq.count_intersections(cap, eq, step=np.pi / 200, merge_tol=np.pi / 100)
         assert n == 0
 
+    def test_crossings_within_one_step_count_two(self):
+        # the second circle's axis tilts 1 rad from the equator towards the
+        # equator's point m half a sampling step from its first sample; the
+        # circles cross at t(m) +- 5e-4, both between the same two samples
+        step = np.pi / 200
+        eq = geoq.circle_with_radius([0, 0, 1], np.pi / 2)
+        m = eq.points(step / 2)
+        tilted = geoq.circle_with_radius(np.cos(1.0) * m + np.sin(1.0) * np.array([0, 0, 1]),
+                                         np.arccos(np.cos(1.0) * np.cos(5e-4)))
+        for c1, c2 in ((eq, tilted), (tilted, eq)):
+            n, pts = geoq.count_intersections(c1, c2, step=step)
+            assert n == 2
+            for c in (eq, tilted):
+                assert np.abs(pts @ c.axis - np.cos(c.rho)).max() < 1e-12
+        t, _, _ = circle_crossings(eq, tilted, step)
+        assert np.allclose(t, step / 2 + np.array([-5e-4, 5e-4]), rtol=0, atol=1e-12)
+
     def test_random_circle_pairs_at_most_two(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
