@@ -641,14 +641,16 @@ def locate(p, emb: SphericalEmbedding) -> int:
 
 
 def locate_many(points, emb: SphericalEmbedding) -> np.ndarray:
-    """Vectorized location of many points: each is tested against the
-    triangles with its 12 nearest centroids, and a miss goes to `locate`."""
+    """Vectorized `locate`: each point is tested against the triangles with
+    its 12 nearest centroids. A point that just one of them contains gets
+    that one; a point that none or several contain, such as a point on an
+    edge, goes to `locate`, which returns the lowest-index container."""
     pts = np.asarray(points, dtype=float)
     k = min(12, emb.mesh.n_triangles)
     _, cand = emb.kdtree().query(pts, k=k)
     cand = np.atleast_2d(cand)
     contains = _locate_test(emb, cand, pts[:, None, None, :])[..., 0]
-    out = np.where(contains.any(axis=1),
+    out = np.where(contains.sum(axis=1) == 1,
                    cand[np.arange(len(pts)), np.argmax(contains, axis=1)], -1)
     for i in np.flatnonzero(out < 0):
         out[i] = locate(pts[i], emb)

@@ -69,24 +69,20 @@ def raster_step(emb: SphericalEmbedding) -> float:
 
 
 def _pack(bits):
-    """The rows of a bool array packed 64 columns to a word."""
-    packed = np.packbits(bits, axis=1)
-    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view(np.uint64)
+    """The rows of a bool array packed 8 columns to a byte."""
+    return np.packbits(bits, axis=1)
 
 
-def _any_of(words, index):
-    """Packed rows: for every index row i, the columns r where words[j] has
+def _any_of(packed, index):
+    """Packed rows: for every index row i, the columns r where packed[j] has
     bit r for some j in index[i]."""
-    return words[index[:, 0]] | words[index[:, 1]] | words[index[:, 2]]
+    return packed[index[:, 0]] | packed[index[:, 1]] | packed[index[:, 2]]
 
 
-def _set_pairs(words):
+def _set_pairs(packed):
     """(column, row) of every set bit of packed rows (`_pack`)."""
-    octets = words.view(np.uint8)
-    row, byte = np.nonzero(octets)
-    k, bit = np.nonzero(np.unpackbits(octets[row, byte][:, None], axis=1))
+    row, byte = np.nonzero(packed)
+    k, bit = np.nonzero(np.unpackbits(packed[row, byte][:, None], axis=1))
     return byte[k] * 8 + bit, row[k]
 
 
@@ -243,12 +239,10 @@ def level_sets(curves, emb: SphericalEmbedding, keep=None):
     return owner, tri, (v_owner, vert)
 
 
-def rasterize(curve: SphericalCurve, emb: SphericalEmbedding,
-              step: float | None = None) -> np.ndarray:
+def rasterize(curve: SphericalCurve, emb: SphericalEmbedding) -> np.ndarray:
     """Sorted unique indices of the mesh triangles that the curve crosses:
-    the triangles of its level set (`level_sets`). The level set is exact
-    on the flat triangles, so no `step` is needed; the argument is accepted
-    and ignored."""
+    the triangles of its level set (`level_sets`), exact on the flat
+    triangles."""
     return np.unique(level_sets([curve], emb)[1])
 
 
@@ -290,16 +284,16 @@ def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
 class Workload:
     """Access pattern: data types, relative write rate, and the event model.
 
-    write_rate_r is the per-contributor data production rate relative to a
-    per-querier query rate of 1. MonteCarlo mode draws `events` accesses per
-    accessor (each carrying rate/events weight); Expected mode charges pure
-    strategies once at full rate and mixed strategies through a deterministic
-    mixing quadrature of `mix_samples` curves.
+    write_rate_r is the per-contributor data production rate; every querier
+    queries at rate 1, and loads are affine in the rates, so a write-only
+    load is a workload with no queriers. MonteCarlo mode draws `events`
+    accesses per accessor (each carrying rate/events weight); Expected mode
+    charges pure strategies once at full rate and mixed strategies through a
+    deterministic mixing quadrature of `mix_samples` curves.
     """
 
     data_types: tuple
     write_rate_r: float
-    read_rate: float = 1.0
     mode: str = "montecarlo"
     events: int = 1
     mix_samples: int = 16
@@ -307,8 +301,6 @@ class Workload:
     def __post_init__(self):
         if not (math.isfinite(self.write_rate_r) and self.write_rate_r > 0):
             raise OutOfRange(f"write_rate_r must be finite and positive, got {self.write_rate_r}")
-        if not (math.isfinite(self.read_rate) and self.read_rate >= 0):
-            raise OutOfRange(f"read_rate must be finite and nonnegative, got {self.read_rate}")
         if self.mode not in ("montecarlo", "expected"):
             raise ConfigError(f"unknown workload mode {self.mode!r}")
         if self.events < 1 or self.mix_samples < 1:
@@ -360,12 +352,12 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
     expected = workload.mode == "expected"
     for role, accessors, rate, draw in (
             ("write", data.contributors, workload.write_rate_r, write_quorum),
-            ("read", data.queriers, workload.read_rate, read_quorum)):
+            ("read", data.queriers, 1.0, read_quorum)):
         nodes = [node_pos[int(i)] for i in accessors]
         if expected and role == "read" and is_read_shared(kind):
             # the read family depends only on the hash; share it across queriers
             rate *= len(nodes)
-            nodes = [None] if rate > 0 else []
+            nodes = [None] if nodes else []
         for node in nodes:
             if expected and is_mixed(kind, role):
                 curves = [quorum_curve(kind, role, node, data.hash_point, psi)

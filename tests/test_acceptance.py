@@ -12,7 +12,6 @@ import geoq
 from geoq.cli import CSV_COLUMNS, main
 from geoq.config import ExperimentConfig, config_to_text
 from geoq.embedding import locate_many
-from geoq.loadsim import raster_step
 from geoq.sphere import SphericalSpiral
 
 from conftest import SQUARE, random_unit
@@ -375,15 +374,15 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 def test_criterion_10_oracle_equivalence():
-    """Rasterization is step-stable and point location matches brute force."""
+    """Rasterization and point location match brute force."""
     emb = emb2000(1)
-    s = raster_step(emb)
-    diffs = []
-    for curve in (geoq.great_circle_through([1, 0, 0], [0, 0.6, 0.8]),
-                  geoq.spiral_for(geoq.unit_vector([0.2, -0.4, 0.89]), 0.2, 1.0)):
-        a = set(int(t) for t in geoq.rasterize(curve, emb, step=s))
-        b = set(int(t) for t in geoq.rasterize(curve, emb, step=s / 2))
-        diffs.append(len(a ^ b) / len(a))
+    # the great circle's oracle: the triangles with vertices strictly on both
+    # sides of its plane, beyond the 1e-9 tie band
+    curve = geoq.great_circle_through([1, 0, 0], [0, 0.6, 0.8])
+    f = (emb.positions @ curve.axis - np.cos(curve.rho))[emb.mesh.triangles]
+    oracle = np.flatnonzero((f > 1e-9).any(axis=1) & (f < -1e-9).any(axis=1))
+    raster = geoq.rasterize(curve, emb)
+    raster_ok = np.array_equal(raster, oracle)
     rng = np.random.default_rng(110)
     pts = random_unit(rng, 10_000)
     tids = locate_many(pts, emb)
@@ -404,9 +403,10 @@ def test_criterion_10_oracle_equivalence():
         for i in range(len(p)):
             if not inside[tids[chunk + i], i]:
                 mismatches += 1
-    ok = all(d < 0.01 for d in diffs) and mismatches == 0
-    report(10, "rasterize step-stability and locate oracle",
-           ok, f"set diffs {[f'{d * 100:.2f}%' for d in diffs]}, "
+    ok = raster_ok and mismatches == 0
+    report(10, "rasterize and locate oracles",
+           ok, f"raster {len(raster)} vs oracle {len(oracle)} triangles, "
+               f"{len(np.setxor1d(raster, oracle))} differ; "
                f"locate mismatches {mismatches}/10000")
-    assert all(d < 0.01 for d in diffs)
+    assert raster_ok
     assert mismatches == 0

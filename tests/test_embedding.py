@@ -158,6 +158,13 @@ class TestLocate:
         assert np.all(s * emb400.orientation() >= -1e-10)
         assert np.all(np.einsum("ij,ij->i", a + b + c, pts) > 0)
 
+    def test_many_agrees_with_one_on_ties(self, emb400):
+        # an edge midpoint lies in both triangles of its edge and a vertex in
+        # its whole fan; both functions take the lowest-index triangle
+        mid = emb400.positions[emb400.edges()[0]].sum(axis=1)
+        pts = np.vstack([mid / np.linalg.norm(mid, axis=1, keepdims=True), emb400.positions])
+        assert locate_many(pts, emb400).tolist() == [geoq.locate(p, emb400) for p in pts]
+
 
 class TestDistortion:
     def test_fields_sane(self, emb400):
@@ -542,6 +549,30 @@ class TestHandoff:
         assert best.stats.recenter_rounds == 1 and best.stats.newton_accepted == 1
         assert np.isfinite(best.positions).all()
         assert 1e-7 < err.value.residual < np.inf
+
+
+class TestFoldRefusal:
+    def test_folding_map_stalls(self):
+        # Newton refuses every step that adds a flipped triangle, and on this
+        # mesh that stalls it: 40 trials in a row are refused
+        with pytest.raises(NoConvergence, match="stalled") as err:
+            geoq.harmonic_sphere_map(_cover(400, 1, IRREGULAR))
+        assert err.value.best.stats.newton_rejected >= 40
+
+    def test_unguarded_solve_folds(self, monkeypatch):
+        # without the flip test, the same mesh converges to a folded map, so
+        # it is the refusal to fold that stalls the solve above
+        monkeypatch.setattr(embedding, "_flip_count", lambda sys_, P: 0)
+        emb = geoq.harmonic_sphere_map(_cover(400, 1, IRREGULAR))
+        assert emb.residual <= embedding.DEFAULT_TOL
+        assert len(emb.flipped_triangles()) > 0
+
+    @pytest.mark.parametrize("n_nodes", (200, 300))
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    def test_small_squares_converge_unfolded(self, n_nodes, seed):
+        emb = geoq.harmonic_sphere_map(_cover(n_nodes, seed))
+        assert emb.residual <= embedding.DEFAULT_TOL
+        assert len(emb.flipped_triangles()) == 0
 
 
 def _with_position_line(emb, line):
