@@ -57,15 +57,10 @@ from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed
 from .sphere import (TWO_PI, UNIT_TOL, SphericalCircle, SphericalCurve,
                      SphericalSpiral, circle_crossings, sample)
 
-RASTER_STEP_FACTOR = 0.25  # first-hit circle sampling step as a fraction of the median edge length
 POLE_TOL = 1e-6  # a boundary reader's far pole lies on a seam edge, where lambda turns by pi
 # Curve x mesh entries (vertices for a circle, edges per spiral branch) of one
 # block: bounds each of a block's float arrays to 2 MB.
 _BLOCK = 1 << 18
-
-
-def raster_step(emb: SphericalEmbedding) -> float:
-    return RASTER_STEP_FACTOR * emb.median_edge_length()
 
 
 def _pack(bits):
@@ -322,10 +317,10 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
                 raise ConfigError(f"node id {i} outside deployment of {n_nodes}")
 
 
-def _first_hit_keep(read: SphericalCurve, writes: list, step: float):
+def _first_hit_keep(read: SphericalCurve, writes: list):
     """The interval of the read's parameter kept up to its first crossing
     with any write: the angle about a circle's axis from its start, or theta
-    along a spiral, from `circle_crossings` at `step`; (lo, lo) if the read
+    along a spiral, from `circle_crossings`; (lo, lo) if the read
     starts on a write circle, and None if it never crosses a write."""
     circle = isinstance(read, SphericalCircle)
     lo = 0.0 if circle else read.theta_range()[0]
@@ -334,14 +329,14 @@ def _first_hit_keep(read: SphericalCurve, writes: list, step: float):
     for w in writes:
         if isinstance(w, SphericalCircle) and abs(start @ w.axis - np.cos(w.rho)) <= UNIT_TOL:
             return lo, lo
-        params = (circle_crossings(read, w, step)[0] if circle
-                  else circle_crossings(w, read, step)[2])
+        params = (circle_crossings(read, w)[0] if circle
+                  else circle_crossings(w, read)[2])
         first = min(first, params.min(initial=np.inf))
     return None if first == np.inf else (lo, float(first))
 
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
-              node_pos, rng, step: float, first_hit: bool):
+              node_pos, rng, first_hit: bool):
     """The data type's accesses in charging order, as (curve, keep, weight):
     every write, then every read. An accessor's curves are `events` draws in
     Monte Carlo mode; in expected mode, the mixing quadrature of a mixed
@@ -368,7 +363,7 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
             for curve in curves:
                 if first_hit and role == "write":
                     writes.append(curve)
-                keep = (_first_hit_keep(curve, writes, step)
+                keep = (_first_hit_keep(curve, writes)
                         if first_hit and role == "read" else None)
                 yield curve, keep, rate / len(curves)
 
@@ -409,11 +404,9 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
         _validate_nodes(data, n_nodes)
     load = np.zeros(n_nodes)
     node_pos = emb.node_positions()
-    step = raster_step(emb)
 
     accesses = chain.from_iterable(
-        _accesses(workload, kind, data, node_pos, rng, step,
-                  read_termination == "first_hit")
+        _accesses(workload, kind, data, node_pos, rng, read_termination == "first_hit")
         for data in workload.data_types)
     for block in _blocks(accesses, emb):
         curves, keep, weights = zip(*block)
@@ -423,9 +416,7 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
     rg = rd = None
     if robustness_trials > 0:
         rr = robustness_rng if robustness_rng is not None else rng
-        coarse = max(step, np.pi / 400)
-        rg = geometric_robustness(kind, workload.data_types[0], robustness_trials,
-                                  rr, step=coarse)
+        rg = geometric_robustness(kind, workload.data_types[0], robustness_trials, rr)
         rd = discrete_robustness(kind, workload.data_types[0], emb,
                                  robustness_trials, rr)
     metrics = Metrics(system_load=float(load.max()), total_load=float(load.sum()),

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .sphere import (DEFAULT_STEP, SphericalCircle, SphericalCurve,
-                     count_intersections, geodesic_distance,
-                     great_circle_through, latitude_circle,
+from .sphere import (SphericalCircle, SphericalCurve, count_intersections,
+                     geodesic_distance, great_circle_through, latitude_circle,
                      perpendicular_basis, require_unit, spiral_for)
 
 KIND_NAMES = ("QG", "QGm", "QL", "QLd", "GeoQuorum")
@@ -201,8 +200,7 @@ def _far_from(point, rng, eps=1e-6) -> np.ndarray:
             return p
 
 
-def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rng,
-                         step: float = DEFAULT_STEP) -> int:
+def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rng) -> int:
     """Minimum write/read curve intersection count over sampled access pairs."""
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
@@ -212,6 +210,6 @@ def geometric_robustness(kind: QuorumSystemKind, data: DataType, trials: int, rn
         reader = _far_from(data.hash_point, rng)
         wq = write_quorum(kind, writer, data, rng)
         rq = read_quorum(kind, reader, data, rng)
-        n, _ = count_intersections(wq, rq, step=step)
+        n, _ = count_intersections(wq, rq)
         best = n if best is None else min(best, n)
     return int(best)

@@ -3,8 +3,10 @@
 Points are numpy arrays of shape (3,) with unit norm; polylines are (n, 3) arrays.
 All operations are pure functions over immutable values.
 
-Every crossing pair has a circle, and its crossings are found on it: a
-circle's in closed form, a spiral's from its level function at samples.
+Every crossing pair has a circle. Another circle crosses it in closed form;
+a spiral crosses it at the roots of the circle's plane function along the
+spiral, which a bound on that function's second derivative certifies: every
+root is counted but a double root, so tangency is not counted.
 """
 from __future__ import annotations
 
@@ -268,33 +270,136 @@ def sample(curve: SphericalCurve, step: float) -> GeodesicPolyline:
     raise TypeError(f"not a spherical curve: {type(curve)!r}")
 
 
-def circle_crossings(circle: SphericalCircle, other, step: float):
+# `_spiral_roots` samples F at most _ROOT_GRID apart in theta (12 samples a
+# turn), over the circle's latitude band widened by _BAND_PAD so that a
+# crossing on the band's edge (a circle centred on a spiral pole) lies inside
+# it. A refined root is within _ROOT_TOL in theta; an interval shorter than
+# _SPLIT_FLOOR that no test certifies holds a double root, not counted.
+_ROOT_GRID = TWO_PI / 12
+_BAND_PAD = 1e-6
+_ROOT_TOL = 1e-12
+_SPLIT_FLOOR = 1e-9
+
+
+def _refine(f, bound, ta, fa, tb, fb) -> float:
+    """The root of f in [ta, tb], where f changes sign (fa, fb at the ends) and
+    |f''| <= bound: Newton steps from the regula falsi point, bisecting
+    where a step leaves the bracket, until the step's own error bound,
+    bound step^2 / |f'|, is below _ROOT_TOL."""
+    t = ta + fa * (tb - ta) / (fa - fb)
+    for _ in range(100):
+        ft, dt = f(t)
+        if (ft > 0) == (fa > 0):
+            ta = t
+        else:
+            tb = t
+        step = ft / dt if dt else math.inf
+        if not ta <= t - step <= tb:
+            t = 0.5 * (ta + tb)
+        elif bound * step * step <= _ROOT_TOL * abs(dt) or abs(step) <= _ROOT_TOL:
+            return t - step
+        else:
+            t -= step
+        if tb - ta <= _ROOT_TOL:
+            break
+    return t
+
+
+def _roots_between(f, bound, ta, fa, da, tb, fb, db, roots) -> None:
+    """Append to roots the roots of f in [ta, tb] (f, f' at the ends), in
+    order: the interval is split until each piece is certified by
+    |f''| <= bound to hold no root or exactly one (`_spiral_roots`)."""
+    stack = [(ta, fa, da, tb, fb, db)]
+    while stack:
+        ta, fa, da, tb, fb, db = stack.pop()
+        w = tb - ta
+        if (fa > 0) != (fb > 0):
+            if da * db > 0 and abs(da) + abs(db) > bound * w or w < _SPLIT_FLOOR:
+                roots.append(_refine(f, bound, ta, fa, tb, fb))
+                continue
+        elif min(abs(fa), abs(fb)) > bound * w * w / 8 or w < _SPLIT_FLOOR:
+            continue
+        tm = 0.5 * (ta + tb)
+        fm, dm = f(tm)
+        stack += ((tm, fm, dm, tb, fb, db), (ta, fa, da, tm, fm, dm))
+
+
+def _spiral_roots(circle: SphericalCircle, spiral: SphericalSpiral):
+    """(theta, points) of the spiral's crossings with the circle, in order
+    of theta: the roots, in the sweep, of
+
+        F(theta) = sin(a theta) n_z + cos(a theta) |n_xy| cos(theta + theta0
+                   - lambda_n) - cos rho,
+
+    the circle's plane function p . n - cos rho at the spiral's point, with
+    n = (n_xy, n_z) the circle's centre at longitude lambda_n in the
+    spiral's local frame. The cosine absorbs lambda's 2 pi ambiguity.
+
+    F vanishes only where the spiral's latitude lies in the circle's band
+    [phi_n - rho, phi_n + rho], so each branch is sampled there alone, at
+    most _ROOT_GRID apart. |F''| <= M = hypot(a^2, 1 + a^2), so F departs
+    from its chord on an interval of width w by at most M w^2 / 8: an
+    interval whose ends have one sign is split until both ends lie farther
+    than that from zero, and then holds no root. A sign change is split
+    until F' keeps its sign across it (|F'| at the ends sum to more than
+    M w), and then holds exactly one root, which is refined in scalar
+    arithmetic. So every root is counted but a double root (tangency)."""
+    nx, ny, nz = (spiral.frame @ circle.axis).tolist()
+    r = math.hypot(nx, ny)
+    phi_n, shift = math.atan2(nz, r), spiral.theta0 - math.atan2(ny, nx)
+    a, cos_rho = spiral.a, math.cos(circle.rho)
+    bound = math.hypot(a * a, 1.0 + a * a)
+
+    def f(th):  # F and F' at theta
+        s, c = math.sin(a * th), math.cos(a * th)
+        rc, cu, su = r * c, math.cos(th + shift), math.sin(th + shift)
+        return s * nz + rc * cu - cos_rho, a * (c * nz - s * r * cu) - rc * su
+
+    t0, t1 = spiral.theta_range()
+    band = (max(phi_n - circle.rho - _BAND_PAD, -np.pi / 2),
+            min(phi_n + circle.rho + _BAND_PAD, np.pi / 2))
+    roots = []
+    for base, pitch, _, lo, hi in spiral.branches():
+        u, v = sorted(base + lat / pitch for lat in band)
+        u, v = max(u, lo, t0), min(v, hi, t1)
+        if u >= v:
+            continue
+        n = math.ceil((v - u) / _ROOT_GRID)
+        w = (v - u) / n
+        clear = bound * w * w / 8
+        ta, (fa, da) = u, f(u)
+        for i in range(1, n + 1):
+            tb = u + i * w if i < n else v
+            fb, db = f(tb)
+            # most grid intervals clear the chord bound; skip those inline
+            if (fa > 0) != (fb > 0) or min(abs(fa), abs(fb)) <= clear:
+                _roots_between(f, bound, ta, fa, da, tb, fb, db, roots)
+            ta, fa, da = tb, fb, db
+    (f0, f1, f2), (g0, g1, g2), (h0, h1, h2) = spiral.frame.tolist()
+    points = []
+    for th in roots:
+        cos_phi, z = math.cos(a * th), math.sin(a * th)
+        x, y = math.cos(th + spiral.theta0) * cos_phi, math.sin(th + spiral.theta0) * cos_phi
+        points.append((x * f0 + y * g0 + z * h0, x * f1 + y * g1 + z * h1,
+                       x * f2 + y * g2 + z * h2))
+    return np.array(roots, dtype=float), np.array(points, dtype=float).reshape(-1, 3)
+
+
+def circle_crossings(circle: SphericalCircle, other):
     """Where `other`, a circle or a spiral, crosses `circle`: (t, points,
     theta) in order of t, each crossing's angle along `circle`
-    (`SphericalCircle.points`), its point on `circle`, and its theta along a
-    spiral `other` (None for a circle).
+    (`SphericalCircle.points`), its point, and its theta along a spiral
+    `other` (None for a circle).
 
-    A circle (n, rho) is crossed in closed form, without `step`: on `circle`,
+    A circle (n, rho) is crossed in closed form: on `circle`,
     p . n - cos rho = A cos t + B sin t - d, with roots t = atan2(B, A) -+
     arccos(d / R), R = hypot(A, B), and none when |d| >= R (tangency).
 
-    A spiral is crossed on `circle` sampled at `step`, on each segment
-    between samples where h / 2 pi of a branch (`branches`) passes an
-    integer, lambda unwrapped by each segment's principal increment, as
-    along its chord (the rule `loadsim` applies on mesh edges). One pass
-    runs in the spiral's local frame: the circle's centre and radii are
-    rotated into it once, and each sample's latitude and longitude come from
-    cos t and sin t. Two regula falsi steps place the crossing on its
-    segment's bracket, and it counts when its theta lies in the sweep;
-    samples at most a apart pass one level each.
-
-    Guarantees on a spiral, except where a pole lies between an arc and its
-    chord: every crossing counted is a real crossing on that arc of the
-    circle; a crossing is missed only with another, where the level function
-    passes a level and comes back within one segment, so misses come in
-    pairs within one step; and the count on a spiral branch has the parity
-    of the sampled circle's winding about the spiral's axis, so it is odd
-    exactly when the circle encloses one pole.
+    A spiral is crossed at the roots of the circle's plane function along
+    it (`_spiral_roots`), each within 1e-12 in theta, and its points are the
+    spiral's there. Every root is counted but a double root, so a crossing
+    is missed only at tangency. The count on a spiral branch is odd exactly
+    when the circle encloses one of the spiral's poles.
     """
     if isinstance(other, SphericalCircle):
         a, b = (math.sin(circle.rho) * np.array(circle.basis) @ other.axis).tolist()
@@ -305,58 +410,23 @@ def circle_crossings(circle: SphericalCircle, other, step: float):
         return tc, circle.points(tc), None
     if not isinstance(other, SphericalSpiral):
         raise TypeError(f"circle_crossings needs a circle or a spiral, not {type(other)!r}")
-    t = _circle_angles(circle, min(step, other.a))
-    # the circle's centre and its two radii, rotated into the spiral's frame:
-    # a sample's local coordinates are c + cos t u + sin t v
+    theta, pts = _spiral_roots(circle, other)
     e1, e2 = circle.basis
-    cos_rho, sin_rho = math.cos(circle.rho), math.sin(circle.rho)
-    local = other.frame @ np.array([cos_rho * circle.axis, sin_rho * e1, sin_rho * e2]).T
-    x, y, z = local[:, :1] + local[:, 1:] @ np.array([np.cos(t), np.sin(t)])
-    phi, lam = np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
-    # lambda unwrapped: each increment d between samples is taken as its
-    # principal value d - 2 pi round(d / 2 pi), the rule `loadsim` applies
-    # on a mesh edge
-    lam[1:] -= TWO_PI * np.rint((lam[1:] - lam[:-1]) / TWO_PI).cumsum()
-    (cx, ux, vx), (cy, uy, vy), (cz, uz, vz) = local.tolist()
-    lo, hi = other.theta_range()
-    found = []
-    for base, pitch, phase, _, _ in other.branches():
-        g = (phi / pitch + phase - lam) / TWO_PI
-        turn = np.floor(g)
-        seg = np.flatnonzero(turn[1:] != turn[:-1])
-        for ta, tb, ga, gb, lam_a in zip(t[seg].tolist(), t[seg + 1].tolist(),
-                                         g[seg].tolist(), g[seg + 1].tolist(),
-                                         lam[seg].tolist()):
-            level = math.floor(max(ga, gb))
-            ga, gb = ga - level, gb - level
-            for _ in range(2):  # regula falsi on the segment's bracket
-                tm = ta + min(max(ga / (ga - gb), 0.0), 1.0) * (tb - ta)
-                cos_t, sin_t = math.cos(tm), math.sin(tm)
-                xm, ym = cx + cos_t * ux + sin_t * vx, cy + cos_t * uy + sin_t * vy
-                phi_m = math.atan2(cz + cos_t * uz + sin_t * vz, math.hypot(xm, ym))
-                lam_m = math.atan2(ym, xm)
-                lam_m += TWO_PI * round((lam_a - lam_m) / TWO_PI)
-                gm = (phi_m / pitch + phase - lam_m) / TWO_PI - level
-                if (gm < 0) == (ga < 0):
-                    ta, ga = tm, gm
-                else:
-                    tb, gb = tm, gm
-            theta = base + phi_m / pitch
-            if lo - UNIT_TOL <= theta <= hi + UNIT_TOL:
-                found.append((tm, theta))
-    found.sort(key=lambda crossing: crossing[0])
-    tc, theta = np.array(found, dtype=float).reshape(-1, 2).T
-    return tc, circle.points(tc), theta
+    tc = np.mod(np.arctan2(pts @ e2, pts @ e1), TWO_PI)
+    order = np.argsort(tc, kind="stable")
+    return tc[order], pts[order], theta[order]
 
 
 def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
                         step: float = DEFAULT_STEP, merge_tol: float = 0.0):
     """Count the transversal crossings of a circle with a circle or a spiral:
-    (count, points) of `circle_crossings` on the SphericalCircle argument
-    (the first when both are). Two circles' crossings are exact; a spiral's
-    are found on the circle sampled at `step`. Tangency is not counted, which
-    undercounts conservatively. `merge_tol` has no effect; it is still
-    checked to be at most 2 step, as callers pass it."""
+    (count, points) on the SphericalCircle argument (the first when both
+    are). Two circles cross in closed form (`circle_crossings`); a spiral
+    crosses at the roots of the circle's plane function along it, in order
+    of theta (`_spiral_roots`). Every root is counted but a double root, so
+    tangency is not counted, which undercounts conservatively. `step` and
+    `merge_tol` have no effect; they are still checked (step positive,
+    merge_tol at most 2 step), as callers pass them."""
     if step <= 0:
         raise OutOfRange("step must be positive")
     if merge_tol > 2 * step * (1 + 1e-9):
@@ -364,5 +434,8 @@ def count_intersections(c1: SphericalCurve, c2: SphericalCurve,
     circle, other = (c1, c2) if isinstance(c1, SphericalCircle) else (c2, c1)
     if not isinstance(circle, SphericalCircle):
         raise DegenerateInput("count_intersections needs a SphericalCircle argument")
-    _, pts, _ = circle_crossings(circle, other, step)
+    if isinstance(other, SphericalSpiral):
+        pts = _spiral_roots(circle, other)[1]
+    else:
+        pts = circle_crossings(circle, other)[1]
     return len(pts), pts

@@ -7,7 +7,7 @@ import geoq
 import geoq.loadsim
 from geoq.embedding import locate_many
 from geoq.errors import ConfigError, DegenerateInput, OutOfRange
-from geoq.loadsim import _first_hit_keep, raster_step
+from geoq.loadsim import _first_hit_keep
 from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
 from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral
 
@@ -127,7 +127,7 @@ class TestRasterize:
         # pitch from random nodes, 0.9 / 1.6 / 1.4 % of the oracle's triangles
         # for a = 0.05 / 0.2 / 0.7, and no triangle outside the oracle.
         rng = np.random.default_rng(24)
-        step = raster_step(emb400) / 8
+        step = 0.25 * emb400.median_edge_length() / 8
         missed = total = 0
         for a in (0.05, 0.2, 0.7):
             for node in rng.choice(emb400.n_nodes, 4, replace=False):
@@ -159,7 +159,6 @@ class TestRasterize:
 
     def test_first_hit_is_subset_of_full_read(self, emb400):
         rng = np.random.default_rng(26)
-        step = raster_step(emb400)
         nodes = emb400.node_positions()
         for kind in (geoq.QuorumSystemKind("QG"),
                      geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
@@ -170,7 +169,7 @@ class TestRasterize:
                       for i in rng.choice(emb400.n_nodes, 3, replace=False)]
             for i in rng.choice(emb400.n_nodes, 4, replace=False):
                 read = geoq.read_quorum(kind, nodes[i], data, rng)
-                keep = _first_hit_keep(read, writes, step)
+                keep = _first_hit_keep(read, writes)
                 [(tris, on)] = _sets([read], emb400, [keep])
                 [(full_tris, full_on)] = _sets([read], emb400)
                 assert tris <= full_tris and on <= full_on
@@ -190,7 +189,7 @@ class TestRasterize:
     def test_covers_curve(self, emb400):
         curve = geoq.great_circle_through([1, 0, 0], [0, 0.6, 0.8])
         tris = set(geoq.rasterize(curve, emb400))
-        pts = geoq.sample(curve, raster_step(emb400)).points
+        pts = geoq.sample(curve, 0.25 * emb400.median_edge_length()).points
         for t in locate_many(pts, emb400):
             assert int(t) in tris
 
@@ -406,7 +405,6 @@ class TestRun:
 def _reference_run(wl, kind, emb, rng, read_termination):
     """run()'s loads, with each access rasterized alone by `level_sets` and
     charged at once: the order in which run() must add the weights."""
-    step = raster_step(emb)
     load = np.zeros(emb.n_nodes)
     node_pos = emb.node_positions()
     expected, mix = wl.mode == "expected", wl.mix_samples
@@ -451,7 +449,7 @@ def _reference_run(wl, kind, emb, rng, read_termination):
         for curve, weight in curves:
             keep = None
             if read_termination == "first_hit":
-                keep = _first_hit_keep(curve, writes, step)
+                keep = _first_hit_keep(curve, writes)
             charge_one(curve, weight, keep)
     return load
 
@@ -507,7 +505,7 @@ def _crosses(write, pts):
 class TestFirstHit:
     """A first-hit read keeps the interval of its parameter up to its first
     crossing with a write: the end of the interval lies on a write, and a
-    scan of the read at an eighth of the step finds no crossing before it."""
+    scan of the read at STEP / 8 finds no crossing before it."""
 
     STEP = 0.01
 
@@ -523,10 +521,10 @@ class TestFirstHit:
         # reach the circle earlier
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
         for write, read in self._pairs(kind, 11, 30):
-            lo, hi = _first_hit_keep(read, [write], self.STEP)
+            lo, hi = _first_hit_keep(read, [write])
             assert lo < hi < read.theta_range()[1]
             before, end = _scan(read, lo, hi, self.STEP / 8)
-            assert abs(geoq.geodesic_distance(end, write.axis) - write.rho) < 1e-4
+            assert abs(end @ write.axis - np.cos(write.rho)) < 1e-12
             assert not _crosses(write, before)
 
     def test_ql_cut_lies_on_the_write_circle(self):
@@ -534,7 +532,7 @@ class TestFirstHit:
         # through the hash; the cut is their exact crossing
         kind = geoq.QuorumSystemKind("QL")
         for write, read in self._pairs(kind, 15, 30):
-            lo, hi = _first_hit_keep(read, [write], self.STEP)
+            lo, hi = _first_hit_keep(read, [write])
             assert lo == 0.0 and 0.0 < hi < 2 * np.pi
             before, end = _scan(read, lo, hi, self.STEP / 8)
             assert abs(end @ write.axis - np.cos(write.rho)) < 1e-12
@@ -544,7 +542,7 @@ class TestFirstHit:
         # every QG write passes the hash, where each QG read starts
         kind = geoq.QuorumSystemKind("QG")
         for write, read in self._pairs(kind, 12, 30):
-            assert _first_hit_keep(read, [write], self.STEP) == (0.0, 0.0)
+            assert _first_hit_keep(read, [write]) == (0.0, 0.0)
 
     def test_dual_read_cut_at_write_spiral(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
@@ -552,7 +550,7 @@ class TestFirstHit:
         writes = [w for w, _ in pairs[:4]]
         for _, read in pairs:
             assert isinstance(read, geoq.SphericalCircle)
-            lo, hi = _first_hit_keep(read, writes, self.STEP)
+            lo, hi = _first_hit_keep(read, writes)
             assert lo == 0.0 and 0.0 < hi < 2 * np.pi
             before, end = _scan(read, lo, hi, self.STEP / 8)
             # the end lies on a write spiral, sampled finely here
@@ -607,14 +605,12 @@ class TestDiscreteRobustness:
                              queriers=tuple(range(200, 240)))
         rng = np.random.default_rng(9)
         node_pos = emb400.node_positions()
-        coarse = max(raster_step(emb400), np.pi / 200)
         for _ in range(8):
             writer = node_pos[int(rng.choice(data.contributors))]
             reader = node_pos[int(rng.choice(data.queriers))]
             wq = geoq.write_quorum(kind, writer, data, rng)
             rq = geoq.read_quorum(kind, reader, data, rng)
-            n_geo, _ = geoq.count_intersections(wq, rq, step=coarse,
-                                                merge_tol=2 * coarse)
+            n_geo, _ = geoq.count_intersections(wq, rq)
             wt = geoq.rasterize(wq, emb400)
             rt = geoq.rasterize(rq, emb400)
             wv = np.unique(emb400.mesh.original_vertex(

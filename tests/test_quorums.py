@@ -253,14 +253,13 @@ class TestIntersectionGuarantee:
 class TestGeometricRobustness:
     def test_qg_at_most_two(self):
         rng = np.random.default_rng(11)
-        r = geoq.geometric_robustness(geoq.QuorumSystemKind("QG"), _data(), 60, rng,
-                                      step=np.pi / 300)
+        r = geoq.geometric_robustness(geoq.QuorumSystemKind("QG"), _data(), 60, rng)
         assert 1 <= r <= 2
 
     def test_geoquorum_k1_at_least_one(self):
         rng = np.random.default_rng(12)
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
-        r = geoq.geometric_robustness(kind, _data(), 40, rng, step=np.pi / 300)
+        r = geoq.geometric_robustness(kind, _data(), 40, rng)
         assert r >= 1
 
     def test_trials_validation(self):

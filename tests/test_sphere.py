@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 import geoq
 from geoq.errors import DegenerateInput, OutOfRange
-from geoq.sphere import (_circle_angles, circle_crossings, perpendicular_basis,
-                         rotation_to_south_pole)
+from geoq.sphere import (_circle_angles, _roots_between, circle_crossings,
+                         perpendicular_basis, rotation_to_south_pole)
 
 from conftest import random_unit
 
@@ -255,7 +255,7 @@ class TestCountIntersections:
             assert n == 2
             for c in (eq, tilted):
                 assert np.abs(pts @ c.axis - np.cos(c.rho)).max() < 1e-12
-        t, _, _ = circle_crossings(eq, tilted, step)
+        t, _, _ = circle_crossings(eq, tilted)
         assert np.allclose(t, step / 2 + np.array([-5e-4, 5e-4]), rtol=0, atol=1e-12)
 
     def test_random_circle_pairs_at_most_two(self):
@@ -344,26 +344,45 @@ def test_circle_spiral_crossings_are_real_and_odd_around_a_pole(node_lat, node_l
                                                                  rho, a, theta0):
     """Every crossing lies on the circle and on the spiral, at a theta inside
     its sweep, and the count is odd exactly when the circle encloses one of
-    the spiral's poles. Circles within a step of a pole are not drawn."""
+    the spiral's poles. Circles within 1e-6 of a pole are not drawn."""
     node, center = _unit(node_lat, node_lon), _unit(lat, lon)
     to_node = geoq.geodesic_distance(center, node)
-    assume(min(abs(to_node - rho), abs(np.pi - to_node - rho)) > STEP)
+    assume(min(abs(to_node - rho), abs(np.pi - to_node - rho)) > 1e-6)
     circle, spiral = geoq.circle_with_radius(center, rho), geoq.spiral_for(node, a, theta0)
-    t, pts, theta = circle_crossings(circle, spiral, STEP)
-    n, _ = geoq.count_intersections(circle, spiral, step=STEP)
+    t, pts, theta = circle_crossings(circle, spiral)
+    n, pts_theta = geoq.count_intersections(circle, spiral)
     assert n == len(pts) == len(theta)
     assert n % 2 == (not rho < to_node < np.pi - rho)
     assert np.all(np.diff(t) >= 0)
-    assert np.all(np.abs(np.arccos(np.clip(pts @ center, -1, 1)) - rho) <= STEP)
+    assert np.all(np.abs(pts @ center - np.cos(rho)) <= 1e-9)
     lo, hi = spiral.theta_range()
     assert np.all((theta >= lo) & (theta <= hi))
     # on the spiral: the phase h is a multiple of 2 pi at the crossing, up
-    # to a distance of a step along the latitude circle through it
+    # to a distance of 1e-9 along the latitude circle through it
     x, y, z = (pts @ spiral.frame.T).T
     h = np.arcsin(np.clip(z, -1, 1)) / a + spiral.theta0 - np.arctan2(y, x)
     off = np.abs(np.mod(h + np.pi, 2 * np.pi) - np.pi)
-    assert np.all(off * np.hypot(x, y) <= STEP)
-    assert np.allclose(spiral.points(theta), pts, atol=STEP)
+    assert np.all(off * np.hypot(x, y) <= 1e-9)
+    assert np.allclose(spiral.points(theta), pts, rtol=0, atol=1e-9)
+    # count_intersections gives the same points, in order of theta
+    assert np.array_equal(pts_theta, pts[np.argsort(theta)])
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7, 1.3])
+def test_pole_centred_circles_cross_once_per_branch(a):
+    """A circle centred on a spiral pole is a latitude circle in the
+    spiral's frame, crossed once by each branch, at the edge of its band."""
+    rng = np.random.default_rng(int(a * 10))
+    for _ in range(300):
+        node = random_unit(rng)
+        center = node if rng.random() < 0.5 else -node
+        rho = rng.uniform(0.01, 0.5 * np.pi)
+        circle = geoq.circle_with_radius(center, rho)
+        spiral = geoq.spiral_for(node, a, rng.uniform(0.0, 2 * np.pi))
+        t, pts, theta = circle_crossings(circle, spiral)
+        assert len(t) == len(spiral.branches())
+        assert np.all(np.abs(pts @ center - np.cos(rho)) <= 1e-9)
+        assert np.allclose(spiral.points(theta), pts, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -378,7 +397,7 @@ def test_near_tangent_circle_pairs_cross_at_most_twice(lat, lon, rho1, rho2, tan
     e1, e2 = perpendicular_basis(a1)
     a2 = np.cos(theta) * a1 + np.sin(theta) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
     t, _, _ = circle_crossings(geoq.circle_with_radius(a1, rho1),
-                               geoq.circle_with_radius(a2, rho2), STEP)
+                               geoq.circle_with_radius(a2, rho2))
     assert len(t) in (0, 2)
 
 
@@ -415,9 +434,11 @@ def test_enclosing_placements_cross_an_odd_number_of_times(node, center, theta0,
 
 
 def _reference_spiral_crossings(circle, spiral, step):
-    """circle_crossings' spiral branch computed the direct way: the circle's
-    world points rotated into the spiral's frame, np.unwrap, and two regula
-    falsi steps run on numpy arrays."""
+    """A circle/spiral pair's crossings as the sampled method finds them: on
+    the circle sampled at step (at most a), where the spiral's phase h / 2 pi
+    on a branch passes an integer, lambda unwrapped by np.unwrap, each placed
+    by two regula falsi steps. It misses crossing pairs that fall between
+    two samples."""
     def latlon(pts):
         x, y, z = (pts @ spiral.frame.T).T
         return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
@@ -452,6 +473,9 @@ def _reference_spiral_crossings(circle, spiral, step):
 @pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 0.7, 1.3])
 @pytest.mark.parametrize("step", [np.pi / 300, 0.01], ids=["pi/300", "0.01"])
 def test_spiral_crossings_match_reference(a, step):
+    # each crossing lies on the circle and on the spiral at its theta, inside
+    # the sweep, and there are as many as the sampled method finds at a
+    # hundredth of the step
     rng = np.random.default_rng(int(a * 100) + (step == 0.01))
     for i in range(40):
         node = random_unit(rng)
@@ -460,12 +484,60 @@ def test_spiral_crossings_match_reference(a, step):
         rho = rng.uniform(0.02, 0.5 * np.pi)
         circle, spiral = (geoq.circle_with_radius(center, rho),
                           geoq.spiral_for(node, a, rng.uniform(0.0, 2 * np.pi)))
-        t, pts, theta = circle_crossings(circle, spiral, step)
-        t_ref, pts_ref, theta_ref = _reference_spiral_crossings(circle, spiral, step)
-        assert len(t) == len(t_ref)
-        assert np.abs(t - t_ref).max(initial=0.0) <= 1e-12
-        assert np.abs(theta - theta_ref).max(initial=0.0) <= 1e-12
-        assert np.abs(pts - pts_ref).max(initial=0.0) <= 1e-12
+        t, pts, theta = circle_crossings(circle, spiral)
+        lo, hi = spiral.theta_range()
+        assert np.all(np.abs(pts @ circle.axis - np.cos(rho)) <= 1e-12)
+        assert np.abs(spiral.points(theta) - pts).max(initial=0.0) <= 1e-12
+        assert np.all((theta >= lo) & (theta <= hi))
+        assert np.abs(circle.points(t) - pts).max(initial=0.0) <= 1e-11
+        assert len(t) == len(_reference_spiral_crossings(circle, spiral, step / 100)[0])
+
+
+# Criterion 3's placements (its RNG at seeds 104, 105, 103 and 106) where the
+# sampled method at step pi/300 missed a crossing pair, and the count of the
+# sampled method at pi/9e6 (a 30,000th of that step):
+# (node, centre, theta0, a, rho, count)
+_MISSED_PAIR_PLACEMENTS = [
+    ([-0.5720197619814826, 0.40458878122642605, -0.713513356573206],
+     [0.7526017083179453, -0.16812424276046464, 0.6366513234362516],
+     2.9790197580188846, 0.05, 0.1 * np.pi, 5),
+    ([0.7632402378423705, 0.012320394602933115, 0.6459973275603778],
+     [0.7735731668575684, 0.6271865183866552, 0.09067318606941423],
+     0.833314793420301, 0.05, 0.05 * np.pi, 4),
+    ([-0.20601523304979552, 0.8356193170207102, -0.5092131977603095],
+     [-0.8015056102262327, -0.5861664823004737, -0.11831150325882345],
+     1.4784124668018734, 0.05, 0.05 * np.pi, 4),
+    ([-0.24422167504961362, 0.5580395050068611, 0.7930622196824523],
+     [0.7735421162020605, 0.039645000472848045, 0.6325036508978789],
+     4.780785921433479, 0.05, 0.15 * np.pi, 8),
+]
+
+
+@pytest.mark.parametrize("node, center, theta0, a, rho, count", _MISSED_PAIR_PLACEMENTS,
+                         ids=["s104-709", "s105-174", "s103-829", "s106-680"])
+def test_near_tangent_crossing_pairs_are_counted(node, center, theta0, a, rho, count):
+    circle = geoq.circle_with_radius(np.array(center), rho)
+    spiral = geoq.spiral_for(np.array(node), a, theta0)
+    n, _ = geoq.count_intersections(circle, spiral, step=np.pi / 300, merge_tol=np.pi / 150)
+    assert n == count
+    # the sampled method at criterion 3's step finds two fewer
+    assert len(_reference_spiral_crossings(circle, spiral, np.pi / 300)[0]) == count - 2
+
+
+@pytest.mark.parametrize("f, bound, roots", [
+    # three roots in an interval whose ends differ in sign
+    (lambda t: ((t - 0.1) * (t - 0.2) * (t - 0.3), 3 * t * t - 1.2 * t + 0.11), 1.8,
+     [0.1, 0.2, 0.3]),
+    # two roots in an interval whose ends share a sign
+    (lambda t: ((t - 0.2) * (t - 0.25), 2 * t - 0.45), 2.0, [0.2, 0.25]),
+    # a double root is not counted
+    (lambda t: ((t - 0.2) ** 2, 2 * t - 0.4), 2.0, []),
+], ids=["three", "two", "double"])
+def test_roots_between_separates_every_simple_root(f, bound, roots):
+    found = []
+    _roots_between(f, bound, 0.0, *f(0.0), 0.5, *f(0.5), found)
+    assert len(found) == len(roots)
+    assert np.abs(np.array(found) - roots).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("rho", [0.01, 0.3, 1.0, np.pi / 2])
@@ -482,9 +554,9 @@ def test_spiral_crossings_none_between_arms():
     # halfway between two of them crosses neither
     spiral = geoq.spiral_for(np.array([0.0, 0.0, -1.0]), 0.05, 0.0)
     circle = geoq.circle_with_radius(_unit(np.sin(0.05 * np.pi), 0.0), 0.05)
+    t, pts, theta = circle_crossings(circle, spiral)
+    assert (t.shape, pts.shape, theta.shape) == ((0,), (0, 3), (0,))
     for step in (np.pi / 300, 0.01):
-        t, pts, theta = circle_crossings(circle, spiral, step)
-        assert (t.shape, pts.shape, theta.shape) == ((0,), (0, 3), (0,))
         assert len(_reference_spiral_crossings(circle, spiral, step)[0]) == 0
 
 
