@@ -29,7 +29,7 @@ from .embedding import (SphericalEmbedding, distortion_report, harmonic_sphere_m
 from .errors import ConfigError, GeoqError, NoConvergence
 from .loadsim import Workload, run as run_workload
 from .mesh import PlanarMesh, double_cover, generate_deployment, save_mesh, triangulate
-from .quorums import DataType, QuorumSystemKind, hash_location
+from .quorums import DataType, hash_location
 from .svgplot import heatmap_svg
 
 CSV_COLUMNS = ("experiment_id", "kind", "r", "a", "R_W", "seed",
@@ -43,12 +43,6 @@ def _num(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.6g}"
-
-
-def _kind_from(cfg: ExperimentConfig) -> QuorumSystemKind:
-    if cfg.kind == "GeoQuorum":
-        return QuorumSystemKind.geoquorum(cfg.r_w, cfg.a, dual=cfg.dual)
-    return QuorumSystemKind(cfg.kind)
 
 
 def build_mesh(cfg: ExperimentConfig, seed: int) -> PlanarMesh:
@@ -118,11 +112,10 @@ def run_once(cfg: ExperimentConfig, seed: int, r: float,
              emb: SphericalEmbedding):
     """One repetition at one rate; returns (Metrics, load array, runtime_ms)."""
     t0 = time.perf_counter()
-    kind = _kind_from(cfg)
     workload = _workload_for(cfg, seed, r, emb)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
     rob_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF2]))
-    metrics, load = run_workload(workload, kind, emb, rng,
+    metrics, load = run_workload(workload, cfg.system(), emb, rng,
                                  read_termination=cfg.read_termination,
                                  robustness_trials=cfg.robustness_trials,
                                  robustness_rng=rob_rng)

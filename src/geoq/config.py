@@ -7,12 +7,14 @@ is built, however it is built, and an invalid one raises `ConfigError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError, DegenerateInput, OutOfRange
+from .mesh import polygon_area, validate_simple_polygon
 from .quorums import QuorumSystemKind
+from .sphere import require_unit
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -75,29 +77,34 @@ class ExperimentConfig:
     def region_polygon(self) -> np.ndarray:
         return np.asarray(self.polygon, dtype=float)
 
+    def system(self) -> QuorumSystemKind:
+        """The quorum system this config runs."""
+        if self.kind == "GeoQuorum":
+            return QuorumSystemKind.geoquorum(self.r_w, self.a, dual=self.dual)
+        return QuorumSystemKind(self.kind)
+
     def with_param(self, name: str, value):
-        """A copy with one sweep parameter replaced (used by cmd_sweep)."""
-        if name == "k":
-            # robustness target with r_w held fixed: a = r_w / (k pi)
-            k = int(value)
-            if k < 1:
-                raise ConfigError("robustness target k must be >= 1")
-            return replace(self, a=self.r_w / (k * np.pi))
-        if name not in _SWEEP_TYPES:
+        """A copy with one sweep parameter replaced (used by cmd_sweep): a
+        field of _SWEEP_FIELDS, read with its default's type, or `k`, the
+        robustness target with r_w held fixed, which sets a = r_w / (k pi)."""
+        if name != "k" and name not in _SWEEP_FIELDS:
             raise ConfigError(f"unknown sweep parameter {name!r}")
         try:
-            changes = {name: _SWEEP_TYPES[name](value)}
+            value = int(value) if name == "k" else type(getattr(_DEFAULTS, name))(value)
         except ValueError as exc:
             raise ConfigError(f"bad {name} sweep value {value!r}") from exc
+        if name == "k":
+            if value < 1:
+                raise ConfigError("robustness target k must be >= 1")
+            return replace(self, a=self.r_w / (value * np.pi))
+        changes = {name: value}
         if name == "a" and self.link_r_w:
             k = max(int(np.floor(self.r_w / (self.a * np.pi) + 1e-9)), 1)
-            changes["r_w"] = k * changes["a"] * np.pi
+            changes["r_w"] = k * value * np.pi
         return replace(self, **changes)
 
 
-# the sweep parameters that replace one field, with its type; `k` derives a
-_SWEEP_TYPES = {"kind": str, "a": float, "r_w": float, "nodes": int,
-                "contributors": int, "queriers": int}
+_SWEEP_FIELDS = ("kind", "a", "r_w", "nodes", "contributors", "queriers")
 
 _SECTIONS = {
     "deployment": ("nodes", "polygon", "seed"),
@@ -136,54 +143,38 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+def _vertex(item: str) -> tuple:
+    return tuple(float(c) for c in item.split(","))
+
+
+def _number_or_name(item: str):
+    try:
+        return float(item)
+    except ValueError:
+        return item   # kind sweeps carry names
+
+
+# how each list-valued key reads one item: a polygon vertex is "x,y", and
+# the other lists separate their items by commas or spaces
+_ITEMS = {"polygon": _vertex, "hash_override": float, "r_values": float,
+          "sweep_values": _number_or_name}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_value(key: str, raw: str):
+    """`raw` read as `key`'s value: a list key item by item (an empty list
+    reads as the default, but r_values must be given), any other key with
+    its default's type."""
     raw = raw.strip()
-    default = getattr(ExperimentConfig(), key)
-    if key == "polygon":
-        if not raw:
-            return SQUARE
-        try:
-            return tuple(tuple(float(c) for c in pair.split(",")) for pair in raw.split())
-        except ValueError as exc:
-            raise ConfigError(f"bad polygon spec {raw!r}") from exc
-    if key == "hash_override":
-        if not raw:
-            return None
-        parts = [float(c) for c in raw.replace(",", " ").split()]
-        if len(parts) != 3:
-            raise ConfigError("hash_override needs three coordinates")
-        return tuple(parts)
-    if key == "r_values":
-        if not raw:
-            return ()
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-    if key == "sweep_values":
-        if not raw:
-            return ()
-        vals = []
-        for v in raw.replace(",", " ").split():
-            try:
-                vals.append(float(v))
-            except ValueError:
-                vals.append(v)  # kind sweeps carry names
-        return tuple(vals)
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for {key}: {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad number for {key}: {raw!r}") from exc
-    return raw
+    default = getattr(_DEFAULTS, key)
+    try:
+        if key in _ITEMS:
+            items = raw.split() if key == "polygon" else raw.replace(",", " ").split()
+            value = tuple(_ITEMS[key](item) for item in items)
+            return value if value or key == "r_values" else default
+        return _BOOLS[raw.lower()] if isinstance(default, bool) else type(default)(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -210,13 +201,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("r_values must be non-empty")
     if not all(math.isfinite(r) and r > 0 for r in cfg.r_values):
         raise ConfigError(f"r_values must be finite and positive, got {cfg.r_values}")
-    try:   # the kind name, and GeoQuorum's r_w and a
-        if cfg.kind == "GeoQuorum":
-            QuorumSystemKind.geoquorum(cfg.r_w, cfg.a, dual=cfg.dual)
-        else:
-            QuorumSystemKind(cfg.kind)
-    except OutOfRange as exc:
+    try:   # the kind name, GeoQuorum's r_w and a, the region and the hash point
+        cfg.system()
+        if any(len(v) != 2 for v in cfg.polygon):
+            raise DegenerateInput(f"polygon vertices must be (x, y) pairs, got {cfg.polygon}")
+        validate_simple_polygon(cfg.polygon)   # three or more vertices, no crossing
+        if not 0 < polygon_area(cfg.polygon) < math.inf:
+            raise DegenerateInput(f"polygon encloses no finite area: {cfg.polygon}")
+        if cfg.hash_override is not None:
+            if len(cfg.hash_override) != 3:
+                raise DegenerateInput("hash_override needs three coordinates")
+            require_unit(cfg.hash_override)
+    except (DegenerateInput, OutOfRange) as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.sweep_parameter not in ("", "k", *_SWEEP_FIELDS):
+        raise ConfigError(f"unknown sweep parameter {cfg.sweep_parameter!r}")
     if cfg.mode not in ("montecarlo", "expected"):
         raise ConfigError(f"unknown workload mode {cfg.mode!r}")
     if cfg.read_termination not in ("full", "first_hit"):
@@ -235,6 +234,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver_max_iters must be >= 1")
     if not (math.isfinite(cfg.solver_tol) and cfg.solver_tol > 0):
         raise ConfigError(f"solver_tol must be finite and positive, got {cfg.solver_tol}")
+
+
+_DEFAULTS = ExperimentConfig()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -55,7 +55,7 @@ from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed
                       write_quorum)
 # sample is bound for the benchmark's tracer, which wraps geoq.loadsim.sample
 from .sphere import (TWO_PI, UNIT_TOL, SphericalCircle, SphericalCurve,
-                     SphericalSpiral, circle_crossings, sample)
+                     SphericalSpiral, _spiral_roots, circle_crossings, sample)
 
 POLE_TOL = 1e-6  # a boundary reader's far pole lies on a seam edge, where lambda turns by pi
 # Curve x mesh entries (vertices for a circle, edges per spiral branch) of one
@@ -320,19 +320,22 @@ def _validate_nodes(data: DataType, n_nodes: int) -> None:
 def _first_hit_keep(read: SphericalCurve, writes: list):
     """The interval of the read's parameter kept up to its first crossing
     with any write: the angle about a circle's axis from its start, or theta
-    along a spiral, from `circle_crossings`; (lo, lo) if the read
-    starts on a write circle, and None if it never crosses a write."""
+    along a spiral, from `circle_crossings` and `_spiral_roots`; (lo, lo) if
+    the read starts on a write circle or at a pole of a write spiral, and
+    None if it never crosses a write. A spiral read searches each write
+    only below the first crossing found so far."""
     circle = isinstance(read, SphericalCircle)
     lo = 0.0 if circle else read.theta_range()[0]
     start = read.points(np.array([lo]))[0]
-    first = np.inf
+    first = math.inf
     for w in writes:
-        if isinstance(w, SphericalCircle) and abs(start @ w.axis - np.cos(w.rho)) <= UNIT_TOL:
+        if (abs(start @ w.axis - np.cos(w.rho)) <= UNIT_TOL if isinstance(w, SphericalCircle)
+                else math.hypot(*(w.frame[:2] @ start)) <= UNIT_TOL):
             return lo, lo
         params = (circle_crossings(read, w)[0] if circle
-                  else circle_crossings(w, read)[2])
-        first = min(first, params.min(initial=np.inf))
-    return None if first == np.inf else (lo, float(first))
+                  else _spiral_roots(w, read, upper=first)[0])
+        first = min(first, float(params.min(initial=math.inf)))
+    return None if first == math.inf else (lo, first)
 
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,

@@ -36,7 +36,7 @@ def unit_vector(v) -> np.ndarray:
 
 def require_unit(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if abs(float(p @ p) - 1.0) > 1e-6:
+    if not abs(float(p @ p) - 1.0) <= 1e-6:   # a NaN coordinate fails too
         raise DegenerateInput(f"point is not unit norm: |p|^2 = {float(p @ p)}")
     return p
 
@@ -324,7 +324,7 @@ def _roots_between(f, bound, ta, fa, da, tb, fb, db, roots) -> None:
         stack += ((tm, fm, dm, tb, fb, db), (ta, fa, da, tm, fm, dm))
 
 
-def _spiral_roots(circle: SphericalCircle, spiral: SphericalSpiral):
+def _spiral_roots(circle: SphericalCircle, spiral: SphericalSpiral, upper: float = math.inf):
     """(theta, points) of the spiral's crossings with the circle, in order
     of theta: the roots, in the sweep, of
 
@@ -343,7 +343,11 @@ def _spiral_roots(circle: SphericalCircle, spiral: SphericalSpiral):
     than that from zero, and then holds no root. A sign change is split
     until F' keeps its sign across it (|F'| at the ends sum to more than
     M w), and then holds exactly one root, which is refined in scalar
-    arithmetic. So every root is counted but a double root (tangency)."""
+    arithmetic. So every root is counted but a double root (tangency).
+
+    With `upper`, the search stops at the first grid interval that starts at
+    or past it, on the same grid, so every root below `upper` is found as
+    the same float, and roots past it may be left out."""
     nx, ny, nz = (spiral.frame @ circle.axis).tolist()
     r = math.hypot(nx, ny)
     phi_n, shift = math.atan2(nz, r), spiral.theta0 - math.atan2(ny, nx)
@@ -362,13 +366,15 @@ def _spiral_roots(circle: SphericalCircle, spiral: SphericalSpiral):
     for base, pitch, _, lo, hi in spiral.branches():
         u, v = sorted(base + lat / pitch for lat in band)
         u, v = max(u, lo, t0), min(v, hi, t1)
-        if u >= v:
+        if u >= min(v, upper):
             continue
         n = math.ceil((v - u) / _ROOT_GRID)
         w = (v - u) / n
         clear = bound * w * w / 8
         ta, (fa, da) = u, f(u)
         for i in range(1, n + 1):
+            if ta >= upper:
+                break
             tb = u + i * w if i < n else v
             fb, db = f(tb)
             # most grid intervals clear the chord bound; skip those inline

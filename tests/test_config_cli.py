@@ -26,6 +26,13 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+# malformed values, each rejected where the config is built: by the parse of
+# its items, or by the config's own check of the polygon and the hash point
+MALFORMED = ["r_values = 4, abc", "hash_override = 1 0 x", "hash_override = 1 0",
+             "hash_override = 0 0 2", "polygon = 0,0 1,0 1,1 0", "polygon = 0,0 1,0 0,0",
+             "polygon = 0,0 1,1 1,0 0,1", "sweep_parameter = pitch"]
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         cfg = small_cfg(svg="heat.svg", sweep_parameter="a",
@@ -66,6 +73,17 @@ class TestConfigFormat:
                     "kind = GeoQuorum\nr_w = 0.1\na = 0.2"):
             with pytest.raises(ConfigError):
                 config_from_text(bad + "\n")
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_value(self, line):
+        with pytest.raises(ConfigError):
+            config_from_text(line + "\n")
+
+    def test_python_built_config_is_checked(self):
+        with pytest.raises(ConfigError):
+            small_cfg(polygon=((0, 0), (1, 1), (1, 0), (0, 1)))
+        with pytest.raises(ConfigError):
+            small_cfg(hash_override=(0.0, 0.0, float("nan")))
 
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -306,6 +324,17 @@ class TestMain:
         bad.write_text("nodes = nope\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_value_exits_2_before_output(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(small_cfg(repetitions=1, nodes=200,
+                                                     contributors=10, queriers=2))
+                            + line + "\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_exit_code_accessor_on_hash_point(self, tmp_path, capsys):
         # a QL querier at the hash point has no latitude circle

@@ -9,7 +9,7 @@ from geoq.embedding import locate_many
 from geoq.errors import ConfigError, DegenerateInput, OutOfRange
 from geoq.loadsim import _first_hit_keep
 from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
-from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral
+from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral, _spiral_roots
 
 from conftest import random_unit
 
@@ -558,6 +558,36 @@ class TestFirstHit:
                       for w in writes)
             assert gap < self.STEP / 64
             assert not any(_crosses(w, before) for w in writes)
+
+    def test_dual_read_at_a_write_spiral_pole_is_cut_at_its_start(self):
+        # a dual read circle starts at its reader; a reader that also writes,
+        # or sits at a writer's antipode, starts at a pole of that write spiral
+        kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
+        rng = np.random.default_rng(16)
+        hash_point = random_unit(rng)
+        for i in range(200):
+            node = random_unit(rng)
+            psi_w, psi_r = rng.uniform(0, 2 * np.pi, 2)
+            write = quorum_curve(kind, "write", node, None, psi_w)
+            read = quorum_curve(kind, "read", node if i % 2 else -node, hash_point, psi_r)
+            assert _first_hit_keep(read, [write]) == (0.0, 0.0)
+
+    def test_bounded_cut_is_the_least_root(self):
+        # each write is searched only below the cut so far; the cut must be
+        # the least theta over every write's full root list
+        kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2)
+        rng = np.random.default_rng(17)
+        data = geoq.DataType("d0", random_unit(rng))
+        for _ in range(300):
+            writes = [geoq.write_quorum(kind, random_unit(rng), data, rng)
+                      for _ in range(int(rng.integers(1, 17)))]
+            read = geoq.read_quorum(kind, random_unit(rng), data, rng)
+            roots = np.concatenate([_spiral_roots(w, read)[0] for w in writes])
+            keep = _first_hit_keep(read, writes)
+            if roots.size:
+                assert keep == (read.theta_range()[0], float(roots.min()))
+            else:
+                assert keep is None
 
     def test_dual_write_family_is_writer_spirals(self):
         kind = geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True)
