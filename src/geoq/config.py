@@ -86,13 +86,18 @@ class ExperimentConfig:
     def with_param(self, name: str, value):
         """A copy with one sweep parameter replaced (used by cmd_sweep): a
         field of _SWEEP_FIELDS, read with its default's type, or `k`, the
-        robustness target with r_w held fixed, which sets a = r_w / (k pi)."""
+        robustness target with r_w held fixed, which sets a = r_w / (k pi).
+        An integer parameter takes only an integral value, such as 2000.0."""
         if name != "k" and name not in _SWEEP_FIELDS:
             raise ConfigError(f"unknown sweep parameter {name!r}")
+        typ = int if name == "k" else type(getattr(_DEFAULTS, name))
         try:
-            value = int(value) if name == "k" else type(getattr(_DEFAULTS, name))(value)
-        except ValueError as exc:
+            cast = typ(value)
+            if typ is int and float(value) != cast:
+                raise ValueError("not an integer")
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad {name} sweep value {value!r}") from exc
+        value = cast
         if name == "k":
             if value < 1:
                 raise ConfigError("robustness target k must be >= 1")

@@ -16,12 +16,13 @@ Phases:
     under tolerance. Each round takes one Newton step on the two-parameter
     equatorial Moebius dilation that zeroes the centroid, then runs damped
     Newton with three boundary angles pinned where the dilation put them
-    (fixing the rotation). Newton refuses steps that add flipped triangles.
-    The Hessian's sparsity pattern is built once per solve, on the first
-    Newton step, and every Hessian is summed into it; the damping tau goes
-    onto its stored diagonal. The first factorization's minimum-degree
-    ordering is stored, and every later one factors in that order. A
-    stalled Newton run or a non-finite centroid or residual ends the solve.
+    (fixing the rotation). Each Newton iteration factors the Hessian once
+    and halves the step until the gradient's 2-norm falls. The Hessian's
+    sparsity pattern is built once per solve, on the first Newton step, and
+    every Hessian is summed into it. The first factorization's
+    minimum-degree ordering is stored, and every later one factors in that
+    order. A stalled Newton run or a non-finite centroid or residual ends
+    the solve, and a final map with flipped triangles is refused.
 Every solve returns an EmbeddingStats record of what it did.
 """
 from __future__ import annotations
@@ -92,10 +93,11 @@ def _triple_products(P, tri) -> np.ndarray:
 
 @dataclass
 class EmbeddingStats:
-    """What one solve did: the Newton steps accepted and rejected over all
-    rounds, the rounds, the norm of the returned map's area-weighted
-    centroid, and seconds, the wall time of the set-up (the system and the
-    disk start) and of the rounds."""
+    """What one solve did: the Newton steps accepted over all rounds, the
+    step halvings (newton_rejected, each a trial step that did not lower the
+    gradient's 2-norm), the rounds, the norm of the returned map's
+    area-weighted centroid, and seconds, the wall time of the set-up (the
+    system and the disk start) and of the rounds."""
 
     newton_accepted: int = 0
     newton_rejected: int = 0
@@ -210,26 +212,23 @@ class SphericalEmbedding:
 @dataclass
 class _Pattern:
     """The fixed sparsity pattern of a system's Hessian: the CSC matrix of
-    rows and indptr (_System._build_pattern says what lap, curv and diag
-    hold). Once the first factorization has stored its fill-reducing
-    ordering, perm is its column permutation and inv the inverse, and the
-    Hessian reordered by it is the CSC matrix of data[perm_data], perm_rows
-    and perm_indptr, with its diagonal at perm_diag. perm_data and perm_rows
-    are allocated with the pattern and filled in place: allocated after the
-    first factorization, they would pin the heap above its memory and raise
-    the solve's peak RSS."""
+    rows and indptr (_System._build_pattern says what lap and curv hold).
+    Once the first factorization has stored its fill-reducing ordering,
+    perm is its column permutation and inv the inverse, and the Hessian
+    reordered by it is the CSC matrix of data[perm_data], perm_rows and
+    perm_indptr. perm_data and perm_rows are allocated with the pattern and
+    filled in place: allocated after the first factorization, they would pin
+    the heap above its memory and raise the solve's peak RSS."""
 
     rows: np.ndarray
     indptr: np.ndarray
     lap: np.ndarray
     curv: np.ndarray
-    diag: np.ndarray
     perm_data: np.ndarray
     perm_rows: np.ndarray
     perm: np.ndarray | None = None
     inv: np.ndarray | None = None
     perm_indptr: np.ndarray | None = None
-    perm_diag: np.ndarray | None = None
 
     def order_by(self, perm) -> None:
         """Store the ordering that moves row and column i to perm[i]."""
@@ -241,7 +240,6 @@ class _Pattern:
         self.perm_rows[:] = rows[self.perm_data]
         self.perm_indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(cols, minlength=len(perm)))]).astype(np.int32)
-        self.perm_diag = np.flatnonzero(self.perm_rows == cols[self.perm_data]).astype(np.int32)
 
 
 class _System:
@@ -322,8 +320,8 @@ class _System:
         """The Hessian's sparsity pattern: the Laplacian's vertex pairs mapped
         to the packed dofs, S = Q^T L Q with Q[v, i] = 1 where v (an interior
         vertex, its mirror or a free boundary vertex) owns dof i, in CSC
-        order. S holds the interior 2 x 2 diagonal blocks and the diagonal,
-        where the curvature term adds to it; curv and diag are the places of
+        order. S holds the interior 2 x 2 diagonal blocks and the boundary
+        diagonal, where the curvature term adds to it; curv is the places of
         those entries in data."""
         nI2, ndof = 2 * self.nI, self.ndof
         owner = np.concatenate([np.repeat(self.interior, 2), self.boundary[self.free_b],
@@ -334,15 +332,13 @@ class _System:
         S.sort_indices()
         rows = S.indices.astype(np.int32)
         # CSC order sorts the key col * ndof + row: find the places of the
-        # interior blocks' entries (2k + a, 2k + b), the boundary diagonal and
-        # the diagonal
+        # interior blocks' entries (2k + a, 2k + b) and the boundary diagonal
         key = np.repeat(np.arange(0, ndof * ndof, ndof), np.diff(S.indptr)) + rows
         k2, a, b = np.arange(0, nI2, 2)[:, None, None], np.arange(2)[:, None], np.arange(2)
         bdiag = np.arange(nI2, ndof) * (ndof + 1)
         curv = np.searchsorted(key, np.concatenate([((k2 + b) * ndof + k2 + a).ravel(), bdiag]))
-        diag = np.searchsorted(key, np.arange(ndof) * (ndof + 1))
         return _Pattern(rows=rows, indptr=S.indptr.astype(np.int32), lap=2.0 * S.data,
-                        curv=curv.astype(np.int32), diag=diag.astype(np.int32),
+                        curv=curv.astype(np.int32),
                         perm_data=np.empty_like(rows), perm_rows=np.empty_like(rows))
 
     def hessian(self, u_int, th, g_P):
@@ -384,93 +380,59 @@ class _System:
                                           -(gB[:, 0] * np.cos(thf) + gB[:, 1] * np.sin(thf))])
         return sparse.csc_matrix((data, pat.rows, pat.indptr), shape=(self.ndof, self.ndof))
 
-    def solve(self, H, tau, rhs):
-        """(H + tau I)^-1 rhs by sparse LU with diagonal pivots, H being
-        hessian's; tau goes onto H's stored diagonal. The first factorization
-        takes a minimum-degree ordering of A + A^T, and the system keeps it:
-        every later one factors the matrix already in that order. Raises
-        RuntimeError where the matrix is singular."""
+    def solve(self, H, rhs):
+        """H^-1 rhs by sparse LU with diagonal pivots, H being hessian's. The
+        first factorization takes a minimum-degree ordering of A + A^T, and
+        the system keeps it: every later one factors the matrix already in
+        that order. Raises RuntimeError where H is singular."""
         pat = self._pattern
         lu_opts = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         if pat.perm is None:
-            data = H.data.copy()
-            data[pat.diag] += tau
-            lu = splu(sparse.csc_matrix((data, pat.rows, pat.indptr), shape=H.shape),
-                      permc_spec="MMD_AT_PLUS_A", **lu_opts)
+            lu = splu(H, permc_spec="MMD_AT_PLUS_A", **lu_opts)
             pat.order_by(lu.perm_c)
             return lu.solve(rhs)
-        data = H.data.take(pat.perm_data)
-        data[pat.perm_diag] += tau
-        A = sparse.csc_matrix((data, pat.perm_rows, pat.perm_indptr), shape=H.shape)
+        A = sparse.csc_matrix((H.data.take(pat.perm_data), pat.perm_rows, pat.perm_indptr),
+                              shape=H.shape)
         return splu(A, permc_spec="NATURAL", **lu_opts).solve(rhs.take(pat.inv)).take(pat.perm)
 
 
-def _flip_count(sys_: _System, P) -> int:
-    det = _triple_products(P, sys_.dbl.triangles)
-    return int(min((det > 1e-14).sum(), (det < -1e-14).sum()))
-
-
 def _newton(sys_: _System, u_int, th, iters: int, stats: EmbeddingStats):
-    """Damped Newton; accepts only gradient-decreasing, flip-safe steps.
-
-    Each iteration fills one Hessian H into the system's fixed pattern and
-    factors H + tau I, tau added to H's stored diagonal, raising tau tenfold
-    after every rejected trial; the run stalls when 40 trials in a row are
-    rejected. Every factorization after the system's first takes the
-    fill-reducing ordering that the first one stored (see _System.solve).
-    The pinned boundary angles stay as th holds them. The run stops early
-    once the gradient's max-norm is under 1e-12. Neither u_int nor th is
-    written to. Returns (u_int, th, ginf, ok); ok is False when the run
-    stalled.
+    """Damped Newton: each iteration fills one Hessian H into the system's
+    fixed pattern, factors it once (see _System.solve) and takes the step
+    H dx = -g, halved at most 30 times until the 2-norm of the packed
+    gradient falls. The run stalls where H is singular or 30 halvings do
+    not lower the gradient. Steps may flip triangles; harmonic_sphere_map
+    refuses a folded final map. The pinned boundary angles stay as th holds
+    them. The run stops early once the gradient's max-norm is under 1e-12.
+    Neither u_int nor th is written to. Returns (u_int, th, ginf, ok),
+    ginf the gradient's max-norm; ok is False when the run stalled.
     """
     _, gI, gth, g_P = sys_.grad(u_int, th)
     g = sys_.pack_grad(gI, gth)
-    ginf = float(np.abs(g).max())
-    base_flips = _flip_count(sys_, sys_.positions(u_int, th))
-    tau = 1e-6
+    nI2 = 2 * sys_.nI
     for _ in range(iters):
-        if ginf < 1e-12:
+        if np.abs(g).max() < 1e-12:
             break
-        H = sys_.hessian(u_int, th, g_P)
-        for _ in range(40):
-            step = _trial_step(sys_, H, tau, g, u_int, th, base_flips)
-            if step is not None:
+        try:
+            dx = sys_.solve(sys_.hessian(u_int, th, g_P), -g)
+        except RuntimeError:
+            return u_int, th, float(np.abs(g).max()), False
+        gnorm = np.linalg.norm(g)
+        for _ in range(31):   # the full step, then up to 30 halvings
+            u_new = u_int + dx[:nI2].reshape(sys_.nI, 2)
+            th_new = th.copy()
+            th_new[sys_.free_b] += dx[nI2:]
+            _, gI, gth, g_P_new = sys_.grad(u_new, th_new)
+            g_new = sys_.pack_grad(gI, gth)
+            if np.linalg.norm(g_new) < gnorm:
                 break
             stats.newton_rejected += 1
-            tau *= 10
+            dx = 0.5 * dx
         else:
-            return u_int, th, ginf, False
+            return u_int, th, float(np.abs(g).max()), False
         stats.newton_accepted += 1
-        u_int, th, g, g_P = step
-        ginf = float(np.abs(g).max())
-        tau = max(tau * 0.25, 1e-14)
-    return u_int, th, ginf, True
-
-
-def _trial_step(sys_: _System, H, tau: float, g, u_int, th, base_flips: int):
-    """The step (H + tau I) dx = -g from (u_int, th): the new (u_int, th, g,
-    g_P), or None when the matrix is singular, the step adds flipped
-    triangles (a fold of two boundary angles flips the triangle on their
-    edge), or it does not lower the gradient's max-norm.
-
-    The matrix is symmetric, so sys_.solve factors it with diagonal pivots in
-    the minimum-degree ordering of A + A^T that the system's first
-    factorization stored.
-    """
-    try:
-        dx = sys_.solve(H, tau, -g)
-    except RuntimeError:
-        return None
-    u_new = u_int + dx[:2 * sys_.nI].reshape(sys_.nI, 2)
-    th_new = th.copy()
-    th_new[sys_.free_b] = th[sys_.free_b] + dx[2 * sys_.nI:]
-    if _flip_count(sys_, sys_.positions(u_new, th_new)) > base_flips:
-        return None
-    _, gI, gth, g_P = sys_.grad(u_new, th_new)
-    g_new = sys_.pack_grad(gI, gth)
-    if not np.abs(g_new).max() < np.abs(g).max():
-        return None
-    return u_new, th_new, g_new, g_P
+        u_int, th, g, g_P = u_new, th_new, g_new, g_P_new
+    return u_int, th, float(np.abs(g).max()), True
 
 
 def _conformal_dilate(P, v):
@@ -526,13 +488,15 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     difference, and then runs _newton for at most max_iters steps; the three
     pinned boundary angles stay where the dilation put them. The rounds stop
     when the centroid's norm is under CENTROID_TOL and the residual under
-    tol.
+    tol. Newton steps may flip triangles; the final map is checked once.
 
     Raises NoConvergence (carrying the best embedding) if the stationarity
     residual is above tol after the last round or a stalled Newton run, if
     the centroid's norm is not under CENTROID_TOL after the last round
-    (carrying that round's state), or at once if a round meets a non-finite
-    centroid or residual (carrying the last state where both were finite).
+    (carrying that round's state), if the final map folds (naming its
+    flipped triangles and carrying the folded map), or at once if a round
+    meets a non-finite centroid or residual (carrying the last state where
+    both were finite).
     """
     ch = chord_edges(dbl.source)
     if ch:
@@ -589,6 +553,10 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     if not c_norm < CENTROID_TOL:
         raise NoConvergence(f"area centroid |c| = {c_norm:.1e} not under {CENTROID_TOL:.0e} "
                             f"after {stats.recenter_rounds} round(s)", residual=ginf, best=emb)
+    flipped = emb.flipped_triangles()
+    if len(flipped):
+        raise NoConvergence(f"the final map folds: {len(flipped)} flipped triangle(s), "
+                            f"among them {flipped[:8].tolist()}", residual=ginf, best=emb)
     return emb
 
 

@@ -108,6 +108,19 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             small_cfg().with_param("nodes", "many")
 
+    @pytest.mark.parametrize("name, value", [("k", 1.5), ("nodes", 2000.7),
+                                             ("contributors", 10.5), ("queriers", 2.5)])
+    def test_with_param_fractional_integer(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            small_cfg(r_w=0.3 * np.pi).with_param(name, value)
+
+    def test_with_param_integral_float(self):
+        # config text reads sweep values as floats
+        cfg = small_cfg(r_w=0.3 * np.pi)
+        sub = cfg.with_param("nodes", 2000.0)
+        assert sub.nodes == 2000 and type(sub.nodes) is int
+        assert cfg.with_param("k", 3.0) == cfg.with_param("k", 3)
+
     def test_with_param_linked_r_w(self):
         cfg = small_cfg(r_w=0.025 * np.pi, a=0.025, link_r_w=True)
         sub = cfg.with_param("a", 0.1)

@@ -407,13 +407,14 @@ class TestAssembly:
             assert np.array_equal(H.indptr, ref.indptr)
             assert np.array_equal(H.indices, ref.indices)
         # sparse sums drop the entries that cancel to exactly 0, so at a
-        # solved state the reference can lack a few entries of the pattern,
-        # where the fixed pattern holds round-off
+        # solved state the reference can lack entries of the pattern; there
+        # the fixed pattern may hold only round-off
         stored, ref_stored = (sparse.csc_matrix((np.ones(M.nnz), M.indices, M.indptr),
                                                 shape=M.shape).toarray() > 0 for M in (H, ref))
         assert not (ref_stored & ~stored).any()
-        assert (stored & ~ref_stored).sum() <= 4
-        assert np.abs(H.toarray() - ref.toarray()).max() <= 1e-12 * np.abs(ref.data).max()
+        scale = np.abs(ref.data).max()
+        assert np.abs(H.toarray()[stored & ~ref_stored]).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(H.toarray() - ref.toarray()).max() <= 1e-12 * scale
         # the system builds its pattern once, and every Hessian shares it
         pattern = sys_._pattern
         H2 = sys_.hessian(u_int * 0.9, th, g_P)
@@ -428,7 +429,8 @@ class TestOrdering:
         trials = [c for c in calls if c[0] in ("MMD_AT_PLUS_A", "NATURAL")]
         assert [c[0] for c in trials].count("MMD_AT_PLUS_A") == 1
         assert trials[0][0] == "MMD_AT_PLUS_A"
-        assert len(trials) == emb.stats.newton_accepted + emb.stats.newton_rejected
+        # one factorization per accepted step, however often a step is halved
+        assert len(trials) == emb.stats.newton_accepted
         assert len(calls) == len(trials) + 1   # and the disk start's
 
     def test_stored_ordering_matches_fresh_one(self, monkeypatch):
@@ -438,14 +440,12 @@ class TestOrdering:
         g = sys_.pack_grad(gI, gth)
         H = sys_.hessian(u_int, th, g_P)
         calls = _lu_calls(monkeypatch)
-        sys_.solve(H, 1e-6, -g)
-        tau = 1e-3
-        dx = sys_.solve(H, tau, -g)
+        sys_.solve(H, g)
+        dx = sys_.solve(H, -g)
         assert [c[0] for c in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
         stored = calls[1][1]
         assert np.array_equal(stored.perm_c, np.arange(sys_.ndof))
-        fresh = splu((H + tau * sparse.identity(sys_.ndof, format="csc")).tocsc(),
-                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        fresh = splu(H.copy(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
         assert stored.L.nnz + stored.U.nnz == fresh.L.nnz + fresh.U.nnz
         ref = fresh.solve(-g)
@@ -523,11 +523,12 @@ class TestHandoff:
         assert np.linalg.norm(emb.area_centroid()) < 5e-7
 
     @pytest.mark.parametrize("n_nodes, seed, region", [(2000, 1, SQUARE), (4000, 1, IRREGULAR),
-                                                       (1000, 1, RECT)],
-                             ids=["square-2000-s1", "irregular-4000-s1", "rect-1000-s1"])
+                                                       (1000, 1, RECT), (300, 5, RECT)],
+                             ids=["square-2000-s1", "irregular-4000-s1", "rect-1000-s1",
+                                  "rect-300-s5"])
     def test_dilated_solves_converge(self, n_nodes, seed, region):
-        # solves whose rounds the dilation moves; the rectangle's Newton runs
-        # converge only through rejected steps
+        # solves whose rounds the dilation moves; the rectangles' Newton runs
+        # converge only through halved steps
         emb = geoq.harmonic_sphere_map(_cover(n_nodes, seed, region))
         assert emb.residual <= 1e-7
         assert emb.stats.centroid_norm < embedding.CENTROID_TOL
@@ -552,20 +553,24 @@ class TestHandoff:
 
 
 class TestFoldRefusal:
-    def test_folding_map_stalls(self):
-        # Newton refuses every step that adds a flipped triangle, and on this
-        # mesh that stalls it: 40 trials in a row are refused
-        with pytest.raises(NoConvergence, match="stalled") as err:
+    def test_folding_map_is_refused(self):
+        # the discrete harmonic map of this mesh folds, and the solve refuses
+        # it, naming its flipped triangles
+        with pytest.raises(NoConvergence, match="folds") as err:
             geoq.harmonic_sphere_map(_cover(400, 1, IRREGULAR))
-        assert err.value.best.stats.newton_rejected >= 40
+        flipped = err.value.best.flipped_triangles()
+        named = f"{len(flipped)} flipped triangle(s), among them {flipped[:8].tolist()}"
+        assert named in str(err.value)
 
-    def test_unguarded_solve_folds(self, monkeypatch):
-        # without the flip test, the same mesh converges to a folded map, so
-        # it is the refusal to fold that stalls the solve above
-        monkeypatch.setattr(embedding, "_flip_count", lambda sys_, P: 0)
-        emb = geoq.harmonic_sphere_map(_cover(400, 1, IRREGULAR))
-        assert emb.residual <= embedding.DEFAULT_TOL
-        assert len(emb.flipped_triangles()) > 0
+    def test_unguarded_solve_folds(self):
+        # Newton does not test its steps for flips, so on the same mesh it
+        # converges, residual and centroid under tolerance, to a folded map
+        with pytest.raises(NoConvergence, match="folds") as err:
+            geoq.harmonic_sphere_map(_cover(400, 1, IRREGULAR))
+        best = err.value.best
+        assert err.value.residual <= embedding.DEFAULT_TOL
+        assert best.stats.centroid_norm < embedding.CENTROID_TOL
+        assert len(best.flipped_triangles()) > 0
 
     @pytest.mark.parametrize("n_nodes", (200, 300))
     @pytest.mark.parametrize("seed", (1, 2, 3, 4))
