@@ -19,8 +19,8 @@ from .embedding import (DistortionReport, EmbeddingStats, SphericalEmbedding,
 from .quorums import (DataType, QuorumSystemKind,
                       geometric_robustness, hash_location, read_quorum,
                       write_quorum)
-from .loadsim import (Metrics, Workload, charge, discrete_robustness,
-                      level_sets, rasterize, run)
+from .loadsim import (Metrics, RunGeometry, Workload, charge, discrete_robustness,
+                      level_sets, rasterize, run, run_geometry)
 from .config import ExperimentConfig, load_config, preset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

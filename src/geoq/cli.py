@@ -10,6 +10,9 @@ file that geoq itself never reads.
 
 `run` is the one-value case of `sweep`: each writes one CSV (on a failure, the
 rows so far and a `partial` row) and, with `svg` set, the last run's heatmap.
+The write rate r enters only the weights a run charges: each seed's accesses
+are drawn and rasterized once (`loadsim.run_geometry`) and charged at every
+rate in `r_values` in turn, and the rows are still written rate by rate.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence.
 """
@@ -27,7 +30,8 @@ from .config import ExperimentConfig, load_config, preset
 from .embedding import (SphericalEmbedding, distortion_report, harmonic_sphere_map,
                         save_embedding)
 from .errors import ConfigError, GeoqError, NoConvergence
-from .loadsim import Workload, run as run_workload
+# bound as run_workload for the benchmark's tracer, which wraps geoq.cli.run_workload
+from .loadsim import Workload, run_geometry as run_workload
 from .mesh import PlanarMesh, double_cover, generate_deployment, save_mesh, triangulate
 from .quorums import DataType, hash_location
 from .svgplot import heatmap_svg
@@ -108,51 +112,80 @@ def _workload_for(cfg: ExperimentConfig, seed: int, r: float, emb) -> Workload:
                     events=cfg.events, mix_samples=cfg.mix_samples)
 
 
+# run_once's last run: ((config, seed), embedding, its RunGeometry)
+_memo = None
+
+
 def run_once(cfg: ExperimentConfig, seed: int, r: float,
              emb: SphericalEmbedding):
-    """One repetition at one rate; returns (Metrics, load array, runtime_ms)."""
+    """One repetition at one rate; returns (Metrics, load array, runtime_ms).
+
+    r enters only the charge. The accesses, their level sets and the
+    robustness counts depend on the config and the seed alone, so a call
+    with the config and seed of the call before it, on the same embedding
+    object, charges that call's geometry at r and draws nothing. The memo
+    holds that one geometry. Like the embedding's lazy k-d tree, edges and
+    planes, it assumes that an embedding is not changed after it is built.
+    """
+    global _memo
     t0 = time.perf_counter()
-    workload = _workload_for(cfg, seed, r, emb)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
-    rob_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF2]))
-    metrics, load = run_workload(workload, cfg.system(), emb, rng,
-                                 read_termination=cfg.read_termination,
-                                 robustness_trials=cfg.robustness_trials,
-                                 robustness_rng=rob_rng)
+    memo = _memo   # read once: a call charges the geometry it checked
+    if memo is None or memo[0] != (cfg, seed) or memo[1] is not emb:
+        _memo = memo = None   # at most one run's geometry, also while the next is built
+        workload = _workload_for(cfg, seed, r, emb)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
+        rob_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF2]))
+        geometry = run_workload(workload, cfg.system(), emb, rng,
+                                read_termination=cfg.read_termination,
+                                robustness_trials=cfg.robustness_trials,
+                                robustness_rng=rob_rng)
+        _memo = memo = ((cfg, seed), emb, geometry)
+    metrics, load = memo[2].charge(r, emb)
     ms = (time.perf_counter() - t0) * 1000.0
     return metrics, load, ms
 
 
-def _rows_for_config(cfg: ExperimentConfig, embs: dict):
-    """The CSV rows of every rate and repetition, and the (embedding, load)
-    of the last run."""
-    rows = []
+def _rows_for_config(cfg: ExperimentConfig, embs: dict, rows: list, prefix: str):
+    """Append the CSV rows of every rate and repetition to `rows`, rate by
+    rate, and return the (embedding, load) of the last rate's last seed.
+
+    Each seed runs its rates back to back, so that `run_once` rasterizes its
+    accesses once. A GeoqError never depends on r, so it comes at a seed's
+    first rate: `rows` then gets the first rate's rows of the seeds before
+    it, as a rate-by-rate run would have written them."""
     geo = cfg.kind == "GeoQuorum"
-    for r in cfg.r_values:
-        common = dict(experiment_id=f"{cfg.kind}_r{r:g}", kind=cfg.kind, r=r,
-                      a=cfg.a if geo else "", R_W=cfg.r_w if geo else "")
-        per_rep = []
+    commons = [dict(experiment_id=f"{prefix}{cfg.kind}_r{r:g}", kind=cfg.kind, r=r,
+                    a=cfg.a if geo else "", R_W=cfg.r_w if geo else "")
+               for r in cfg.r_values]
+    per_seed = []   # each seed's rows, one per rate
+    try:
         for rep in range(cfg.repetitions):
             seed = cfg.seed + rep
             key = (cfg.nodes, cfg.polygon, seed, cfg.solver_tol, cfg.solver_max_iters)
-            if key not in embs:   # solved once per command, on its first rate
+            if key not in embs:   # solved once per command
                 embs[key] = embed_seed(cfg, seed)
             emb = embs[key]
-            metrics, load, ms = run_once(cfg, seed, r, emb)
-            rows.append(common | dict(seed=seed, system_load=metrics.system_load,
-                                      total_load=metrics.total_load,
-                                      robustness_geometric=metrics.robustness_geometric,
-                                      robustness_discrete=metrics.robustness_discrete,
-                                      runtime_ms=ms))
-            per_rep.append(metrics)
-        sys_loads = [m.system_load for m in per_rep]
-        tot_loads = [m.total_load for m in per_rep]
+            seed_rows = []
+            for r, common in zip(cfg.r_values, commons):
+                metrics, load, ms = run_once(cfg, seed, r, emb)
+                seed_rows.append(common | dict(
+                    seed=seed, system_load=metrics.system_load, total_load=metrics.total_load,
+                    robustness_geometric=metrics.robustness_geometric,
+                    robustness_discrete=metrics.robustness_discrete, runtime_ms=ms))
+            per_seed.append(seed_rows)
+    except GeoqError:
+        rows.extend(seed_rows[0] for seed_rows in per_seed)
+        raise
+    for common, rate_rows in zip(commons, zip(*per_seed)):
+        rows.extend(rate_rows)
+        sys_loads = [row["system_load"] for row in rate_rows]
+        tot_loads = [row["total_load"] for row in rate_rows]
         for stat, reducer in (("mean", np.mean), ("stddev", np.std)):
             rows.append(common | dict(seed=stat, system_load=float(reducer(sys_loads)),
                                       total_load=float(reducer(tot_loads)),
                                       robustness_geometric="", robustness_discrete="",
                                       runtime_ms=""))
-    return rows, (emb, load)
+    return emb, load
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -173,10 +206,7 @@ def _run_configs(cfg: ExperimentConfig, out: Path, command: str, configs) -> lis
     embs: dict = {}   # shared by the configs that keep the deployment
     try:
         for prefix, sub in configs:
-            sub_rows, (emb, load) = _rows_for_config(sub, embs)
-            for row in sub_rows:
-                row["experiment_id"] = prefix + row["experiment_id"]
-            rows.extend(sub_rows)
+            emb, load = _rows_for_config(sub, embs, rows, prefix)
     except GeoqError:
         rows.append({col: "" for col in CSV_COLUMNS} | {"experiment_id": "partial"})
         csv_path.write_text(rows_to_csv(rows))

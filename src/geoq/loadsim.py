@@ -39,6 +39,10 @@ Charging rule: every vertex of every charged triangle and every vertex on
 the curve receives the access weight once (set semantics per access); loads
 of mirror copies accrue to the physical (original) vertex. Weights are added
 in access order, so loads do not depend on how the accesses are blocked.
+
+The write rate enters only the weights: `run_geometry` draws and rasterizes
+a run's accesses, and `RunGeometry.charge` charges them at any rate, as
+`run` does at the workload's.
 """
 from __future__ import annotations
 
@@ -275,16 +279,23 @@ def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
     return load
 
 
+def _check_rate(r) -> None:
+    if not (math.isfinite(r) and r > 0):
+        raise OutOfRange(f"write_rate_r must be finite and positive, got {r}")
+
+
 @dataclass(frozen=True)
 class Workload:
     """Access pattern: data types, relative write rate, and the event model.
 
     write_rate_r is the per-contributor data production rate; every querier
     queries at rate 1, and loads are affine in the rates, so a write-only
-    load is a workload with no queriers. MonteCarlo mode draws `events`
-    accesses per accessor (each carrying rate/events weight); Expected mode
-    charges pure strategies once at full rate and mixed strategies through a
-    deterministic mixing quadrature of `mix_samples` curves.
+    load is a workload with no queriers. The rate enters only the weights
+    that `RunGeometry.charge` adds: no curve, cut or level set depends on it.
+    MonteCarlo mode draws `events` accesses per accessor (each carrying
+    rate/events weight); Expected mode charges pure strategies once at full
+    rate and mixed strategies through a deterministic mixing quadrature of
+    `mix_samples` curves.
     """
 
     data_types: tuple
@@ -294,8 +305,7 @@ class Workload:
     mix_samples: int = 16
 
     def __post_init__(self):
-        if not (math.isfinite(self.write_rate_r) and self.write_rate_r > 0):
-            raise OutOfRange(f"write_rate_r must be finite and positive, got {self.write_rate_r}")
+        _check_rate(self.write_rate_r)
         if self.mode not in ("montecarlo", "expected"):
             raise ConfigError(f"unknown workload mode {self.mode!r}")
         if self.events < 1 or self.mix_samples < 1:
@@ -340,21 +350,23 @@ def _first_hit_keep(read: SphericalCurve, writes: list):
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
               node_pos, rng, first_hit: bool):
-    """The data type's accesses in charging order, as (curve, keep, weight):
-    every write, then every read. An accessor's curves are `events` draws in
-    Monte Carlo mode; in expected mode, the mixing quadrature of a mixed
-    strategy or the one curve of a pure one. keep is None for a whole curve;
+    """The data type's accesses in charging order, as (curve, keep, (write,
+    factor, count)): every write, then every read. An access weighs
+    factor * r / count if it is a write and factor / count if not, where
+    count is the number of its accessor's curves: `events` draws in Monte
+    Carlo mode; in expected mode, the mixing quadrature of a mixed strategy
+    or the one curve of a pure one. keep is None for a whole curve;
     a first-hit read keeps the parameter interval before its first crossing
     with this data type's writes (`_first_hit_keep`)."""
     writes: list[SphericalCurve] = []  # realized writes, for first_hit
     expected = workload.mode == "expected"
-    for role, accessors, rate, draw in (
-            ("write", data.contributors, workload.write_rate_r, write_quorum),
-            ("read", data.queriers, 1.0, read_quorum)):
+    for role, accessors, draw in (("write", data.contributors, write_quorum),
+                                  ("read", data.queriers, read_quorum)):
         nodes = [node_pos[int(i)] for i in accessors]
+        factor = 1.0
         if expected and role == "read" and is_read_shared(kind):
             # the read family depends only on the hash; share it across queriers
-            rate *= len(nodes)
+            factor = float(len(nodes))
             nodes = [None] if nodes else []
         for node in nodes:
             if expected and is_mixed(kind, role):
@@ -368,7 +380,7 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
                     writes.append(curve)
                 keep = (_first_hit_keep(curve, writes)
                         if first_hit and role == "read" else None)
-                yield curve, keep, rate / len(curves)
+                yield curve, keep, (role == "write", factor, len(curves))
 
 
 def _blocks(accesses, emb: SphericalEmbedding):
@@ -389,6 +401,77 @@ def _blocks(accesses, emb: SphericalEmbedding):
         yield block
 
 
+@dataclass(frozen=True, eq=False)
+class RunGeometry:
+    """What a run charges, at any write rate: its accesses' level sets and
+    rate terms, and its robustness counts (`run_geometry`).
+
+    blocks[i] is (owner, triangles, on) from `level_sets` for the i-th block
+    of accesses, and splits holds the index of the first access of each
+    block after the first. Per access, write says whether its role's rate is
+    r or 1, factor multiplies that rate, and count divides it (`_accesses`).
+    """
+
+    blocks: tuple
+    splits: np.ndarray
+    write: np.ndarray
+    factor: np.ndarray
+    count: np.ndarray
+    robustness_geometric: int | None = None
+    robustness_discrete: int | None = None
+
+    def charge(self, r: float, emb: SphericalEmbedding):
+        """(Metrics, load array indexed by node id) at write rate r: each
+        block charged in order (the module-level `charge`), as `run` does."""
+        _check_rate(r)
+        weight = np.where(self.write, r, 1.0) * self.factor / self.count
+        load = np.zeros(emb.n_nodes)
+        for (owner, triangles, on), w in zip(self.blocks, np.split(weight, self.splits)):
+            charge(load, triangles, emb, w, owner, on)
+        metrics = Metrics(system_load=float(load.max()), total_load=float(load.sum()),
+                          robustness_geometric=self.robustness_geometric,
+                          robustness_discrete=self.robustness_discrete)
+        return metrics, load
+
+
+def run_geometry(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
+                 rng, read_termination: str = "full",
+                 robustness_trials: int = 0, robustness_rng=None) -> RunGeometry:
+    """Draw and rasterize the workload's accesses, and count robustness,
+    without charging: every part of `run` that does not depend on the write
+    rate. `RunGeometry.charge(r, emb)` then gives the run's result at any r,
+    and draws nothing from rng."""
+    if read_termination not in ("full", "first_hit"):
+        raise ConfigError(f"unknown read_termination {read_termination!r}")
+    for data in workload.data_types:
+        _validate_nodes(data, emb.n_nodes)
+    node_pos = emb.node_positions()
+
+    accesses = chain.from_iterable(
+        _accesses(workload, kind, data, node_pos, rng, read_termination == "first_hit")
+        for data in workload.data_types)
+    blocks, rates, ends = [], [], []
+    for block in _blocks(accesses, emb):
+        curves, keep, rate = zip(*block)
+        owner, triangles, (v_owner, vertices) = level_sets(curves, emb, keep)
+        # kept for every rate, so in 32 bits: no mesh or block has 2**31 entries
+        owner, triangles, v_owner, vertices = (
+            a.astype(np.int32) for a in (owner, triangles, v_owner, vertices))
+        blocks.append((owner, triangles, (v_owner, vertices)))
+        rates.extend(rate)
+        ends.append(len(rates))
+    write, factor, count = np.array(rates, dtype=float).reshape(-1, 3).T
+
+    rg = rd = None
+    if robustness_trials > 0:
+        rr = robustness_rng if robustness_rng is not None else rng
+        rg = geometric_robustness(kind, workload.data_types[0], robustness_trials, rr)
+        rd = discrete_robustness(kind, workload.data_types[0], emb,
+                                 robustness_trials, rr)
+    return RunGeometry(tuple(blocks), np.array(ends[:-1], dtype=int), write > 0, factor,
+                       count, rg, rd)
+
+
 def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
         rng, read_termination: str = "full",
         robustness_trials: int = 0, robustness_rng=None):
@@ -399,32 +482,11 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
     entire curve. A pure strategy's accessor at the hash point or its
     antipode raises DegenerateInput: its great circle (QG and QL writes, QLd
     reads) or latitude circle (QL reads, QLd writes) is undefined there.
+    The write rate enters only the charge: this is
+    `run_geometry(...).charge(workload.write_rate_r, emb)`.
     """
-    if read_termination not in ("full", "first_hit"):
-        raise ConfigError(f"unknown read_termination {read_termination!r}")
-    n_nodes = emb.n_nodes
-    for data in workload.data_types:
-        _validate_nodes(data, n_nodes)
-    load = np.zeros(n_nodes)
-    node_pos = emb.node_positions()
-
-    accesses = chain.from_iterable(
-        _accesses(workload, kind, data, node_pos, rng, read_termination == "first_hit")
-        for data in workload.data_types)
-    for block in _blocks(accesses, emb):
-        curves, keep, weights = zip(*block)
-        owner, triangles, on = level_sets(curves, emb, keep)
-        charge(load, triangles, emb, weights, owner, on)
-
-    rg = rd = None
-    if robustness_trials > 0:
-        rr = robustness_rng if robustness_rng is not None else rng
-        rg = geometric_robustness(kind, workload.data_types[0], robustness_trials, rr)
-        rd = discrete_robustness(kind, workload.data_types[0], emb,
-                                 robustness_trials, rr)
-    metrics = Metrics(system_load=float(load.max()), total_load=float(load.sum()),
-                      robustness_geometric=rg, robustness_discrete=rd)
-    return metrics, load
+    return run_geometry(workload, kind, emb, rng, read_termination, robustness_trials,
+                        robustness_rng).charge(workload.write_rate_r, emb)
 
 
 def discrete_robustness(kind: QuorumSystemKind, data: DataType,

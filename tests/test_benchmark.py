@@ -44,6 +44,12 @@ def test_traced_montecarlo_round():
     assert metrics["sphere.sample.calls"] == 0
     assert metrics["embedding.locate_many.points"] == 0
     assert metrics["loadsim.charge.triangles"] > 0
+    # per round, 4 kinds at 2 rates: each kind's seed draws and rasterizes
+    # its 100 writes and 20 reads once, and charges them at both rates
+    assert metrics["cli.run_once.calls"] == 8
+    assert metrics["loadsim.run.calls"] == 4
+    assert metrics["quorums.write_quorum.calls"] == 400
+    assert metrics["quorums.read_quorum.calls"] == 80
 
 
 def test_traced_intersect_round():

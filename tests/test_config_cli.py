@@ -1,3 +1,4 @@
+import copy
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from geoq import cli
 from geoq.cli import CSV_COLUMNS, cmd_generate, cmd_map, cmd_run, cmd_sweep, main
 from geoq.config import (ExperimentConfig, config_from_text, config_to_text,
                          preset)
-from geoq.errors import ConfigError
+from geoq.errors import ConfigError, DegenerateInput, OutOfRange
 from geoq.svgplot import heatmap_svg, ramp_color
 
 
@@ -300,6 +301,140 @@ class TestSolveOnce:
         a = strip_runtime((tmp_path / "mixed" / "out.csv").read_text())
         b = strip_runtime((tmp_path / "empty" / "out.csv").read_text())
         assert a == b
+
+
+GEO = dict(kind="GeoQuorum", r_w=0.2 * np.pi, a=0.2)
+REUSE_KINDS = [dict(kind="QG"), dict(kind="QGm"), dict(kind="QL"), dict(kind="QLd"),
+               GEO, dict(GEO, dual=True)]
+REUSE_MODES = [dict(mode="montecarlo", events=1), dict(mode="montecarlo", events=3),
+               dict(mode="expected", mix_samples=4)]
+REUSE_RATES = (4.0, 0.3, 1 / 3, 10.0)
+
+
+@pytest.fixture
+def geometries(monkeypatch):
+    """The workload of every run whose geometry geoq.cli builds, in call
+    order; run_once's memo starts empty."""
+    calls = []
+    build = cli.run_workload
+
+    def counted(workload, *args, **kwargs):
+        calls.append(workload)
+        return build(workload, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_workload", counted)
+    monkeypatch.setattr(cli, "_memo", None)
+    return calls
+
+
+def _run_cfg(**kw):
+    return ExperimentConfig(**(dict(nodes=400, contributors=8, queriers=3,
+                                    robustness_trials=2) | kw))
+
+
+class TestRunOnceReuse:
+    @pytest.mark.parametrize("mode", REUSE_MODES, ids=["events1", "events3", "expected"])
+    @pytest.mark.parametrize("termination", ["full", "first_hit"])
+    def test_reuse_is_exact(self, emb400, geometries, mode, termination):
+        for kind in REUSE_KINDS:
+            cfg = _run_cfg(read_termination=termination, **kind, **mode)
+            fresh = []
+            for r in REUSE_RATES:
+                cli._memo = None
+                fresh.append(cli.run_once(cfg, 2, r, emb400)[:2])
+            cli._memo = None
+            built = len(geometries)
+            for r, (metrics, load) in zip(REUSE_RATES, fresh):
+                reused, reused_load, _ = cli.run_once(cfg, 2, r, emb400)
+                assert reused_load.tobytes() == load.tobytes(), (kind, r)
+                assert reused == metrics, (kind, r)
+            assert len(geometries) == built + 1   # one build for the four rates
+
+    @pytest.mark.parametrize("change", [dict(kind="QG"), dict(queriers=4),
+                                        dict(read_termination="first_hit"),
+                                        dict(mode="expected")],
+                             ids=lambda c: next(iter(c)))
+    def test_changed_config_rebuilds(self, emb400, geometries, change):
+        cfg = _run_cfg(**GEO)
+        first = cli.run_once(cfg, 2, 4.0, emb400)[1]
+        changed = cli.run_once(replace(cfg, **change), 2, 4.0, emb400)[1]
+        assert len(geometries) == 2
+        assert not np.array_equal(first, changed)
+        cli.run_once(cfg, 2, 6.0, emb400)
+        assert len(geometries) == 3
+
+    def test_changed_seed_or_embedding_rebuilds(self, emb400, geometries):
+        cfg = _run_cfg(**GEO)
+        cli.run_once(cfg, 2, 4.0, emb400)
+        load = cli.run_once(cfg, 3, 4.0, emb400)[1]
+        assert len(geometries) == 2
+        other = copy.copy(emb400)   # equal content, another object
+        assert np.array_equal(cli.run_once(cfg, 3, 4.0, other)[1], load)
+        assert len(geometries) == 3
+        cli.run_once(cfg, 3, 6.0, other)
+        assert len(geometries) == 3
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_reused_geometry_rejects_a_bad_rate(self, emb400, geometries, rate):
+        cfg = _run_cfg(**GEO)
+        message = "write_rate_r must be finite and positive"
+        with pytest.raises(OutOfRange, match=message):   # fresh
+            cli.run_once(cfg, 2, rate, emb400)
+        cli.run_once(cfg, 2, 4.0, emb400)
+        with pytest.raises(OutOfRange, match=message):   # on the memo's geometry
+            cli.run_once(cfg, 2, rate, emb400)
+        assert len(geometries) == 1
+
+
+class TestSweepRows:
+    def test_rows_rate_major_and_heatmap_of_last_run(self, tmp_path, monkeypatch):
+        runs, heatmaps = [], []
+        run_once, heatmap = cli.run_once, cli.heatmap_svg
+
+        def recorded(cfg, seed, r, emb):
+            out = run_once(cfg, seed, r, emb)
+            runs.append((seed, r, out))
+            return out
+
+        def drawn(xy, load):
+            heatmaps.append(load)
+            return heatmap(xy, load)
+
+        monkeypatch.setattr(cli, "run_once", recorded)
+        monkeypatch.setattr(cli, "heatmap_svg", drawn)
+        cfg = small_cfg(r_values=(4.0, 6.0), svg="heat.svg")
+        rows = cmd_run(cfg, tmp_path)
+        # each seed's rates run back to back
+        assert [(seed, r) for seed, r, _ in runs] == [(5, 4.0), (5, 6.0), (6, 4.0), (6, 6.0)]
+        assert [(row["r"], row["seed"]) for row in rows] == [
+            (4.0, 5), (4.0, 6), (4.0, "mean"), (4.0, "stddev"),
+            (6.0, 5), (6.0, 6), (6.0, "mean"), (6.0, "stddev")]
+        for i, r in enumerate(cfg.r_values):
+            metrics = [out[0] for _, rate, out in runs if rate == r]
+            block = rows[4 * i:4 * i + 4]
+            assert [row["system_load"] for row in block[:2]] == [m.system_load for m in metrics]
+            for key in ("system_load", "total_load"):
+                values = [getattr(m, key) for m in metrics]
+                assert block[2][key] == float(np.mean(values))
+                assert block[3][key] == float(np.std(values))
+        assert len(heatmaps) == 1 and heatmaps[0] is runs[-1][2][1]
+
+    def test_failure_at_a_later_seed_writes_the_first_rate_rows(self, tmp_path, monkeypatch):
+        run_once = cli.run_once
+        cfg = small_cfg(r_values=(4.0, 6.0))
+
+        def failing(cfg_, seed, r, emb):
+            if seed == cfg.seed + 1:
+                raise DegenerateInput("accessor at the hash point")
+            return run_once(cfg_, seed, r, emb)
+
+        monkeypatch.setattr(cli, "run_once", failing)
+        with pytest.raises(DegenerateInput):
+            cmd_run(cfg, tmp_path)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert [ln.split(",")[:6] for ln in lines[1:]] == [
+            ["GeoQuorum_r4", "GeoQuorum", "4", "0.2", "0.628319", "5"],
+            ["partial", "", "", "", "", ""]]
 
 
 class TestRobustnessColumns:

@@ -478,6 +478,26 @@ class TestBatchedRun:
                                      termination)
                 assert np.array_equal(load, ref), (kind, termination)
 
+    @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
+    def test_one_geometry_charges_every_rate(self, emb400, mode, monkeypatch):
+        # the rate enters only the charge: one geometry, built at one rate and
+        # split between charges, gives the reference's loads at every rate
+        monkeypatch.setattr(geoq.loadsim, "_BLOCK", 3000)
+        for kind in self.KINDS:
+            geometry = geoq.loadsim.run_geometry(
+                _workload(emb400, n_contrib=12, n_query=4, r=4.0, mode=mode, events=2,
+                          mix_samples=5),
+                kind, emb400, np.random.default_rng(31), read_termination="first_hit")
+            assert len(geometry.blocks) > 1
+            for r in (4.0, 0.3, 1 / 3, 10.0):
+                wl = _workload(emb400, n_contrib=12, n_query=4, r=r, mode=mode, events=2,
+                               mix_samples=5)
+                metrics, load = geometry.charge(r, emb400)
+                ref = _reference_run(wl, kind, emb400, np.random.default_rng(31), "first_hit")
+                assert np.array_equal(load, ref), (kind, r)
+                assert metrics == geoq.run(wl, kind, emb400, np.random.default_rng(31),
+                                           read_termination="first_hit")[0]
+
 
 def _scan(read, lo, hi, step):
     """The read's points at parameters from lo up to hi, at most `step`
