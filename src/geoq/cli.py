@@ -10,9 +10,10 @@ file that geoq itself never reads.
 
 `run` is the one-value case of `sweep`: each writes one CSV (on a failure, the
 rows so far and a `partial` row) and, with `svg` set, the last run's heatmap.
-The write rate r enters only the weights a run charges: each seed's accesses
-are drawn and rasterized once (`loadsim.run_geometry`) and charged at every
-rate in `r_values` in turn, and the rows are still written rate by rate.
+The write rate r scales every write and no read: each seed's accesses are
+drawn, rasterized and charged once, as a writes load and a reads load at
+rate 1 (`loadsim.run_geometry`), each rate in `r_values` takes
+r * writes + reads, and the rows are still written rate by rate.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence.
 """
@@ -112,7 +113,7 @@ def _workload_for(cfg: ExperimentConfig, seed: int, r: float, emb) -> Workload:
                     events=cfg.events, mix_samples=cfg.mix_samples)
 
 
-# run_once's last run: ((config, seed), embedding, its RunGeometry)
+# run_once's last run: ((config, seed), embedding, its RunGeometry's two loads)
 _memo = None
 
 
@@ -120,11 +121,11 @@ def run_once(cfg: ExperimentConfig, seed: int, r: float,
              emb: SphericalEmbedding):
     """One repetition at one rate; returns (Metrics, load array, runtime_ms).
 
-    r enters only the charge. The accesses, their level sets and the
-    robustness counts depend on the config and the seed alone, so a call
-    with the config and seed of the call before it, on the same embedding
-    object, charges that call's geometry at r and draws nothing. The memo
-    holds that one geometry. Like the embedding's lazy k-d tree, edges and
+    The load is r * writes + reads. Those rate-1 loads and the robustness
+    counts depend on the config and the seed alone, so a call with the
+    config and seed of the call before it, on the same embedding object,
+    takes that call's loads at r and draws nothing. The memo holds those
+    two per-node arrays. Like the embedding's lazy k-d tree, edges and
     planes, it assumes that an embedding is not changed after it is built.
     """
     global _memo
@@ -140,7 +141,7 @@ def run_once(cfg: ExperimentConfig, seed: int, r: float,
                                 robustness_trials=cfg.robustness_trials,
                                 robustness_rng=rob_rng)
         _memo = memo = ((cfg, seed), emb, geometry)
-    metrics, load = memo[2].charge(r, emb)
+    metrics, load = memo[2].charge(r)
     ms = (time.perf_counter() - t0) * 1000.0
     return metrics, load, ms
 

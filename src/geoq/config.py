@@ -7,7 +7,8 @@ is built, however it is built, and an invalid one raises `ConfigError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -198,6 +199,10 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if type(field.default) is int and not isinstance(value, Integral):
+            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
     if cfg.nodes < 16:
         raise ConfigError("nodes must be at least 16")
     if cfg.seed < 0:

@@ -37,18 +37,19 @@ range meets that interval, a subset of the full read's.
 
 Charging rule: every vertex of every charged triangle and every vertex on
 the curve receives the access weight once (set semantics per access); loads
-of mirror copies accrue to the physical (original) vertex. Weights are added
-in access order, so loads do not depend on how the accesses are blocked.
-
-The write rate enters only the weights: `run_geometry` draws and rasterizes
-a run's accesses, and `RunGeometry.charge` charges them at any rate, as
-`run` does at the workload's.
+of mirror copies accrue to the physical (original) vertex. Writes and reads
+are charged apart at rate 1, each role's weights added in access order, so
+loads do not depend on how the accesses are blocked. The write rate r scales
+every write and no read, so a run's load is r * writes + reads:
+`run_geometry` gives a run's two rate-1 loads, and `RunGeometry.charge`
+combines them at any rate, as `run` does at the workload's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -270,8 +271,8 @@ def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
     are added in access order, as charging one access at a time would.
     """
     weight = np.atleast_1d(np.asarray(weight, dtype=float))
-    if (weight < 0).any():
-        raise OutOfRange("charge weight must be nonnegative")
+    if not (np.isfinite(weight) & (weight >= 0)).all():
+        raise OutOfRange("charge weight must be finite and nonnegative")
     if owner is None:
         owner = np.zeros(len(triangles), dtype=int)
     access, nodes = _access_nodes(owner, triangles, emb, on)
@@ -290,8 +291,9 @@ class Workload:
 
     write_rate_r is the per-contributor data production rate; every querier
     queries at rate 1, and loads are affine in the rates, so a write-only
-    load is a workload with no queriers. The rate enters only the weights
-    that `RunGeometry.charge` adds: no curve, cut or level set depends on it.
+    load is a workload with no queriers. A run's load is r times its writes'
+    load at rate 1 plus its reads' (`RunGeometry.charge`): no curve, cut or
+    level set depends on r.
     MonteCarlo mode draws `events` accesses per accessor (each carrying
     rate/events weight); Expected mode charges pure strategies once at full
     rate and mixed strategies through a deterministic mixing quadrature of
@@ -308,8 +310,8 @@ class Workload:
         _check_rate(self.write_rate_r)
         if self.mode not in ("montecarlo", "expected"):
             raise ConfigError(f"unknown workload mode {self.mode!r}")
-        if self.events < 1 or self.mix_samples < 1:
-            raise OutOfRange("events and mix_samples must be >= 1")
+        if not all(isinstance(n, Integral) and n >= 1 for n in (self.events, self.mix_samples)):
+            raise OutOfRange("events and mix_samples must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -350,14 +352,15 @@ def _first_hit_keep(read: SphericalCurve, writes: list):
 
 def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
               node_pos, rng, first_hit: bool):
-    """The data type's accesses in charging order, as (curve, keep, (write,
-    factor, count)): every write, then every read. An access weighs
-    factor * r / count if it is a write and factor / count if not, where
-    count is the number of its accessor's curves: `events` draws in Monte
-    Carlo mode; in expected mode, the mixing quadrature of a mixed strategy
-    or the one curve of a pure one. keep is None for a whole curve;
-    a first-hit read keeps the parameter interval before its first crossing
-    with this data type's writes (`_first_hit_keep`)."""
+    """The data type's accesses in charging order, as (curve, keep, write,
+    share): every write, then every read. share = factor / count is the
+    access's weight at rate 1, where factor is the number of queriers that
+    share an expected-mode read family (1 otherwise) and count is the number
+    of its accessor's curves: `events` draws in Monte Carlo mode; in
+    expected mode, the mixing quadrature of a mixed strategy or the one
+    curve of a pure one. A write weighs r * share. keep is None for a whole
+    curve; a first-hit read keeps the parameter interval before its first
+    crossing with this data type's writes (`_first_hit_keep`)."""
     writes: list[SphericalCurve] = []  # realized writes, for first_hit
     expected = workload.mode == "expected"
     for role, accessors, draw in (("write", data.contributors, write_quorum),
@@ -380,7 +383,7 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
                     writes.append(curve)
                 keep = (_first_hit_keep(curve, writes)
                         if first_hit and role == "read" else None)
-                yield curve, keep, (role == "write", factor, len(curves))
+                yield curve, keep, role == "write", factor / len(curves)
 
 
 def _blocks(accesses, emb: SphericalEmbedding):
@@ -403,31 +406,19 @@ def _blocks(accesses, emb: SphericalEmbedding):
 
 @dataclass(frozen=True, eq=False)
 class RunGeometry:
-    """What a run charges, at any write rate: its accesses' level sets and
-    rate terms, and its robustness counts (`run_geometry`).
+    """What a run charges, at any write rate: its writes' and its reads'
+    per-node loads at rate 1, and its robustness counts (`run_geometry`)."""
 
-    blocks[i] is (owner, triangles, on) from `level_sets` for the i-th block
-    of accesses, and splits holds the index of the first access of each
-    block after the first. Per access, write says whether its role's rate is
-    r or 1, factor multiplies that rate, and count divides it (`_accesses`).
-    """
-
-    blocks: tuple
-    splits: np.ndarray
-    write: np.ndarray
-    factor: np.ndarray
-    count: np.ndarray
+    writes: np.ndarray
+    reads: np.ndarray
     robustness_geometric: int | None = None
     robustness_discrete: int | None = None
 
-    def charge(self, r: float, emb: SphericalEmbedding):
-        """(Metrics, load array indexed by node id) at write rate r: each
-        block charged in order (the module-level `charge`), as `run` does."""
+    def charge(self, r: float):
+        """(Metrics, load array indexed by node id) at write rate r: the load
+        is r * writes + reads, as `run` gives it."""
         _check_rate(r)
-        weight = np.where(self.write, r, 1.0) * self.factor / self.count
-        load = np.zeros(emb.n_nodes)
-        for (owner, triangles, on), w in zip(self.blocks, np.split(weight, self.splits)):
-            charge(load, triangles, emb, w, owner, on)
+        load = r * self.writes + self.reads
         metrics = Metrics(system_load=float(load.max()), total_load=float(load.sum()),
                           robustness_geometric=self.robustness_geometric,
                           robustness_discrete=self.robustness_discrete)
@@ -437,10 +428,10 @@ class RunGeometry:
 def run_geometry(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
                  rng, read_termination: str = "full",
                  robustness_trials: int = 0, robustness_rng=None) -> RunGeometry:
-    """Draw and rasterize the workload's accesses, and count robustness,
-    without charging: every part of `run` that does not depend on the write
-    rate. `RunGeometry.charge(r, emb)` then gives the run's result at any r,
-    and draws nothing from rng."""
+    """Draw and rasterize the workload's accesses, charge its writes and its
+    reads apart at rate 1, and count robustness: every part of `run` that
+    does not depend on the write rate. `RunGeometry.charge(r)` then gives
+    the run's result at any r, and draws nothing from rng."""
     if read_termination not in ("full", "first_hit"):
         raise ConfigError(f"unknown read_termination {read_termination!r}")
     for data in workload.data_types:
@@ -450,17 +441,16 @@ def run_geometry(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbed
     accesses = chain.from_iterable(
         _accesses(workload, kind, data, node_pos, rng, read_termination == "first_hit")
         for data in workload.data_types)
-    blocks, rates, ends = [], [], []
+    writes, reads = np.zeros(emb.n_nodes), np.zeros(emb.n_nodes)
     for block in _blocks(accesses, emb):
-        curves, keep, rate = zip(*block)
-        owner, triangles, (v_owner, vertices) = level_sets(curves, emb, keep)
-        # kept for every rate, so in 32 bits: no mesh or block has 2**31 entries
-        owner, triangles, v_owner, vertices = (
-            a.astype(np.int32) for a in (owner, triangles, v_owner, vertices))
-        blocks.append((owner, triangles, (v_owner, vertices)))
-        rates.extend(rate)
-        ends.append(len(rates))
-    write, factor, count = np.array(rates, dtype=float).reshape(-1, 3).T
+        curves, keep, write, share = zip(*block)
+        owner, triangles, on = level_sets(curves, emb, keep)
+        # each role's accesses keep their weight and the other role's weigh 0.0,
+        # which leaves a load unchanged
+        for load, w in ((writes, np.where(write, share, 0.0)),
+                        (reads, np.where(write, 0.0, share))):
+            if w.any():
+                charge(load, triangles, emb, w, owner, on)
 
     rg = rd = None
     if robustness_trials > 0:
@@ -468,8 +458,7 @@ def run_geometry(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbed
         rg = geometric_robustness(kind, workload.data_types[0], robustness_trials, rr)
         rd = discrete_robustness(kind, workload.data_types[0], emb,
                                  robustness_trials, rr)
-    return RunGeometry(tuple(blocks), np.array(ends[:-1], dtype=int), write > 0, factor,
-                       count, rg, rd)
+    return RunGeometry(writes, reads, rg, rd)
 
 
 def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
@@ -482,11 +471,11 @@ def run(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbedding,
     entire curve. A pure strategy's accessor at the hash point or its
     antipode raises DegenerateInput: its great circle (QG and QL writes, QLd
     reads) or latitude circle (QL reads, QLd writes) is undefined there.
-    The write rate enters only the charge: this is
-    `run_geometry(...).charge(workload.write_rate_r, emb)`.
+    The load is r * writes + reads, each charged at rate 1: this is
+    `run_geometry(...).charge(workload.write_rate_r)`.
     """
     return run_geometry(workload, kind, emb, rng, read_termination, robustness_trials,
-                        robustness_rng).charge(workload.write_rate_r, emb)
+                        robustness_rng).charge(workload.write_rate_r)
 
 
 def discrete_robustness(kind: QuorumSystemKind, data: DataType,

@@ -86,6 +86,18 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             small_cfg(hash_override=(0.0, 0.0, float("nan")))
 
+    @pytest.mark.parametrize("name, value", [("events", 1.5), ("mix_samples", 2.5),
+                                             ("repetitions", 1.5), ("contributors", 10.5),
+                                             ("nodes", 400.0)])
+    def test_python_built_integer_field_is_checked(self, name, value):
+        # the parse path reads these keys with int(); a config built in Python
+        # gets the same rule
+        with pytest.raises(ConfigError, match=name):
+            small_cfg(**{name: value})
+
+    def test_numpy_integer_field_accepted(self):
+        assert small_cfg(events=np.int64(2), repetitions=np.int32(3)).events == 2
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

@@ -200,6 +200,18 @@ class TestWorkload:
         with pytest.raises(OutOfRange):
             geoq.Workload(data_types=(), write_rate_r=rate)
 
+    @pytest.mark.parametrize("counts", [dict(mix_samples=2.5), dict(events=1.5),
+                                        dict(events=2.0), dict(mix_samples=0)])
+    def test_counts_must_be_positive_integers(self, counts):
+        # mix_samples = 2.5 would charge 3 unequally spaced mixing curves
+        with pytest.raises(OutOfRange, match="integers >= 1"):
+            geoq.Workload(data_types=(), write_rate_r=1.0, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        wl = geoq.Workload(data_types=(), write_rate_r=1.0, events=np.int64(3),
+                           mix_samples=np.int32(8))
+        assert (wl.events, wl.mix_samples) == (3, 8)
+
 
 LINEARITY_KINDS = (geoq.QuorumSystemKind("QG"), geoq.QuorumSystemKind("QL"),
                    geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2))
@@ -288,6 +300,15 @@ class TestCharge:
     def test_negative_weight_rejected(self, emb400):
         with pytest.raises(OutOfRange):
             geoq.charge(np.zeros(emb400.n_nodes), [1], emb400, -1.0)
+
+    def test_non_finite_weight_rejected(self, emb400):
+        # NaN fails every comparison with 0, so a sign test alone accepts it
+        load = np.zeros(emb400.n_nodes)
+        for weight, owner in ((np.nan, None), (np.inf, None), (-np.inf, None),
+                              ([1.0, np.nan], [0, 1])):
+            with pytest.raises(OutOfRange, match="finite and nonnegative"):
+                geoq.charge(load, [5, 6], emb400, weight, owner)
+        assert not load.any()
 
 
 class TestRun:
@@ -402,55 +423,72 @@ class TestRun:
                      geoq.QuorumSystemKind(name), emb400, np.random.default_rng(0))
 
 
-def _reference_run(wl, kind, emb, rng, read_termination):
-    """run()'s loads, with each access rasterized alone by `level_sets` and
-    charged at once: the order in which run() must add the weights."""
-    load = np.zeros(emb.n_nodes)
+def _reference_accesses(wl, kind, emb, rng, read_termination):
+    """run()'s accesses in charging order, each rasterized alone by
+    `level_sets`, as (physical nodes, write, factor, count): the access
+    weighs factor / count at rate 1, and a write's weight scales with r."""
     node_pos = emb.node_positions()
     expected, mix = wl.mode == "expected", wl.mix_samples
     psis = mixing_angles(mix)
+    accesses = []
 
-    def charge_one(curve, weight, keep=None):
+    def add(curve, write, factor, count, keep=None):
         _, tris, (_, on) = geoq.level_sets([curve], emb, [keep])
         verts = np.concatenate([emb.mesh.triangles[tris].ravel(), on])
-        load[np.unique(emb.mesh.original_vertex(verts))] += weight
+        accesses.append((np.unique(emb.mesh.original_vertex(verts)), write, factor, count))
 
     for data in wl.data_types:
         writes = []
         for i in data.contributors:
             node = node_pos[i]
             if expected and is_mixed(kind, "write"):
-                curves = [(quorum_curve(kind, "write", node, data.hash_point, psi),
-                           wl.write_rate_r / mix) for psi in psis]
-            elif expected:
-                curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r)]
+                curves = [quorum_curve(kind, "write", node, data.hash_point, psi)
+                          for psi in psis]
             else:
-                curves = [(geoq.write_quorum(kind, node, data, rng), wl.write_rate_r / wl.events)
-                          for _ in range(wl.events)]
-            for curve, weight in curves:
+                curves = [geoq.write_quorum(kind, node, data, rng)
+                          for _ in range(1 if expected else wl.events)]
+            for curve in curves:
                 writes.append(curve)
-                charge_one(curve, weight)
+                add(curve, True, 1.0, len(curves))
         if expected and is_read_shared(kind):
-            total = len(data.queriers)
-            curves = [(quorum_curve(kind, "read", None, data.hash_point, psi), total / mix)
-                      for psi in psis]
+            families = [([quorum_curve(kind, "read", None, data.hash_point, psi)
+                          for psi in psis], float(len(data.queriers)))]
         else:
-            curves = []
+            families = []
             for i in data.queriers:
                 node = node_pos[i]
                 if expected and is_mixed(kind, "read"):
-                    curves += [(quorum_curve(kind, "read", node, data.hash_point, psi),
-                                1.0 / mix) for psi in psis]
-                elif expected:
-                    curves.append((geoq.read_quorum(kind, node, data, rng), 1.0))
+                    curves = [quorum_curve(kind, "read", node, data.hash_point, psi)
+                              for psi in psis]
                 else:
-                    curves += [(geoq.read_quorum(kind, node, data, rng), 1.0 / wl.events)
-                               for _ in range(wl.events)]
-        for curve, weight in curves:
-            keep = None
-            if read_termination == "first_hit":
-                keep = _first_hit_keep(curve, writes)
-            charge_one(curve, weight, keep)
+                    curves = [geoq.read_quorum(kind, node, data, rng)
+                              for _ in range(1 if expected else wl.events)]
+                families.append((curves, 1.0))
+        for curves, factor in families:
+            for curve in curves:
+                keep = None
+                if read_termination == "first_hit":
+                    keep = _first_hit_keep(curve, writes)
+                add(curve, False, factor, len(curves), keep)
+    return accesses
+
+
+def _reference_run(wl, kind, emb, rng, read_termination):
+    """run()'s loads: each access charged alone at rate 1 to its role's load,
+    in access order, and the load r * writes + reads."""
+    writes, reads = np.zeros(emb.n_nodes), np.zeros(emb.n_nodes)
+    for nodes, write, factor, count in _reference_accesses(wl, kind, emb, rng,
+                                                           read_termination):
+        (writes if write else reads)[nodes] += factor / count
+    return wl.write_rate_r * writes + reads
+
+
+def _rate_first_sums(accesses, r, n_nodes):
+    """One load that adds each access's weight at rate r, r * factor / count
+    for a write and factor / count for a read, in access order."""
+    load = np.zeros(n_nodes)
+    for nodes, write, factor, count in accesses:
+        load[nodes] += (r if write else 1.0) * factor / count
     return load
 
 
@@ -480,23 +518,47 @@ class TestBatchedRun:
 
     @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
     def test_one_geometry_charges_every_rate(self, emb400, mode, monkeypatch):
-        # the rate enters only the charge: one geometry, built at one rate and
-        # split between charges, gives the reference's loads at every rate
+        # the load is r * writes + reads: one geometry, built at one rate and
+        # charged block by block, gives the reference's loads at every rate
         monkeypatch.setattr(geoq.loadsim, "_BLOCK", 3000)
+        calls, charge = [], geoq.loadsim.charge
+        monkeypatch.setattr(geoq.loadsim, "charge",
+                            lambda *args: calls.append(args) or charge(*args))
         for kind in self.KINDS:
+            calls.clear()
             geometry = geoq.loadsim.run_geometry(
                 _workload(emb400, n_contrib=12, n_query=4, r=4.0, mode=mode, events=2,
                           mix_samples=5),
                 kind, emb400, np.random.default_rng(31), read_termination="first_hit")
-            assert len(geometry.blocks) > 1
+            # one block charges its writes and its reads at most: more blocks ran
+            assert len(calls) > 2, kind
             for r in (4.0, 0.3, 1 / 3, 10.0):
                 wl = _workload(emb400, n_contrib=12, n_query=4, r=r, mode=mode, events=2,
                                mix_samples=5)
-                metrics, load = geometry.charge(r, emb400)
+                metrics, load = geometry.charge(r)
                 ref = _reference_run(wl, kind, emb400, np.random.default_rng(31), "first_hit")
                 assert np.array_equal(load, ref), (kind, r)
                 assert metrics == geoq.run(wl, kind, emb400, np.random.default_rng(31),
                                            read_termination="first_hit")[0]
+
+    @pytest.mark.parametrize("termination", ["full", "first_hit"])
+    @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
+    def test_integer_rates_add_as_rate_first_sums(self, emb400, mode, termination):
+        # with one event and 16 mixing curves every weight is a multiple of
+        # 1/16, so r * writes + reads at an integer r is exact: the loads equal
+        # those of adding r * factor / count to one load in access order
+        for kind in self.KINDS:
+            wl = _workload(emb400, n_contrib=12, n_query=6, mode=mode, events=1,
+                           mix_samples=16)
+            geometry = geoq.loadsim.run_geometry(wl, kind, emb400, np.random.default_rng(31),
+                                                 read_termination=termination)
+            accesses = _reference_accesses(wl, kind, emb400, np.random.default_rng(31),
+                                           termination)
+            for r in (4.0, 6.0, 8.0, 10.0):
+                ref = _rate_first_sums(accesses, r, emb400.n_nodes)
+                assert np.array_equal(geometry.charge(r)[1], ref), (kind, r)
+            assert np.array_equal(geometry.charge(10.0)[1] - geometry.charge(4.0)[1],
+                                  6.0 * geometry.writes), kind
 
 
 def _scan(read, lo, hi, step):
