@@ -35,8 +35,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateMesh, NoConvergence, NotFound
-from .mesh import (DoubledMesh, chord_edges, edge_table, mesh_from_text,
-                   mesh_to_text, triangle_neighbors)
+from .mesh import (DoubledMesh, chord_edges, edge_table, mesh_from_rows, mesh_to_text,
+                   text_block, triangle_neighbors)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -451,10 +451,24 @@ def _conformal_dilate(P, v):
     return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
+def _centre_vertex(sys_: _System) -> int:
+    """z0 of the disk start: the position in sys_.interior of the interior
+    vertex farthest in the plane from every boundary vertex, the first such
+    on a tie."""
+    from scipy.spatial import cKDTree   # at call time, as in SphericalEmbedding.kdtree
+
+    pts = sys_.dbl.planar
+    inner, rim = pts[sys_.interior], pts[sys_.boundary]
+    # each interior vertex's squared gap to its nearest boundary vertex,
+    # recomputed in a scan's arithmetic, so that the gaps and z0 are a scan's
+    gap = ((inner - rim[cKDTree(rim).query(inner)[1]]) ** 2).sum(axis=1)
+    return int(np.argmax(gap))
+
+
 def _disk_start(sys_: _System):
     """The start (u_int, th): the discrete Riemann map of the region onto the
-    unit disk that sends z0 to 0, read as stereographic coordinates, z0 being
-    the interior vertex farthest in the plane from every boundary vertex.
+    unit disk that sends z0 (_centre_vertex) to 0, read as stereographic
+    coordinates.
 
     The harmonic measure of z0, G with L_II G = e_z0, gives the boundary
     fluxes q = -L_BI G, which are positive and sum to 1. Boundary vertex b
@@ -464,12 +478,8 @@ def _disk_start(sys_: _System):
     mesh's planar cotangent weights, floored at WEIGHT_FLOOR, so positive and
     the disk map bijective."""
     idx, bl = sys_.interior, sys_.boundary
-    pts = sys_.dbl.planar
-    inner, gap = pts[idx], np.full(sys_.nI, np.inf)
-    for b in pts[bl]:
-        gap = np.minimum(gap, ((inner - b) ** 2).sum(axis=1))
     e_z0 = np.zeros(sys_.nI)
-    e_z0[np.argmax(gap)] = 1.0
+    e_z0[_centre_vertex(sys_)] = 1.0
     L = sys_.L[idx]
     L_IB = L[:, bl]
     lu = splu(L[:, idx].tocsc())
@@ -496,7 +506,8 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
     (carrying that round's state), if the final map folds (naming its
     flipped triangles and carrying the folded map), or at once if a round
     meets a non-finite centroid or residual (carrying the last state where
-    both were finite).
+    both were finite). A residual or centroid refusal whose map folds names
+    its flipped triangles too.
     """
     ch = chord_edges(dbl.source)
     if ch:
@@ -546,17 +557,19 @@ def harmonic_sphere_map(dbl: DoubledMesh, tol: float = DEFAULT_TOL,
         raise NoConvergence(f"recentering stopped after {stats.recenter_rounds} round(s) at a "
                             f"non-finite centroid or residual; best residual {ginf:.3e}",
                             residual=ginf, best=emb)
+    flipped = emb.flipped_triangles()
+    folds = f"{len(flipped)} flipped triangle(s), among them {flipped[:8].tolist()}"
+    also_folds = f"; the map folds: {folds}" if len(flipped) else ""
     if not ginf <= tol:   # a NaN residual is no convergence either
         why = "a stalled Newton run" if stalled else f"{stats.recenter_rounds} round(s)"
-        raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e} after {why}",
-                            residual=ginf, best=emb)
+        raise NoConvergence(f"embedding residual {ginf:.3e} above tol {tol:.1e} after "
+                            f"{why}{also_folds}", residual=ginf, best=emb)
     if not c_norm < CENTROID_TOL:
         raise NoConvergence(f"area centroid |c| = {c_norm:.1e} not under {CENTROID_TOL:.0e} "
-                            f"after {stats.recenter_rounds} round(s)", residual=ginf, best=emb)
-    flipped = emb.flipped_triangles()
+                            f"after {stats.recenter_rounds} round(s){also_folds}",
+                            residual=ginf, best=emb)
     if len(flipped):
-        raise NoConvergence(f"the final map folds: {len(flipped)} flipped triangle(s), "
-                            f"among them {flipped[:8].tolist()}", residual=ginf, best=emb)
+        raise NoConvergence(f"the final map folds: {folds}", residual=ginf, best=emb)
     return emb
 
 
@@ -694,10 +707,9 @@ POSITION_TOL = 1e-6  # how far a read position's norm may be from 1
 
 
 def embedding_to_text(emb: SphericalEmbedding) -> str:
-    head = mesh_to_text(emb.mesh.source)
-    pos = emb.positions[:emb.mesh.n_original]
-    lines = [f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in pos]
-    return head + "\n".join(lines) + "\n"
+    nv = emb.mesh.n_original
+    return (mesh_to_text(emb.mesh.source)
+            + "%.12g %.12g %.12g\n" * nv % tuple(emb.positions[:nv].ravel().tolist()))
 
 
 def embedding_from_text(text: str) -> SphericalEmbedding:
@@ -708,25 +720,21 @@ def embedding_from_text(text: str) -> SphericalEmbedding:
 
     rows = [ln for ln in text.splitlines() if ln.strip()]
     try:
-        nv, nf, nb = (int(x) for x in rows[0].split())
+        nv, _, _ = (int(x) for x in rows[0].split())
     except (ValueError, IndexError) as exc:
         raise DegenerateMesh(f"malformed embedding text header: {exc}") from exc
-    mesh_rows = rows[:1 + nv + nf + nb]
-    mesh = mesh_from_text("\n".join(mesh_rows))
-    pos_rows = rows[1 + nv + nf + nb:]
-    if len(pos_rows) != nv:
-        raise DegenerateMesh(f"embedding text has {len(pos_rows)} position lines, "
+    mesh, used = mesh_from_rows(rows)
+    if len(rows) - used != nv:
+        raise DegenerateMesh(f"embedding text has {len(rows) - used} position lines, "
                              f"expected {nv}")
-    try:   # a ragged or non-numeric line is a ValueError
-        upper = np.array([r.split() for r in pos_rows], dtype=float)
+    try:   # a ragged, short or non-numeric line is a ValueError
+        upper = text_block(rows, used, nv, 3, float)
     except ValueError as exc:
         raise DegenerateMesh(f"malformed position line in embedding text: {exc}") from exc
-    if upper.shape != (nv, 3):
-        raise DegenerateMesh(f"position lines have {upper.shape[-1]} fields, expected 3")
     off = np.flatnonzero(~(np.abs(np.linalg.norm(upper, axis=1) - 1.0) <= POSITION_TOL))
     if len(off):
         raise DegenerateMesh(f"{len(off)} position line(s) not on the unit sphere, "
-                             f"the first is line {off[0]}: {pos_rows[off[0]]!r}")
+                             f"the first is line {off[0]}: {rows[used + off[0]]!r}")
     dbl = double_cover(mesh)
     P = np.empty((dbl.n_vertices, 3))
     P[:nv] = upper

@@ -390,25 +390,51 @@ def generate_deployment(polygon, n_nodes: int, rng) -> np.ndarray:
 # text format:  header "V F B", V lines "x y", F lines "i j k", B index lines
 
 def mesh_to_text(mesh: PlanarMesh) -> str:
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary)}"]
-    lines += [f"{x:.12g} {y:.12g}" for x, y in mesh.vertices]
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    lines += [str(int(b)) for b in mesh.boundary]
-    return "\n".join(lines) + "\n"
+    nv, nf, nb = mesh.n_vertices, mesh.n_triangles, len(mesh.boundary)
+    return (f"{nv} {nf} {nb}\n"
+            + "%.12g %.12g\n" * nv % tuple(mesh.vertices.ravel().tolist())
+            + "%d %d %d\n" * nf % tuple(mesh.triangles.ravel().tolist())
+            + "%d\n" * nb % tuple(mesh.boundary.tolist()))
 
 
-def mesh_from_text(text: str) -> PlanarMesh:
-    rows = [ln for ln in text.splitlines() if ln.strip()]
+def text_block(rows, start: int, n: int, width: int, dtype) -> np.ndarray:
+    """rows[start:start + n] parsed as an (n, width) array. Raises ValueError
+    where the block is empty or cut short, or a row has another number of
+    fields or does not parse as dtype."""
+    if not 0 < n <= len(rows) - start:
+        raise ValueError(f"a block of {n} rows from row {start}, "
+                         f"{max(len(rows) - start, 0)} rows left")
+    # comments=None: no character starts a comment in this format
+    block = np.loadtxt(rows[start:start + n], dtype=dtype, comments=None, ndmin=2)
+    if block.shape != (n, width):
+        raise ValueError(f"rows from row {start} have {block.shape[1]} fields, expected {width}")
+    return block
+
+
+def mesh_from_rows(rows) -> tuple[PlanarMesh, int]:
+    """The mesh that mesh_to_text wrote, from its non-blank lines (rows may
+    go on after it), and the number of rows it takes. Raises DegenerateInput
+    where a block is malformed or cut short."""
     try:
         nv, nf, nb = (int(x) for x in rows[0].split())
-        verts = np.array([[float(x) for x in rows[1 + i].split()] for i in range(nv)])
-        tris = np.array([[int(x) for x in rows[1 + nv + i].split()] for i in range(nf)],
-                        dtype=int)
-        loop = np.array([int(rows[1 + nv + nf + i]) for i in range(nb)], dtype=int)
+        verts = text_block(rows, 1, nv, 2, float)
+        tris = text_block(rows, 1 + nv, nf, 3, int)
+        loop = text_block(rows, 1 + nv + nf, nb, 1, int).ravel()
     except (ValueError, IndexError) as exc:
         raise DegenerateInput(f"malformed mesh text: {exc}") from exc
     mesh = PlanarMesh(vertices=verts, triangles=tris, boundary=loop)
     validate_mesh(mesh)
+    return mesh, 1 + nv + nf + nb
+
+
+def mesh_from_text(text: str) -> PlanarMesh:
+    """The mesh that mesh_to_text wrote. Raises DegenerateInput where a block
+    is malformed or cut short, or lines follow the boundary block."""
+    rows = [ln for ln in text.splitlines() if ln.strip()]
+    mesh, used = mesh_from_rows(rows)
+    if used != len(rows):
+        raise DegenerateInput(f"malformed mesh text: {len(rows) - used} line(s) "
+                              f"after the boundary block")
     return mesh
 
 

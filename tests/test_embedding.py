@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,17 @@ from scipy.sparse.linalg import splu
 import geoq
 from geoq import embedding
 from geoq.config import IRREGULAR
-from geoq.embedding import (_conformal_dilate, _dilatation, _disk_start, _System,
-                            _triple_products, embedding_from_text, embedding_residual,
-                            embedding_to_text, locate_many)
-from geoq.errors import DegenerateMesh, NoConvergence
+from geoq.embedding import (_centre_vertex, _conformal_dilate, _dilatation, _disk_start,
+                            _System, _triple_products, embedding_from_text,
+                            embedding_residual, embedding_to_text, locate_many)
+from geoq.errors import DegenerateInput, DegenerateMesh, NoConvergence
+from geoq.mesh import mesh_to_text
 
 from conftest import SQUARE, random_unit
 
 _Z = np.array([1.0, 1.0, -1.0])
 RECT = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench/fixture/emb_square_2000_seed1.txt"
 
 
 def _polar_angle_dilate(P, v):
@@ -552,7 +555,50 @@ class TestHandoff:
         assert 1e-7 < err.value.residual < np.inf
 
 
+def _scanned_disk_start(sys_):
+    """(z0, u_int, th) of the disk start with z0 found by a scan over the
+    boundary vertices, as the reference."""
+    idx, bl = sys_.interior, sys_.boundary
+    pts = sys_.dbl.planar
+    inner, gap = pts[idx], np.full(sys_.nI, np.inf)
+    for b in pts[bl]:
+        gap = np.minimum(gap, ((inner - b) ** 2).sum(axis=1))
+    z0 = int(np.argmax(gap))
+    e_z0 = np.zeros(sys_.nI)
+    e_z0[z0] = 1.0
+    L = sys_.L[idx]
+    L_IB = L[:, bl]
+    lu = splu(L[:, idx].tocsc())
+    q = -(L_IB.T @ lu.solve(e_z0))
+    th = 2 * np.pi * (np.cumsum(q) - 0.5 * q)
+    return z0, lu.solve(-L_IB @ np.stack([np.cos(th), np.sin(th)], axis=1)), th
+
+
+class TestDiskStart:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("region", [SQUARE, RECT, IRREGULAR],
+                             ids=["square", "rect", "irregular"])
+    def test_centre_vertex_is_farthest_from_boundary(self, region, seed):
+        sys_ = _System(_cover(1000, seed, region))
+        pts = sys_.dbl.planar
+        inner, rim = pts[sys_.interior], pts[sys_.boundary]
+        brute = int(np.argmax(((inner[:, None] - rim[None]) ** 2).sum(axis=2).min(axis=1)))
+        z0, u_ref, th_ref = _scanned_disk_start(sys_)
+        assert _centre_vertex(sys_) == brute == z0
+        u_int, th = _disk_start(sys_)
+        assert np.array_equal(u_int, u_ref) and np.array_equal(th, th_ref)
+
+
 class TestFoldRefusal:
+    def test_stalled_run_names_its_flips(self):
+        # the 2 x 1 rectangle, 400 nodes, seed 2: Newton stalls on a folded map
+        with pytest.raises(NoConvergence, match="stalled") as err:
+            geoq.harmonic_sphere_map(_cover(400, 2, RECT))
+        flipped = err.value.best.flipped_triangles()
+        assert len(flipped) > 0
+        named = f"the map folds: {len(flipped)} flipped triangle(s), among them {flipped[:8].tolist()}"
+        assert named in str(err.value)
+
     def test_folding_map_is_refused(self):
         # the discrete harmonic map of this mesh folds, and the solve refuses
         # it, naming its flipped triangles
@@ -595,6 +641,35 @@ class TestEmbeddingIO:
     def test_corrupt_position_line(self, emb400, line):
         with pytest.raises(DegenerateMesh):
             embedding_from_text(_with_position_line(emb400, line))
+
+    @pytest.mark.parametrize("edit", [lambda rows: rows[:-1], lambda rows: rows[:-2],
+                                      lambda rows: rows + ["0 0 1"]],
+                             ids=["missing-line", "two-missing-lines", "extra-line"])
+    def test_wrong_position_line_count(self, emb400, edit):
+        rows = edit(embedding_to_text(emb400).splitlines())
+        with pytest.raises(DegenerateMesh, match="position lines"):
+            embedding_from_text("\n".join(rows) + "\n")
+
+    def test_corrupt_mesh_block_is_degenerate_input(self, emb400):
+        rows = embedding_to_text(emb400).splitlines()
+        rows[1] = "0.5 zero"
+        with pytest.raises(DegenerateInput, match="malformed mesh text"):
+            embedding_from_text("\n".join(rows) + "\n")
+
+    def test_fixture_round_trips_bytes(self):
+        text = FIXTURE.read_text()
+        assert embedding_to_text(embedding_from_text(text)) == text
+
+    def test_text_matches_row_format(self, emb400):
+        # the reference writes one f-string per position row; the odd rows
+        # hold signed zeros, small and negative values
+        P = emb400.positions.copy()
+        P[:4] = [[-0.0, 0.6, -0.8], [1e-5, -1.0, 0.0], [-0.6, 0.0, -0.8],
+                 [2.0 / 3.0, -1e-300, -5e-324]]
+        emb = dataclasses.replace(emb400, positions=P)
+        head = mesh_to_text(emb.mesh.source)
+        rows = "".join(f"{x:.12g} {y:.12g} {z:.12g}\n" for x, y, z in P[:emb.mesh.n_original])
+        assert embedding_to_text(emb) == head + rows
 
     def test_corrupt_header(self, emb400):
         text = embedding_to_text(emb400)

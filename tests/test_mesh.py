@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -154,7 +156,61 @@ class TestDeployment:
         assert geoq.point_in_polygon(anchors, np.array(SQUARE)).all()
 
 
+def _row_format_text(mesh):
+    """mesh_to_text written one f-string per row, as the reference."""
+    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary)}"]
+    lines += [f"{x:.12g} {y:.12g}" for x, y in mesh.vertices]
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    lines += [str(int(b)) for b in mesh.boundary]
+    return "\n".join(lines) + "\n"
+
+
+def _edit_rows(text, edit):
+    """text with its rows, split into header, vertex, triangle and boundary
+    blocks, passed through edit(head, verts, tris, loop) -> rows."""
+    rows = text.splitlines()
+    nv, nf, _ = (int(x) for x in rows[0].split())
+    blocks = rows[1:1 + nv], rows[1 + nv:1 + nv + nf], rows[1 + nv + nf:]
+    return "\n".join(edit(rows[0], *blocks)) + "\n"
+
+
 class TestMeshIO:
+    def test_text_matches_row_format(self):
+        mesh = geoq.triangulate(geoq.generate_deployment(np.array(SQUARE), 150,
+                                                         np.random.default_rng(8)),
+                                boundary=SQUARE)
+        assert mesh_to_text(mesh) == _row_format_text(mesh)
+        # signed zeros, small, large and negative coordinates, and numbers
+        # with more digits than %.12g keeps
+        odd = mesh.vertices.copy()
+        odd[:8] = [[-0.0, 1e-5], [-0.25, -1.2345678901234567], [1e-300, -3e16],
+                   [123456789012.5, 5e-324], [0.1, 0.2 + 1e-13], [-1e-5, 0.0],
+                   [2.0 / 3.0, -1e-4], [1e12, -999999999999.5]]
+        odd_mesh = dataclasses.replace(mesh, vertices=odd)
+        assert mesh_to_text(odd_mesh) == _row_format_text(odd_mesh)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h, v, t, b: [h, v[0] + " 0.5", *v[1:], *t, *b],
+        lambda h, v, t, b: [h, v[0], "0.5 zero", *v[2:], *t, *b],
+        lambda h, v, t, b: [h, *v, "0 1.5 2", *t[1:], *b],
+        lambda h, v, t, b: [h, *v, *t, "1.0", *b[1:]],
+        lambda h, v, t, b: [h, *v, *t[:-1], *b],
+        lambda h, v, t, b: [h, *v, *t, *b[:-1]],
+        lambda h, v, t, b: [h, *(r.split()[0] for r in v), *t, *b],
+        lambda h, v, t, b: [h, *(r + " 0" for r in v), *t, *b],
+        lambda h, v, t, b: [h, *v, *t, *b, b[0]],
+        lambda h, v, t, b: [h + " 1", *v, *t, *b],
+        lambda h, v, t, b: [h, *v, "99999999999999999999 1 2", *t[1:], *b],
+    ], ids=["ragged-row", "non-numeric", "fractional-index", "fractional-boundary",
+            "truncated-block", "truncated-text", "one-field-vertices",
+            "three-field-vertices", "trailing-rows", "four-field-header", "int64-overflow"])
+    def test_malformed_text(self, edit):
+        mesh = geoq.triangulate(geoq.generate_deployment(np.array(SQUARE), 60,
+                                                         np.random.default_rng(3)),
+                                boundary=SQUARE)
+        with pytest.raises(DegenerateInput, match="malformed mesh text"):
+            mesh_from_text(_edit_rows(mesh_to_text(mesh), edit))
+
     def test_round_trip_bytes(self):
         rng = np.random.default_rng(8)
         pts = geoq.generate_deployment(np.array(SQUARE), 150, rng)
