@@ -11,6 +11,7 @@ all three vertices on the boundary.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,8 +405,16 @@ def text_block(rows, start: int, n: int, width: int, dtype) -> np.ndarray:
     if not 0 < n <= len(rows) - start:
         raise ValueError(f"a block of {n} rows from row {start}, "
                          f"{max(len(rows) - start, 0)} rows left")
-    # comments=None: no character starts a comment in this format
-    block = np.loadtxt(rows[start:start + n], dtype=dtype, comments=None, ndmin=2)
+    # comments=None: no character starts a comment in this format. Where numpy
+    # reads a float ("1.5", "1e3", an index past int64) in an integer column as
+    # its truncation with only a DeprecationWarning (numpy 1.23 on), that
+    # warning is made an error, so the row is refused under any warning filter
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            block = np.loadtxt(rows[start:start + n], dtype=dtype, comments=None, ndmin=2)
+    except DeprecationWarning as exc:
+        raise ValueError(f"rows from row {start}: {exc}") from exc
     if block.shape != (n, width):
         raise ValueError(f"rows from row {start} have {block.shape[1]} fields, expected {width}")
     return block

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,24 @@ def _edit_rows(text, edit):
     return "\n".join(edit(rows[0], *blocks)) + "\n"
 
 
+# index rows that name no integer: numpy's loadtxt reads a float in an integer
+# column as its truncation where it only warns (DeprecationWarning)
+_NON_INTEGER_INDEX_EDITS = {
+    "fractional-index": lambda h, v, t, b: [h, *v, "0 1.5 2", *t[1:], *b],
+    "exponent-index": lambda h, v, t, b: [h, *v, "0 1e1 2", *t[1:], *b],
+    "fractional-boundary": lambda h, v, t, b: [h, *v, *t, "1.0", *b[1:]],
+    "exponent-boundary": lambda h, v, t, b: [h, *v, *t, "1e3", *b[1:]],
+    "int64-overflow": lambda h, v, t, b: [h, *v, "99999999999999999999 1 2", *t[1:], *b],
+}
+
+
+def _square_60_text():
+    mesh = geoq.triangulate(geoq.generate_deployment(np.array(SQUARE), 60,
+                                                     np.random.default_rng(3)),
+                            boundary=SQUARE)
+    return mesh_to_text(mesh)
+
+
 class TestMeshIO:
     def test_text_matches_row_format(self):
         mesh = geoq.triangulate(geoq.generate_deployment(np.array(SQUARE), 150,
@@ -205,11 +224,35 @@ class TestMeshIO:
             "truncated-block", "truncated-text", "one-field-vertices",
             "three-field-vertices", "trailing-rows", "four-field-header", "int64-overflow"])
     def test_malformed_text(self, edit):
-        mesh = geoq.triangulate(geoq.generate_deployment(np.array(SQUARE), 60,
-                                                         np.random.default_rng(3)),
-                                boundary=SQUARE)
         with pytest.raises(DegenerateInput, match="malformed mesh text"):
-            mesh_from_text(_edit_rows(mesh_to_text(mesh), edit))
+            mesh_from_text(_edit_rows(_square_60_text(), edit))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("edit", _NON_INTEGER_INDEX_EDITS.values(),
+                             ids=_NON_INTEGER_INDEX_EDITS.keys())
+    def test_non_integer_index_warnings_ignored(self, edit):
+        # refused whatever the warning filters, not only where pytest makes
+        # warnings errors
+        with pytest.raises(DegenerateInput, match="malformed mesh text"):
+            mesh_from_text(_edit_rows(_square_60_text(), edit))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_truncating_loadtxt_refused(self, monkeypatch):
+        # a numpy whose loadtxt truncates "1.5" to 1 in an integer column and
+        # only warns: the warning still refuses the row
+        text = _edit_rows(_square_60_text(), _NON_INTEGER_INDEX_EDITS["fractional-index"])
+        loadtxt = np.loadtxt
+
+        def truncating(rows, dtype=float, **kw):
+            if dtype is int and any("." in r for r in rows):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                return loadtxt(rows, dtype=float, **kw).astype(int)
+            return loadtxt(rows, dtype=dtype, **kw)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        with pytest.raises(DegenerateInput, match="malformed mesh text"):
+            mesh_from_text(text)
 
     def test_round_trip_bytes(self):
         rng = np.random.default_rng(8)
