@@ -76,7 +76,10 @@ def _pack(bits):
 def _any_of(packed, index):
     """Packed rows: for every index row i, the columns r where packed[j] has
     bit r for some j in index[i]."""
-    return packed[index[:, 0]] | packed[index[:, 1]] | packed[index[:, 2]]
+    out = np.take(packed, index[:, 0], axis=0)
+    out |= np.take(packed, index[:, 1], axis=0)
+    out |= np.take(packed, index[:, 2], axis=0)
+    return out
 
 
 def _set_pairs(packed):
@@ -119,7 +122,8 @@ def _circle_sets(circles, keep, emb: SphericalEmbedding):
     """((row, triangle), (row, vertex)): the triangles that each circle's
     plane cuts and the vertices on it, under the tie rule."""
     axes = np.array([c.axis for c in circles])
-    f = emb.positions @ axes.T - np.cos([c.rho for c in circles])    # (vertices, rows)
+    f = emb.positions @ axes.T    # (vertices, rows)
+    f -= np.cos([c.rho for c in circles])
     pos, neg = f > UNIT_TOL, f < -UNIT_TOL
     tri = emb.mesh.triangles
     crossed = _set_pairs(_any_of(_pack(pos), tri) & _any_of(_pack(neg), tri))
@@ -186,9 +190,10 @@ def _spiral_sets(spirals, keep, emb: SphericalEmbedding):
     # lambda unwrapped along an edge moves the turn at w by one where it
     # passes the cut of arctan2; h passes a multiple of 2 pi between u and w
     # exactly when the turns at the ends then differ
-    dlam = lam[w] - lam[u]
-    cut = turn[u] != turn[w] + (dlam > np.pi) - (dlam < -np.pi)
-    cut &= ~on_curve[u] & ~on_curve[w]
+    dlam = np.take(lam, w, axis=0)
+    dlam -= np.take(lam, u, axis=0)
+    cut = np.take(turn, u, axis=0) != np.take(turn, w, axis=0) + (dlam > np.pi) - (dlam < -np.pi)
+    cut &= ~(np.take(on_curve, u, axis=0) | np.take(on_curve, w, axis=0))
     np.abs(dlam, out=dlam)    # in place: a block's float array is 2 MB
     cut |= (dlam >= np.pi - POLE_TOL) & (dlam <= np.pi + POLE_TOL)
     del dlam
@@ -249,16 +254,28 @@ def rasterize(curve: SphericalCurve, emb: SphericalEmbedding) -> np.ndarray:
 def _access_nodes(owner, triangles, emb: SphericalEmbedding, on=None):
     """The unique (access, physical node) pairs of the triangles' vertices
     and of the vertices on = (owner, vertices), sorted by access then node,
-    as two arrays."""
+    as two arrays. Ids must lie in range: `np.take` wraps a negative one."""
     access = [np.repeat(np.asarray(owner, dtype=int), 3)]
-    verts = [emb.mesh.triangles[np.asarray(triangles, dtype=int)].ravel()]
+    verts = [np.take(emb.mesh.triangles, triangles, axis=0).ravel()]
     if on is not None:
         access.append(np.asarray(on[0], dtype=int))
-        verts.append(np.asarray(on[1], dtype=int))
+        verts.append(on[1])
     access = np.concatenate(access)
-    hit = np.zeros((access.max(initial=-1) + 1, emb.n_nodes), dtype=bool)
-    hit[access, emb.mesh.original_vertex(np.concatenate(verts))] = True
-    return np.nonzero(hit)
+    n = emb.n_nodes
+    # one flat (access, node) bit per pair, so the set bits come out sorted
+    hit = np.zeros((access.max(initial=-1) + 1) * n, dtype=bool)
+    access *= n
+    access += np.take(emb.mesh.vertex_node, np.concatenate(verts))
+    hit[access] = True
+    return np.divmod(np.flatnonzero(hit), n)
+
+
+def _ids(values, bound: int, what: str) -> np.ndarray:
+    """values as an array of integer ids, each in [0, bound)."""
+    ids = np.asarray(values)
+    if ids.size and not (ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < bound):
+        raise OutOfRange(f"{what} must be integers in [0, {bound})")
+    return ids.astype(int, copy=False)
 
 
 def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
@@ -269,12 +286,19 @@ def charge(load: np.ndarray, triangles, emb: SphericalEmbedding, weight,
     With `owner`, triangle i belongs to access owner[i], whose weight is
     weight[owner[i]]; each access charges its nodes once, and the weights
     are added in access order, as charging one access at a time would.
+    A triangle, vertex or access id out of range raises OutOfRange.
     """
     weight = np.atleast_1d(np.asarray(weight, dtype=float))
     if not (np.isfinite(weight) & (weight >= 0)).all():
         raise OutOfRange("charge weight must be finite and nonnegative")
-    if owner is None:
-        owner = np.zeros(len(triangles), dtype=int)
+    triangles = _ids(triangles, emb.mesh.n_triangles, "triangle ids")
+    owner = (np.zeros(len(triangles), dtype=int) if owner is None
+             else _ids(owner, len(weight), "access ids (weight entries)"))
+    if on is not None:
+        on = (_ids(on[0], len(weight), "access ids (weight entries)"),
+              _ids(on[1], emb.mesh.n_vertices, "vertex ids"))
+    if len(owner) != len(triangles) or (on is not None and len(on[0]) != len(on[1])):
+        raise OutOfRange("every triangle and on-curve vertex needs one access id")
     access, nodes = _access_nodes(owner, triangles, emb, on)
     np.add.at(load, nodes, weight[access])
     return load
@@ -444,13 +468,14 @@ def run_geometry(workload: Workload, kind: QuorumSystemKind, emb: SphericalEmbed
     writes, reads = np.zeros(emb.n_nodes), np.zeros(emb.n_nodes)
     for block in _blocks(accesses, emb):
         curves, keep, write, share = zip(*block)
-        owner, triangles, on = level_sets(curves, emb, keep)
-        # each role's accesses keep their weight and the other role's weigh 0.0,
-        # which leaves a load unchanged
-        for load, w in ((writes, np.where(write, share, 0.0)),
-                        (reads, np.where(write, 0.0, share))):
-            if w.any():
-                charge(load, triangles, emb, w, owner, on)
+        owner, triangles, (v_owner, verts) = level_sets(curves, emb, keep)
+        # each role's load gets only the pairs of its own accesses, which keep
+        # their block ids and so index the block's shares
+        write = np.array(write)
+        for load, mine in ((writes, write), (reads, ~write)):
+            if mine.any():
+                t, v = mine[owner], mine[v_owner]
+                charge(load, triangles[t], emb, share, owner[t], (v_owner[v], verts[v]))
 
     rg = rd = None
     if robustness_trials > 0:

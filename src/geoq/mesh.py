@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -290,10 +291,17 @@ class DoubledMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def vertex_node(self) -> np.ndarray:
+        """The physical (original-copy) vertex of every doubled vertex, built
+        on first use from copy_map and n_original, which a frozen mesh keeps."""
+        node = self.copy_map.copy()
+        node[:self.n_original] = np.arange(self.n_original)
+        return node
+
     def original_vertex(self, v) -> np.ndarray:
         """Physical (original-copy) vertex id for any doubled vertex id."""
-        v = np.asarray(v)
-        return np.where(v < self.n_original, v, self.copy_map[v])
+        return self.vertex_node[v]
 
     def edge_count(self) -> int:
         # every source edge exists once per copy except the shared boundary

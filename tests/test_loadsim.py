@@ -310,6 +310,66 @@ class TestCharge:
                 geoq.charge(load, [5, 6], emb400, weight, owner)
         assert not load.any()
 
+    def test_ids_out_of_range_rejected(self, emb400):
+        # a negative id would wrap to the last triangle, and a fractional one
+        # would be truncated; a weight array shorter than the owners is a
+        # missing access weight
+        load = np.zeros(emb400.n_nodes)
+        n_tri, n_vert = emb400.mesh.n_triangles, emb400.mesh.n_vertices
+        for triangles, weight, owner, on in (([-1], 1.0, None, None),
+                                             ([5.7], 1.0, None, None),
+                                             ([n_tri], 1.0, None, None),
+                                             ([5, 6], [1.0], [0, 1], None),
+                                             ([5, 6], [1.0, 1.0], [0, -1], None),
+                                             ([5], 1.0, None, ([0], [n_vert])),
+                                             ([5], 1.0, None, ([0], [-1])),
+                                             ([5], 1.0, None, ([1], [0]))):
+            with pytest.raises(OutOfRange, match="ids"):
+                geoq.charge(load, triangles, emb400, weight, owner, on)
+        for owner, on in (([0], None), ([0, 0], ([0, 0], [1]))):
+            with pytest.raises(OutOfRange, match="one access id"):
+                geoq.charge(load, [5, 6], emb400, 1.0, owner, on)
+        assert not load.any()
+        geoq.charge(load, [n_tri - 1], emb400, 1.0, None, ([0], [n_vert - 1]))
+        assert 3 <= load.sum() <= 4
+
+
+class TestAccessNodes:
+    def test_vertex_node_is_the_physical_vertex(self, emb400):
+        mesh = emb400.mesh
+        v = np.arange(mesh.n_vertices)
+        assert np.array_equal(mesh.vertex_node,
+                              np.where(v < mesh.n_original, v, mesh.copy_map[v]))
+        assert mesh.vertex_node is mesh.vertex_node
+        assert np.array_equal(mesh.original_vertex(v), mesh.vertex_node)
+
+    def test_matches_brute_force_sets(self, emb400):
+        # access 0 has triangles and on-curve vertices, 1 has no pair, 2 has
+        # only on-curve vertices, 3 and 4 only triangles; mirror copies and
+        # their originals, and repeated triangles, give one pair per node
+        mesh, rng = emb400.mesh, np.random.default_rng(12)
+        n = mesh.n_original
+        tri_owner = rng.choice([0, 3, 4], 60)
+        tris = rng.choice(mesh.n_triangles, 60)
+        tris[-5:] = tris[:5]
+        mirrors = rng.choice(np.arange(n, mesh.n_vertices), 8)
+        on_verts = np.concatenate([mirrors, mesh.copy_map[mirrors], rng.choice(n, 8)])
+        on_owner = rng.choice([0, 2], len(on_verts))
+        order = rng.permutation(len(on_verts))
+        on = (on_owner[order], on_verts[order])
+
+        def node(v):
+            return int(v) if v < n else int(mesh.copy_map[v])
+
+        expected = {(int(a), node(v)) for a, t in zip(tri_owner, tris)
+                    for v in mesh.triangles[t]}
+        expected |= {(int(a), node(v)) for a, v in zip(*on)}
+        access, nodes = geoq.loadsim._access_nodes(tri_owner, tris, emb400, on)
+        assert list(zip(access.tolist(), nodes.tolist())) == sorted(expected)
+        assert {0, 2, 3, 4} == set(access.tolist())
+        assert 1 not in access
+        assert nodes.max() < n
+
 
 class TestRun:
     def test_metrics_match_load(self, emb400):
@@ -521,9 +581,17 @@ class TestBatchedRun:
         # the load is r * writes + reads: one geometry, built at one rate and
         # charged block by block, gives the reference's loads at every rate
         monkeypatch.setattr(geoq.loadsim, "_BLOCK", 3000)
-        calls, charge = [], geoq.loadsim.charge
+        calls, charge, blocks = [], geoq.loadsim.charge, geoq.loadsim._blocks
+
+        def each_block(*args):
+            for block in blocks(*args):
+                calls.append(block)
+                yield block
+
+        monkeypatch.setattr(geoq.loadsim, "_blocks", each_block)
         monkeypatch.setattr(geoq.loadsim, "charge",
                             lambda *args: calls.append(args) or charge(*args))
+        mixed = 0
         for kind in self.KINDS:
             calls.clear()
             geometry = geoq.loadsim.run_geometry(
@@ -531,7 +599,8 @@ class TestBatchedRun:
                           mix_samples=5),
                 kind, emb400, np.random.default_rng(31), read_termination="first_hit")
             # one block charges its writes and its reads at most: more blocks ran
-            assert len(calls) > 2, kind
+            assert sum(isinstance(c, tuple) for c in calls) > 2, kind
+            mixed += self._check_role_split(calls, geometry, emb400)
             for r in (4.0, 0.3, 1 / 3, 10.0):
                 wl = _workload(emb400, n_contrib=12, n_query=4, r=r, mode=mode, events=2,
                                mix_samples=5)
@@ -540,6 +609,32 @@ class TestBatchedRun:
                 assert np.array_equal(load, ref), (kind, r)
                 assert metrics == geoq.run(wl, kind, emb400, np.random.default_rng(31),
                                            read_termination="first_hit")[0]
+        assert mixed, "no block held both roles"
+
+    @staticmethod
+    def _check_role_split(calls, geometry, emb):
+        """Each charge call after a block gets only its own role's pairs, and
+        the block's calls pass each of its level-set pairs exactly once.
+        Returns the number of blocks that held both roles."""
+        mixed = 0
+        for i, block in enumerate(calls):
+            if isinstance(block, tuple):
+                continue
+            curves, keep, write, _ = zip(*block)
+            owner, tris, (v_owner, verts) = geoq.level_sets(curves, emb, keep)
+            mine = [c for c in calls[i + 1:i + 3] if isinstance(c, tuple)]
+            got_t, got_v = [], []
+            for load, triangles, _, _, c_owner, (c_v_owner, c_verts) in mine:
+                role = load is geometry.writes
+                assert role or load is geometry.reads
+                assert all(write[a] == role for a in np.concatenate([c_owner, c_v_owner]))
+                got_t += zip(c_owner.tolist(), triangles.tolist())
+                got_v += zip(c_v_owner.tolist(), c_verts.tolist())
+            assert sorted(got_t) == sorted(zip(owner.tolist(), tris.tolist()))
+            assert sorted(got_v) == sorted(zip(v_owner.tolist(), verts.tolist()))
+            assert len(mine) == len(set(write))
+            mixed += len(set(write)) == 2
+        return mixed
 
     @pytest.mark.parametrize("termination", ["full", "first_hit"])
     @pytest.mark.parametrize("mode", ["montecarlo", "expected"])
