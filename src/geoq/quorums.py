@@ -20,6 +20,7 @@ expected mode takes it at quadrature nodes (`mixing_angles`).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class QuorumSystemKind:
             # around the antipodal center (the same point set)
             if not (0 < self.r_w < np.pi):
                 raise OutOfRange(f"GeoQuorum r_w must be in (0, pi), got {self.r_w}")
-            if self.a <= 0:
-                raise OutOfRange(f"GeoQuorum a must be positive, got {self.a}")
+            if not (math.isfinite(self.a) and self.a > 0):
+                raise OutOfRange(f"GeoQuorum a must be finite and positive, got {self.a}")
             if self.robustness_target() < 1:
                 raise OutOfRange(f"GeoQuorum r_w={self.r_w}, a={self.a} gives "
                                  f"robustness target k < 1")
@@ -121,8 +122,10 @@ def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
     """
     point = require_unit(point)
     e1, e2 = perpendicular_basis(point)
-    center = (np.cos(rho) * point
-              + np.sin(rho) * (np.cos(psi) * e1 + np.sin(psi) * e2))
+    # cos rho point + sin rho (cos psi e1 + sin psi e2), in Python floats
+    cr, sr, cp, sp = math.cos(rho), math.sin(rho), math.cos(psi), math.sin(psi)
+    center = np.array([cr * p + sr * (cp * u + sp * v)
+                       for p, u, v in zip(point.tolist(), e1.tolist(), e2.tolist())])
     if rho > np.pi / 2:
         center, rho = -center, np.pi - rho
     return SphericalCircle(axis=center, rho=float(rho), start=point.copy())

@@ -26,11 +26,12 @@ DEFAULT_STEP = np.pi / 2000
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize v to a unit 3-vector."""
+    """Normalize v to a unit 3-vector. A zero or non-finite v raises
+    DegenerateInput."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-15:
-        raise DegenerateInput("cannot normalize a zero vector")
+    n = math.sqrt(v.dot(v))    # np.linalg.norm's arithmetic, without its overhead
+    if not 1e-15 <= n < math.inf:
+        raise DegenerateInput(f"cannot normalize a vector of norm {n}")
     return v / n
 
 
@@ -54,21 +55,24 @@ def geodesic_distance(p, q) -> float:
 
 
 def cross3(a, b) -> np.ndarray:
-    """a x b of two 3-vectors, with np.cross's arithmetic but not its
-    per-call overhead, which dominates on single vectors."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
+    """a x b of two 3-vectors, with np.cross's arithmetic on Python floats:
+    np.cross's per-call overhead, and numpy scalars', dominate on single
+    vectors."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+# perpendicular_basis's reference axes
+_X_AXIS, _Y_AXIS = np.eye(2, 3)
 
 
 def perpendicular_basis(axis) -> tuple[np.ndarray, np.ndarray]:
     """A deterministic orthonormal pair spanning the plane perpendicular to axis."""
     axis = np.asarray(axis, dtype=float)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = cross3(axis, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = cross3(axis, e1)
-    return e1, e2
+    e1 = cross3(axis, _X_AXIS if abs(axis[0]) < 0.9 else _Y_AXIS)
+    e1 /= math.sqrt(e1.dot(e1))
+    return e1, cross3(axis, e1)
 
 
 def rotation_to_south_pole(node) -> np.ndarray:
@@ -117,7 +121,7 @@ class SphericalCircle:
         """(e1, e2) spanning the plane of the angle, e1 towards any start."""
         if self.start is not None:
             e1 = self.start - float(self.start @ self.axis) * self.axis
-            n1 = np.linalg.norm(e1)
+            n1 = math.sqrt(e1.dot(e1))
             if n1 > 1e-12:
                 e1 = e1 / n1
                 return e1, cross3(self.axis, e1)
@@ -147,8 +151,10 @@ class SphericalSpiral:
     phi_range: tuple[float, float] = (-np.pi / 2, np.pi / 2)
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise OutOfRange(f"spiral pitch must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise OutOfRange(f"spiral pitch must be finite and positive, got {self.a}")
+        if not math.isfinite(self.theta0):
+            raise OutOfRange(f"spiral phase must be finite, got {self.theta0}")
 
     def local_points(self, theta: np.ndarray) -> np.ndarray:
         phi = self.a * theta
@@ -202,7 +208,7 @@ def great_circle_through(p, q) -> SphericalCircle:
     p = require_unit(p)
     q = require_unit(q)
     axis = cross3(p, q)
-    n = np.linalg.norm(axis)
+    n = math.sqrt(axis.dot(axis))
     if n < UNIT_TOL:
         raise DegenerateInput("points are identical or antipodal; great circle not unique")
     return SphericalCircle(axis=axis / n, rho=np.pi / 2, start=p.copy())
@@ -222,7 +228,8 @@ def latitude_circle(axis, through) -> SphericalCircle:
     """
     axis = require_unit(axis)
     through = require_unit(through)
-    if np.linalg.norm(cross3(axis, through)) < UNIT_TOL:
+    normal = cross3(axis, through)
+    if math.sqrt(normal.dot(normal)) < UNIT_TOL:
         raise DegenerateInput("point coincides with the circle axis or its antipode")
     polar = geodesic_distance(axis, through)
     if polar > np.pi / 2:
@@ -240,7 +247,9 @@ def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
     """
     frame = rotation_to_south_pole(node)
     phi_range = (-np.pi / 2, 3 * np.pi / 2) if a >= 0.5 else (-np.pi / 2, np.pi / 2)
-    return SphericalSpiral(frame=frame, a=float(a), theta0=float(theta0 % (2 * np.pi)),
+    # a Python float's remainder: numpy's warns on a non-finite theta0, which
+    # SphericalSpiral refuses
+    return SphericalSpiral(frame=frame, a=float(a), theta0=float(theta0) % TWO_PI,
                            phi_range=phi_range)
 
 

@@ -70,7 +70,8 @@ class TestConfigFormat:
         for bad in ("seed = -1", "events = 0", "mix_samples = 0", "robustness_trials = -3",
                     "solver_max_iters = 0", "solver_tol = 0", "solver_tol = -1e-7",
                     "solver_tol = nan", "solver_tol = inf", "kind = Q",
-                    "kind = GeoQuorum\na = 0", "kind = GeoQuorum\nr_w = 4",
+                    "kind = GeoQuorum\na = 0", "kind = GeoQuorum\na = nan",
+                    "kind = GeoQuorum\na = inf", "kind = GeoQuorum\nr_w = 4",
                     "kind = GeoQuorum\nr_w = 0.1\na = 0.2"):
             with pytest.raises(ConfigError):
                 config_from_text(bad + "\n")

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +335,23 @@ class TestCharge:
         assert not load.any()
         geoq.charge(load, [n_tri - 1], emb400, 1.0, None, ([0], [n_vert - 1]))
         assert 3 <= load.sum() <= 4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 6), width=st.integers(0, 27), data=st.data())
+def test_set_pairs_are_the_unpacked_nonzero(rows, width, data):
+    # widths that are not a multiple of 8 leave zero pad bits; a row may be
+    # all zero, or all set (bytes of 0xFF)
+    fill = data.draw(st.lists(st.sampled_from(["zero", "set", "drawn"]),
+                              min_size=rows, max_size=rows))
+    bits = np.array([[f == "set" or (f == "drawn" and data.draw(st.booleans()))
+                      for _ in range(width)] for f in fill], dtype=bool).reshape(rows, width)
+    packed = geoq.loadsim._pack(bits)
+    ref = np.nonzero(np.unpackbits(packed, axis=1))[::-1]
+    got = geoq.loadsim._set_pairs(packed)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype
 
 
 class TestAccessNodes:
@@ -851,3 +871,27 @@ class TestDiscreteRobustness:
             np.unique(emb400.mesh.triangles[tris_a].ravel())))
         shared = np.intersect1d(verts, verts)
         assert len(shared) == len(verts)
+
+
+class TestFixtureLoads:
+    # the benchmark's committed embedding (square, 2000 nodes), read only
+    FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" \
+        / "emb_square_2000_seed1.txt"
+    KINDS = TestBatchedRun.KINDS + (geoq.QuorumSystemKind.geoquorum(0.6 * np.pi, 0.12),)
+    # SHA-256 over the rate-1 writes and reads of every run below
+    DIGEST = "1e40bb8c96ee108c6bb4da14e37e59030f099ef59ec8fa650312a14f44880971"
+
+    def test_rate_one_loads_are_pinned(self):
+        # one event and a power-of-two quadrature: every share is dyadic, so
+        # each load is an exact sum and the digest pins the level sets alone
+        emb = geoq.load_embedding(self.FIXTURE)
+        digest = hashlib.sha256()
+        for kind in self.KINDS:
+            for mode, accessors in (("montecarlo", (12, 4)), ("expected", (4, 2))):
+                for termination in ("full", "first_hit"):
+                    wl = _workload(emb, *accessors, mode=mode, events=1, mix_samples=4)
+                    geometry = geoq.loadsim.run_geometry(
+                        wl, kind, emb, np.random.default_rng(17), read_termination=termination)
+                    for load in (geometry.writes, geometry.reads):
+                        digest.update(np.ascontiguousarray(load, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.DIGEST

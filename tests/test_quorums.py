@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import geoq
 from geoq.errors import OutOfRange
-from geoq.quorums import KIND_NAMES, ROLES, is_mixed, is_read_shared, quorum_curve
-from geoq.sphere import SphericalCircle, SphericalSpiral
+from geoq.quorums import KIND_NAMES, ROLES, _circle_at, is_mixed, is_read_shared, quorum_curve
+from geoq.sphere import SphericalCircle, SphericalSpiral, perpendicular_basis
 
 from conftest import random_unit
 
@@ -49,6 +49,9 @@ class TestKind:
             geoq.QuorumSystemKind.geoquorum(0.1 * np.pi, 0.5)  # k would be 0
         with pytest.raises(OutOfRange):
             geoq.QuorumSystemKind("bogus")
+        for a in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfRange, match="GeoQuorum a"):
+                geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, a)
 
     def test_wide_radius_allowed(self):
         k = geoq.QuorumSystemKind.geoquorum(0.6 * np.pi, 0.06)
@@ -227,6 +230,25 @@ def test_psi_and_rng_draws_follow_is_mixed(name, dual, role, psi1, psi2, seed):
     psi = ref.uniform(0.0, 2.0 * np.pi) if mixed else 0.0
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(points(drawn), points(quorum_curve(kind, role, node, hash_point, psi)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2 * np.pi),
+       rho=st.one_of(st.just(np.pi / 2), st.floats(1e-3, np.pi - 1e-3)),
+       psi=st.floats(-10.0, 10.0))
+def test_circle_at_is_the_vector_formula(z, lon, rho, psi):
+    # the centre as first written, in numpy arithmetic
+    r = np.sqrt(1.0 - z * z)
+    point = np.array([r * np.cos(lon), r * np.sin(lon), z])
+    e1, e2 = perpendicular_basis(point)
+    center = np.cos(rho) * point + np.sin(rho) * (np.cos(psi) * e1 + np.sin(psi) * e2)
+    radius = rho
+    if rho > np.pi / 2:
+        center, radius = -center, np.pi - rho
+    circle = _circle_at(point, rho, psi)
+    assert np.array_equal(circle.axis, center / np.linalg.norm(center))
+    assert circle.rho == radius
+    assert np.array_equal(circle.start, point)
 
 
 class TestIntersectionGuarantee:

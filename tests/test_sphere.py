@@ -6,10 +6,20 @@ from scipy.integrate import quad
 
 import geoq
 from geoq.errors import DegenerateInput, OutOfRange
-from geoq.sphere import (_circle_angles, _roots_between, circle_crossings,
+from geoq.sphere import (_circle_angles, _roots_between, circle_crossings, cross3,
                          perpendicular_basis, rotation_to_south_pole)
 
 from conftest import random_unit
+
+
+class TestUnitVector:
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [1e-16, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                                   [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0]])
+    def test_degenerate(self, v):
+        with pytest.raises(DegenerateInput):
+            geoq.unit_vector(v)
+        with pytest.raises(DegenerateInput):
+            geoq.SphericalCircle(axis=np.array(v), rho=0.3)
 
 
 class TestAntipode:
@@ -168,6 +178,17 @@ class TestSpiral:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             geoq.spiral_for([0, 0, -1], a=0.0, theta0=0.0)
+
+    @pytest.mark.parametrize("a, theta0", [(np.nan, 0.0), (np.inf, 0.0), (0.2, np.nan),
+                                           (0.2, np.inf), (0.2, -np.inf)])
+    def test_non_finite(self, a, theta0):
+        # refused, not rasterized as NaN
+        with pytest.raises(OutOfRange):
+            geoq.spiral_for([0, 0, -1], a=a, theta0=theta0)
+        with pytest.raises(OutOfRange):
+            geoq.spiral_for([0, 0, -1], a=np.float64(a), theta0=np.float64(theta0))
+        with pytest.raises(OutOfRange):
+            geoq.SphericalSpiral(frame=np.eye(3), a=a, theta0=theta0)
 
     def test_great_circle_limit(self):
         # for large pitch the node-to-antipode sweep hugs the plane through the
@@ -592,6 +613,42 @@ def test_perpendicular_basis():
         assert abs(float(e1 @ p)) < 1e-12
         assert abs(float(e2 @ p)) < 1e-12
         assert abs(float(e1 @ e2)) < 1e-12
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+_vec = st.tuples(_coord, _coord, _coord)
+
+
+def _strided(v):
+    """v as a non-contiguous view."""
+    return np.repeat(np.asarray(v, dtype=float), 2)[::2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_vec, b=_vec)
+def test_cross3_is_np_cross(a, b):
+    ref = np.cross(np.array(a), np.array(b))
+    for x, y in ((np.array(a), np.array(b)), (list(a), list(b)), (_strided(a), _strided(b))):
+        assert np.array_equal(cross3(x, y), ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=_vec)
+def test_unit_vector_and_basis_use_np_linalg_norm(v):
+    v = np.array(v)
+    assume(np.linalg.norm(v) >= 1e-3)
+    ref = v / np.linalg.norm(v)
+    assert np.array_equal(geoq.unit_vector(v), ref)
+    assert np.array_equal(geoq.unit_vector(_strided(v)), ref)
+    assert np.array_equal(geoq.unit_vector(v.tolist()), ref)
+    # the basis as first written, with np.cross and np.linalg.norm
+    e1 = np.cross(ref, [1.0, 0.0, 0.0] if abs(ref[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(ref, e1)
+    for axis in (ref, ref.tolist(), _strided(ref)):
+        b1, b2 = perpendicular_basis(axis)
+        assert np.array_equal(b1, e1)
+        assert np.array_equal(b2, e2)
 
 
 class _ReferenceSpiral(geoq.SphericalSpiral):
