@@ -133,6 +133,7 @@ class SphericalEmbedding:
     _planes: np.ndarray | None = field(default=None, repr=False)
     _orient: float = field(default=0.0, repr=False)
     _median_edge: float = field(default=0.0, repr=False)
+    _max_edge: float = field(default=0.0, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -154,11 +155,21 @@ class SphericalEmbedding:
         return np.where(self.orientation() * det < -tol)[0]
 
     def median_edge_length(self) -> float:
+        """The median angle that an edge spans on the sphere."""
         if self._median_edge == 0.0:
-            p = self.positions[self.edges()[0]]
-            d = np.clip(np.einsum("ij,ij->i", p[:, 0], p[:, 1]), -1, 1)
-            self._median_edge = float(np.median(np.arccos(d)))
+            self._edge_lengths()
         return self._median_edge
+
+    def max_edge_length(self) -> float:
+        """The largest angle that an edge spans on the sphere."""
+        if self._max_edge == 0.0:
+            self._edge_lengths()
+        return self._max_edge
+
+    def _edge_lengths(self) -> None:
+        p = self.positions[self.edges()[0]]
+        angle = np.arccos(np.clip(np.einsum("ij,ij->i", p[:, 0], p[:, 1]), -1, 1))
+        self._median_edge, self._max_edge = float(np.median(angle)), float(angle.max())
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(ends, sides): ends[e] is the (tail, head) vertex pair of edge e, once

@@ -19,6 +19,10 @@ rasterized with no sampling and no point location.
   qualifies; an edge along which lambda turns by pi (within POLE_TOL) holds
   a pole, so both its triangles are crossed. For a >= 1/2 the sweep past
   the far pole adds a second branch (`SphericalSpiral.branches`).
+  Consecutive rows that hold one frame (a reader's mixing spirals, or a
+  spiral's two branches) share phi and lambda, computed once per frame,
+  and the edge rule runs on the edges whose ends differ in a one-byte key
+  of their turn and lambda's quadrant (`_spiral_cuts`).
 
 Tie rule: a vertex lies on the curve when |f| <= UNIT_TOL, or, for a
 spiral, when h lies within UNIT_TOL of a multiple of 2 pi or the vertex is
@@ -56,7 +60,7 @@ import numpy as np
 from .embedding import SphericalEmbedding, locate_many
 from .errors import ConfigError, DegenerateInput, OutOfRange
 from .quorums import (DataType, QuorumSystemKind, geometric_robustness, is_mixed,
-                      is_read_shared, mixing_angles, quorum_curve, read_quorum,
+                      is_read_shared, mixing_angles, quorum_family, read_quorum,
                       write_quorum)
 # sample is bound for the benchmark's tracer, which wraps geoq.loadsim.sample
 from .sphere import (TWO_PI, UNIT_TOL, SphericalCircle, SphericalCurve,
@@ -69,8 +73,16 @@ _BLOCK = 1 << 18
 
 
 def _pack(bits):
-    """The rows of a bool array packed 8 columns to a byte."""
-    return np.packbits(bits, axis=1)
+    """The rows of a bool array packed 8 columns to a byte, as
+    np.packbits(bits, axis=1) packs them: one flat pack of the rows padded
+    to a multiple of 8 columns costs less than a pack along each row."""
+    n, m = bits.shape
+    width = -(-m // 8) * 8
+    if width != m:
+        padded = np.zeros((n, width), dtype=bool)
+        padded[:, :m] = bits
+        bits = padded
+    return np.packbits(bits.ravel()).reshape(n, width // 8)
 
 
 def _any_of(packed, index):
@@ -177,41 +189,104 @@ def _spiral_rows(spirals, keep):
     return rows
 
 
+def _spiral_cuts(lam, turn, on_curve, quadrant, pitch, emb: SphericalEmbedding):
+    """cut[e, r]: whether row r's phase h passes a multiple of 2 pi along
+    edge e, or the edge holds a pole, given lambda, the turn (h = 2 pi turn
+    + rest), the tie rule's on-curve flag and lambda's quadrant at every
+    (vertex, row).
+
+    The rule runs on candidate edges alone, whose ends differ in a one-byte
+    key, 4 turn + quadrant (mod 256). Ends that share a quadrant differ by
+    at most pi / 2 in lambda, so neither the cut of arctan2 nor a pole lies
+    between them; ends that share a key then share a turn, as turns differ
+    by less than 64 along an edge that spans fewer than 60 of them. A row
+    with a finer pitch takes every edge as a candidate."""
+    (u, w), n = emb.edges()[0].T, len(pitch)
+    key = turn.astype(np.uint8)
+    key <<= 2
+    key |= quadrant
+    cut = np.take(key, u, axis=0) != np.take(key, w, axis=0)
+    del key
+    cut[:, emb.max_edge_length() / (TWO_PI * np.abs(pitch)) >= 60] = True
+    if 4 * np.count_nonzero(cut) <= cut.size:
+        # the flat (vertex, row) index of each candidate edge's ends
+        cand = np.flatnonzero(cut)
+        edge = cand // n
+        row = cand - edge * n
+        iu, iw = np.take(u, edge), np.take(w, edge)
+        for i in (iu, iw):
+            i *= n    # in place: two arrays fewer per candidate
+            i += row
+        del edge, row
+
+        def at_ends(a):
+            return np.take(a, iu), np.take(a, iw)
+    else:    # most edges are candidates: whole rows cost less to gather
+        cand = None
+
+        def at_ends(a):
+            return np.take(a, u, axis=0), np.take(a, w, axis=0)
+    # lambda unwrapped along an edge moves the turn at w by one where it
+    # passes the cut of arctan2; h passes a multiple of 2 pi between u and w
+    # exactly when the turns at the ends then differ
+    at_u, dlam = at_ends(lam)
+    dlam -= at_u
+    at_u, at_w = at_ends(turn)
+    hit = at_u != at_w + (dlam > np.pi) - (dlam < -np.pi)
+    at_u, at_w = at_ends(on_curve)
+    hit &= ~(at_u | at_w)
+    del at_u, at_w
+    np.abs(dlam, out=dlam)    # in place: a block's float array is 2 MB
+    hit |= (dlam >= np.pi - POLE_TOL) & (dlam <= np.pi + POLE_TOL)
+    if cand is None:
+        return hit
+    cut.ravel()[cand[~hit]] = False
+    return cut
+
+
 def _spiral_sets(spirals, keep, emb: SphericalEmbedding):
     """((spiral, triangle), (spiral, vertex)): the triangles that each
     spiral's branches cross and the vertices on them, under the tie rule."""
-    spiral, frame, pitch, phase, base, lo, hi = (np.array(col) for col in
-                                                 zip(*_spiral_rows(spirals, keep)))
-    # the vertices in each row's reader frame: x, y, z of (vertices, rows)
+    spiral, frames, pitch, phase, base, lo, hi = zip(*_spiral_rows(spirals, keep))
+    spiral, pitch, phase, base, lo, hi = map(np.array, (spiral, pitch, phase, base, lo, hi))
+    # consecutive rows that hold one frame (a reader's mixing spirals, or a
+    # spiral's two branches) share its geometry: row r is in frame group[r]
+    first = [r for r, f in enumerate(frames) if r == 0 or f is not frames[r - 1]]
+    counts = np.diff(first + [len(frames)])
+    group = np.repeat(np.arange(len(first)), counts)
+    # the vertices in each frame: x, y, z of (vertices, frames)
+    frame = np.array([frames[r] for r in first])
     x, y, z = np.split(emb.positions @ np.concatenate(frame.transpose(1, 2, 0), axis=1), 3,
                        axis=1)
     rxy = np.sqrt(x * x + y * y)    # np.hypot costs more; the two differ by at most an ulp
     phi = np.arctan2(z, rxy)
     lam = np.arctan2(y, x)
     del x, y, z
-    h = phi / pitch + phase - lam
+    pole = rxy <= UNIT_TOL
+    del rxy
+    # which quarter of [-pi, pi] lambda lies in: two ends in one quarter
+    # differ by at most pi / 2 in lambda
+    quadrant = np.minimum(np.floor((lam + np.pi) * (2 / np.pi)), 3).astype(np.uint8)
+    if len(first) < len(frames):
+        phi_r, lam, pole, quadrant = (np.repeat(a, counts, axis=1)
+                                      for a in (phi, lam, pole, quadrant))
+    else:
+        phi_r = phi
+    h = phi_r / pitch + phase - lam
+    del phi_r
     turn = np.floor(h / TWO_PI)    # h = 2 pi turn + rest, rest in [0, 2 pi)
     rest = h - TWO_PI * turn
     del h
-    on_curve = (rxy <= UNIT_TOL) | (rest <= UNIT_TOL) | (rest >= TWO_PI - UNIT_TOL)
+    on_curve = pole | (rest <= UNIT_TOL) | (rest >= TWO_PI - UNIT_TOL)
+    del rest, pole
     turn = turn.astype(np.int32)
-    ends, sides = emb.edges()
-    u, w = ends[:, 0], ends[:, 1]
-    # lambda unwrapped along an edge moves the turn at w by one where it
-    # passes the cut of arctan2; h passes a multiple of 2 pi between u and w
-    # exactly when the turns at the ends then differ
-    dlam = np.take(lam, w, axis=0)
-    dlam -= np.take(lam, u, axis=0)
-    cut = np.take(turn, u, axis=0) != np.take(turn, w, axis=0) + (dlam > np.pi) - (dlam < -np.pi)
-    cut &= ~(np.take(on_curve, u, axis=0) | np.take(on_curve, w, axis=0))
-    np.abs(dlam, out=dlam)    # in place: a block's float array is 2 MB
-    cut |= (dlam >= np.pi - POLE_TOL) & (dlam <= np.pi + POLE_TOL)
-    del dlam
-    crossed = _set_pairs(_any_of(_pack(cut), sides))
+    cut = _spiral_cuts(lam, turn, on_curve, quadrant, pitch, emb)
+    del lam, turn, quadrant
+    crossed = _set_pairs(_any_of(_pack(cut), emb.edges()[1]))
     on = _set_pairs(_pack(on_curve))
 
     def theta(rows, verts):
-        return base[rows] + phi[verts, rows] / pitch[rows]
+        return base[rows] + phi[verts, group[rows]] / pitch[rows]
 
     crossed = _restrict(crossed, lo, hi, theta, lambda t: emb.mesh.triangles[t])
     on = _restrict(on, lo, hi, theta, lambda v: v[:, None])
@@ -407,8 +482,8 @@ def _accesses(workload: Workload, kind: QuorumSystemKind, data: DataType,
             nodes = [None] if nodes else []
         for node in nodes:
             if expected and is_mixed(kind, role):
-                curves = [quorum_curve(kind, role, node, data.hash_point, psi)
-                          for psi in mixing_angles(workload.mix_samples)]
+                curves = quorum_family(kind, role, node, data.hash_point,
+                                       mixing_angles(workload.mix_samples))
             else:
                 curves = [draw(kind, node, data, rng)
                           for _ in range(1 if expected else workload.events)]

@@ -15,7 +15,8 @@ Kinds:
 Every strategy is one family of curves over a mixing angle psi,
 `quorum_curve(kind, role, node, hash_point, psi)`; a pure strategy ignores
 psi. Monte Carlo accesses draw psi uniformly (`write_quorum`, `read_quorum`),
-expected mode takes it at quadrature nodes (`mixing_angles`).
+expected mode takes it at quadrature nodes (`mixing_angles`) and builds an
+accessor's curves at all of them from one construction (`quorum_family`).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import OutOfRange
 from .sphere import (SphericalCircle, SphericalCurve, count_intersections,
                      geodesic_distance, great_circle_through, latitude_circle,
-                     perpendicular_basis, require_unit, spiral_for)
+                     perpendicular_basis, require_unit, spirals_for)
 
 KIND_NAMES = ("QG", "QGm", "QL", "QLd", "GeoQuorum")
 
@@ -113,22 +114,27 @@ def hash_location(data_id: str, seed: int, override=None) -> np.ndarray:
     return np.array([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _circle_at(point, rho: float, psi: float) -> SphericalCircle:
-    """Circle of geodesic radius rho through `point`, centred at angle psi
-    around it; rho = pi/2 is a great circle.
+def _circles_at(point, rho: float):
+    """psi -> the circle of geodesic radius rho through `point`, centred at
+    angle psi around it; rho = pi/2 is a great circle. The point is checked,
+    and the basis of its tangent plane built, once for every psi.
 
     Radii above pi/2 are expressed as the complementary circle around the
     antipodal center, which is the identical point set.
     """
     point = require_unit(point)
-    e1, e2 = perpendicular_basis(point)
-    # cos rho point + sin rho (cos psi e1 + sin psi e2), in Python floats
-    cr, sr, cp, sp = math.cos(rho), math.sin(rho), math.cos(psi), math.sin(psi)
-    center = np.array([cr * p + sr * (cp * u + sp * v)
-                       for p, u, v in zip(point.tolist(), e1.tolist(), e2.tolist())])
-    if rho > np.pi / 2:
-        center, rho = -center, np.pi - rho
-    return SphericalCircle(axis=center, rho=float(rho), start=point.copy())
+    terms = tuple(zip(point.tolist(), *(e.tolist() for e in perpendicular_basis(point))))
+    cr, sr = math.cos(rho), math.sin(rho)
+    flip = rho > np.pi / 2
+    radius = float(np.pi - rho if flip else rho)
+    start = point.copy()
+
+    def circle(psi) -> SphericalCircle:
+        # cos rho point + sin rho (cos psi e1 + sin psi e2), in Python floats
+        cp, sp = math.cos(psi), math.sin(psi)
+        center = np.array([cr * p + sr * (cp * u + sp * v) for p, u, v in terms])
+        return SphericalCircle(axis=-center if flip else center, rho=radius, start=start)
+    return circle
 
 
 ROLES = ("write", "read")
@@ -149,21 +155,34 @@ def is_read_shared(kind: QuorumSystemKind) -> bool:
     return kind.name in ("QG", "QGm")
 
 
-def quorum_curve(kind: QuorumSystemKind, role: str, node, hash_point,
-                 psi: float) -> SphericalCurve:
-    """The curve of `role` ("write" or "read") from `node` for data hashed at
-    `hash_point`, at mixing angle psi. Pure strategies ignore psi and shared
-    reads ignore the node, which may then be None."""
+def quorum_family(kind: QuorumSystemKind, role: str, node, hash_point,
+                  psis) -> list[SphericalCurve]:
+    """The curves of `role` ("write" or "read") from `node` for data hashed
+    at `hash_point`, one at each mixing angle in psis: the one map from
+    (kind, role) to a curve. The node is checked, and its basis (circles)
+    or frame (spirals) built, once for all of them, so a spiral family
+    holds one frame. Pure strategies ignore psi and shared reads ignore the
+    node, which may then be None."""
     if not is_mixed(kind, role):  # also validates the role
         if (kind.name, role) in (("QL", "read"), ("QLd", "write")):
-            return latitude_circle(hash_point, node)
-        return great_circle_through(node, hash_point)
+            curve = latitude_circle(hash_point, node)
+        else:
+            curve = great_circle_through(node, hash_point)
+        return [curve for _ in psis]
     write = role == "write"
     if kind.name == "GeoQuorum":
-        if write != kind.dual:
-            return _circle_at(node, kind.r_w, psi)
-        return spiral_for(node, kind.a, psi)
-    return _circle_at(node if write else hash_point, np.pi / 2, psi)
+        make = (_circles_at(node, kind.r_w) if write != kind.dual
+                else spirals_for(node, kind.a))
+    else:
+        make = _circles_at(node if write else hash_point, np.pi / 2)
+    return [make(psi) for psi in psis]
+
+
+def quorum_curve(kind: QuorumSystemKind, role: str, node, hash_point,
+                 psi: float) -> SphericalCurve:
+    """The curve of `role` from `node` at mixing angle psi: the family of
+    `quorum_family` at that one angle."""
+    return quorum_family(kind, role, node, hash_point, (psi,))[0]
 
 
 def mixing_angles(k: int) -> np.ndarray:
@@ -173,8 +192,8 @@ def mixing_angles(k: int) -> np.ndarray:
 
 
 def _draw(kind: QuorumSystemKind, role: str, node, data: DataType, rng) -> SphericalCurve:
-    """One access's curve; draws psi uniformly only for a mixed strategy."""
-    node = require_unit(node)
+    """One access's curve; draws psi uniformly only for a mixed strategy.
+    The curve's constructor checks the node."""
     psi = rng.uniform(0.0, 2.0 * np.pi) if is_mixed(kind, role) else 0.0
     return quorum_curve(kind, role, node, data.hash_point, psi)
 

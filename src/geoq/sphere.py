@@ -27,10 +27,15 @@ DEFAULT_STEP = np.pi / 2000
 
 def unit_vector(v) -> np.ndarray:
     """Normalize v to a unit 3-vector. A zero or non-finite v raises
-    DegenerateInput."""
+    DegenerateInput; a finite v whose squared norm overflows is scaled down
+    first."""
     v = np.asarray(v, dtype=float)
-    n = math.sqrt(v.dot(v))    # np.linalg.norm's arithmetic, without its overhead
+    # np.linalg.norm's arithmetic, v.dot(v)'s, without its overhead; unlike
+    # v.dot, np.vdot warns of no overflow
+    n = math.sqrt(np.vdot(v, v))
     if not 1e-15 <= n < math.inf:
+        if n == math.inf and np.isfinite(v).all():
+            return unit_vector(v / np.abs(v).max())
         raise DegenerateInput(f"cannot normalize a vector of norm {n}")
     return v / n
 
@@ -237,6 +242,22 @@ def latitude_circle(axis, through) -> SphericalCircle:
     return SphericalCircle(axis=axis, rho=polar, start=through.copy())
 
 
+def spirals_for(node, a: float):
+    """The spirals from `node` with pitch a, as a function of their phase
+    theta0 (`spiral_for`). The node is checked, and its frame built, once:
+    every spiral made holds that one frame."""
+    frame = rotation_to_south_pole(node)
+    phi_range = (-np.pi / 2, 3 * np.pi / 2) if a >= 0.5 else (-np.pi / 2, np.pi / 2)
+    a = float(a)
+
+    def spiral(theta0) -> SphericalSpiral:
+        # a Python float's remainder: numpy's warns on a non-finite theta0,
+        # which SphericalSpiral refuses
+        return SphericalSpiral(frame=frame, a=a, theta0=float(theta0) % TWO_PI,
+                               phi_range=phi_range)
+    return spiral
+
+
 def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
     """Read-quorum spiral from `node` with pitch a and phase theta0.
 
@@ -245,12 +266,7 @@ def spiral_for(node, a: float, theta0: float) -> SphericalSpiral:
     circle entirely, so the sweep is extended past the far pole and returns to
     the node.
     """
-    frame = rotation_to_south_pole(node)
-    phi_range = (-np.pi / 2, 3 * np.pi / 2) if a >= 0.5 else (-np.pi / 2, np.pi / 2)
-    # a Python float's remainder: numpy's warns on a non-finite theta0, which
-    # SphericalSpiral refuses
-    return SphericalSpiral(frame=frame, a=float(a), theta0=float(theta0) % TWO_PI,
-                           phi_range=phi_range)
+    return spirals_for(node, a)(theta0)
 
 
 def _circle_angles(circle: SphericalCircle, step: float) -> np.ndarray:

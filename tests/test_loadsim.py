@@ -10,9 +10,10 @@ import geoq
 import geoq.loadsim
 from geoq.embedding import locate_many
 from geoq.errors import ConfigError, DegenerateInput, OutOfRange
-from geoq.loadsim import _first_hit_keep
+from geoq.loadsim import POLE_TOL, _first_hit_keep
 from geoq.quorums import ROLES, is_mixed, is_read_shared, mixing_angles, quorum_curve
-from geoq.sphere import UNIT_TOL, SphericalCircle, SphericalSpiral, _spiral_roots
+from geoq.sphere import (TWO_PI, UNIT_TOL, SphericalCircle, SphericalSpiral, _spiral_roots,
+                         spirals_for)
 
 from conftest import random_unit
 
@@ -352,6 +353,142 @@ def test_set_pairs_are_the_unpacked_nonzero(rows, width, data):
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
         assert a.dtype == b.dtype
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 6), width=st.integers(0, 27), step=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pack_is_packbits_along_rows(rows, width, step, seed):
+    # a strided view too: `_pack` pads a copy where the width is not a
+    # multiple of 8
+    bits = np.random.default_rng(seed).random((rows, width * step)) < 0.5
+    bits = bits[:, ::step]
+    packed = geoq.loadsim._pack(bits)
+    assert np.array_equal(packed, np.packbits(bits, axis=1))
+    assert packed.dtype == np.uint8
+
+
+def _dense_spiral_sets(spirals, keep, emb):
+    """`_spiral_sets` as first written, the reference for its shared frames
+    and its sparse edge test: each row's geometry in its own frame, and the
+    edge rule on every (edge, row) entry."""
+    ls = geoq.loadsim
+    spiral, frame, pitch, phase, base, lo, hi = (np.array(col) for col in
+                                                 zip(*ls._spiral_rows(spirals, keep)))
+    x, y, z = np.split(emb.positions @ np.concatenate(frame.transpose(1, 2, 0), axis=1), 3,
+                       axis=1)
+    rxy = np.sqrt(x * x + y * y)
+    phi, lam = np.arctan2(z, rxy), np.arctan2(y, x)
+    h = phi / pitch + phase - lam
+    turn = np.floor(h / TWO_PI)
+    rest = h - TWO_PI * turn
+    on_curve = (rxy <= UNIT_TOL) | (rest <= UNIT_TOL) | (rest >= TWO_PI - UNIT_TOL)
+    turn = turn.astype(np.int32)
+    ends, sides = emb.edges()
+    u, w = ends[:, 0], ends[:, 1]
+    dlam = lam[w] - lam[u]
+    cut = turn[u] != turn[w] + (dlam > np.pi) - (dlam < -np.pi)
+    cut &= ~(on_curve[u] | on_curve[w])
+    cut |= (np.abs(dlam) >= np.pi - POLE_TOL) & (np.abs(dlam) <= np.pi + POLE_TOL)
+    crossed = ls._set_pairs(ls._any_of(np.packbits(cut, axis=1), sides))
+    on = ls._set_pairs(np.packbits(on_curve, axis=1))
+
+    def theta(rows, verts):
+        return base[rows] + phi[verts, rows] / pitch[rows]
+
+    crossed = ls._restrict(crossed, lo, hi, theta, lambda t: emb.mesh.triangles[t])
+    on = ls._restrict(on, lo, hi, theta, lambda v: v[:, None])
+    if len(spiral) == len(spirals):
+        return (spiral[crossed[0]], crossed[1]), (spiral[on[0]], on[1])
+    return tuple(ls._unique_pairs(spiral[row], idx) for row, idx in (crossed, on))
+
+
+def _assert_sets_equal(got, ref):
+    for g, r in zip(got, ref):
+        for a, b in zip(g, r):
+            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype
+
+
+class TestSpiralEdgeTest:
+    """`_spiral_sets` shares a frame's geometry between its rows and tests
+    only the edges whose ends differ in a one-byte key; its level sets are
+    the dense rule's, array for array."""
+
+    FINE = ("finest", "fine", "coarser")
+
+    @staticmethod
+    def _fine_pitch(emb, name):
+        # pitches at which the longest edge spans 3000 or 67 turns, where
+        # every edge is tested, and 55 turns, where the byte key still holds
+        span = emb.max_edge_length() / (TWO_PI * 60)
+        return {"finest": span / 50, "fine": 0.9 * span, "coarser": 1.1 * span}[name]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_dense_rule(self, emb400, seed):
+        rng = np.random.default_rng(seed)
+        nodes = emb400.node_positions()
+        pitches = tuple(self._fine_pitch(emb400, name) for name in self.FINE) + (
+            0.02, 0.05, 0.2, 0.35, 0.5, 0.6, 0.7)
+        for _ in range(6):
+            spirals = []
+            for _ in range(rng.integers(1, 5)):
+                # a block may mix pitches: a few finely pitched rows among
+                # coarse ones are tested edge by edge through the byte key
+                a = float(rng.choice(pitches))
+                node = nodes[rng.integers(len(nodes))]
+                if rng.random() < 0.5:    # one frame for several rows
+                    spiral = spirals_for(node, a)
+                    spirals += [spiral(psi) for psi in mixing_angles(int(rng.integers(2, 9)))]
+                else:
+                    spirals += [geoq.spiral_for(node, a, rng.uniform(0, 2 * np.pi))
+                                for _ in range(rng.integers(1, 3))]
+            keep = []
+            for s in spirals:
+                t0, t1 = s.theta_range()
+                cut = rng.uniform(t0, t1)
+                keep.append(None if rng.random() < 0.6 else (t0, cut) if rng.random() < 0.5
+                            else (cut, t1))
+            _assert_sets_equal(geoq.loadsim._spiral_sets(spirals, keep, emb400),
+                               _dense_spiral_sets(spirals, keep, emb400))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finest_row_among_coarse_ones(self, emb400, seed):
+        # few of the block's edges are candidates, so its rows are tested
+        # through the byte key, which cannot tell turns apart on the finest
+        # row: that row tests every edge
+        rng = np.random.default_rng(seed)
+        nodes = emb400.node_positions()[rng.choice(emb400.n_nodes, 2, replace=False)]
+        spiral = spirals_for(nodes[0], 0.7)
+        spirals = [spiral(psi) for psi in mixing_angles(24)]
+        spirals.append(geoq.spiral_for(nodes[1], self._fine_pitch(emb400, "finest"), 0.5))
+        keep = [None] * len(spirals)
+        _assert_sets_equal(geoq.loadsim._spiral_sets(spirals, keep, emb400),
+                           _dense_spiral_sets(spirals, keep, emb400))
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.6, *FINE])
+    def test_longitude_zero_and_pi(self, emb400, a):
+        # the frame's y axis is the deployment's z axis, so the vertices of
+        # the seam (z = 0) lie at lambda = 0 or pi; some are moved to
+        # z = -1e-20, at lambda = -pi
+        pos = emb400.positions.copy()
+        seam = np.flatnonzero((pos[:, 2] == 0) & (pos[:, 0] < 0))
+        pos[seam[::2], 2] = -1e-20
+        emb = geoq.SphericalEmbedding(mesh=emb400.mesh, positions=pos, residual=0.0)
+        frame = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        local = pos @ frame.T
+        lam = np.arctan2(local[:, 1], local[:, 0])
+        assert {0.0, np.pi, -np.pi} <= set(lam.tolist())
+        if isinstance(a, str):
+            a = self._fine_pitch(emb, a)
+        spirals = [SphericalSpiral(frame=frame, a=a, theta0=float(psi),
+                                   phi_range=(-np.pi / 2, 3 * np.pi / 2 if a >= 0.5
+                                              else np.pi / 2))
+                   for psi in mixing_angles(4)]
+        spirals.append(spirals_for(emb.positions[3], a)(0.25))
+        keep = [None] * len(spirals)
+        _assert_sets_equal(geoq.loadsim._spiral_sets(spirals, keep, emb),
+                           _dense_spiral_sets(spirals, keep, emb))
 
 
 class TestAccessNodes:
@@ -880,13 +1017,16 @@ class TestFixtureLoads:
     KINDS = TestBatchedRun.KINDS + (geoq.QuorumSystemKind.geoquorum(0.6 * np.pi, 0.12),)
     # SHA-256 over the rate-1 writes and reads of every run below
     DIGEST = "1e40bb8c96ee108c6bb4da14e37e59030f099ef59ec8fa650312a14f44880971"
+    # the same over GeoQuorum(0.65 pi, 0.6) and its dual
+    TWO_BRANCH_DIGEST = "a147931384ff2fc3ce0de5c881bf7ab8049bf274499e35ec647ce876e03a9823"
 
-    def test_rate_one_loads_are_pinned(self):
+    @classmethod
+    def _loads_digest(cls, kinds):
         # one event and a power-of-two quadrature: every share is dyadic, so
         # each load is an exact sum and the digest pins the level sets alone
-        emb = geoq.load_embedding(self.FIXTURE)
+        emb = geoq.load_embedding(cls.FIXTURE)
         digest = hashlib.sha256()
-        for kind in self.KINDS:
+        for kind in kinds:
             for mode, accessors in (("montecarlo", (12, 4)), ("expected", (4, 2))):
                 for termination in ("full", "first_hit"):
                     wl = _workload(emb, *accessors, mode=mode, events=1, mix_samples=4)
@@ -894,4 +1034,15 @@ class TestFixtureLoads:
                         wl, kind, emb, np.random.default_rng(17), read_termination=termination)
                     for load in (geometry.writes, geometry.reads):
                         digest.update(np.ascontiguousarray(load, dtype="<f8").tobytes())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_rate_one_loads_are_pinned(self):
+        assert self._loads_digest(self.KINDS) == self.DIGEST
+
+    def test_two_branch_loads_are_pinned(self):
+        # a >= 1/2: every spiral sweeps back past its far pole on a second
+        # branch, which holds its frame; writes at R_W > pi/2 are the
+        # complementary circles
+        kinds = [geoq.QuorumSystemKind.geoquorum(0.65 * np.pi, 0.6, dual=dual)
+                 for dual in (False, True)]
+        assert self._loads_digest(kinds) == self.TWO_BRANCH_DIGEST

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import geoq
 from geoq.errors import OutOfRange
-from geoq.quorums import KIND_NAMES, ROLES, _circle_at, is_mixed, is_read_shared, quorum_curve
+from geoq.quorums import (KIND_NAMES, ROLES, _circles_at, is_mixed, is_read_shared,
+                          mixing_angles, quorum_curve, quorum_family)
 from geoq.sphere import SphericalCircle, SphericalSpiral, perpendicular_basis
 
 from conftest import random_unit
@@ -245,10 +246,45 @@ def test_circle_at_is_the_vector_formula(z, lon, rho, psi):
     radius = rho
     if rho > np.pi / 2:
         center, radius = -center, np.pi - rho
-    circle = _circle_at(point, rho, psi)
+    circle = _circles_at(point, rho)(psi)
     assert np.array_equal(circle.axis, center / np.linalg.norm(center))
     assert circle.rho == radius
     assert np.array_equal(circle.start, point)
+
+
+_FAMILY_KINDS = (geoq.QuorumSystemKind("QG"), geoq.QuorumSystemKind("QGm"),
+                 geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
+                 geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True),
+                 geoq.QuorumSystemKind.geoquorum(0.65 * np.pi, 0.6),
+                 geoq.QuorumSystemKind.geoquorum(0.65 * np.pi, 0.6, dual=True))
+
+
+@pytest.mark.parametrize("kind, role", [(kind, role) for kind in _FAMILY_KINDS for role in ROLES
+                                        if is_mixed(kind, role)])
+def test_family_is_quorum_curve_at_each_angle(kind, role):
+    """An accessor's mixing family, built from one construction, is
+    quorum_curve at each angle, field for field; a spiral family holds one
+    frame."""
+    rng = np.random.default_rng(11)
+    for node, hash_point in random_unit(rng, 6).reshape(3, 2, 3):
+        if role == "read" and is_read_shared(kind):
+            node = None
+        psis = mixing_angles(16)
+        family = quorum_family(kind, role, node, hash_point, psis)
+        assert len(family) == len(psis)
+        for psi, curve in zip(psis, family):
+            ref = quorum_curve(kind, role, node, hash_point, psi)
+            assert type(curve) is type(ref)
+            if isinstance(ref, SphericalCircle):
+                assert np.array_equal(curve.axis, ref.axis)
+                assert np.array_equal(curve.start, ref.start)
+                assert curve.rho == ref.rho
+            else:
+                assert np.array_equal(curve.frame, ref.frame)
+                assert (curve.a, curve.theta0, curve.phi_range) == (ref.a, ref.theta0,
+                                                                    ref.phi_range)
+        if isinstance(family[0], SphericalSpiral):
+            assert all(curve.frame is family[0].frame for curve in family)
 
 
 class TestIntersectionGuarantee:

@@ -14,12 +14,22 @@ from conftest import random_unit
 
 class TestUnitVector:
     @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [1e-16, 0.0, 0.0], [np.nan, 0.0, 0.0],
-                                   [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0]])
+                                   [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0],
+                                   [1e200, np.nan, 0.0], [1e200, 0.0, -np.inf]])
     def test_degenerate(self, v):
         with pytest.raises(DegenerateInput):
             geoq.unit_vector(v)
         with pytest.raises(DegenerateInput):
             geoq.SphericalCircle(axis=np.array(v), rho=0.3)
+
+    @pytest.mark.parametrize("v, unit", [([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                         ([1e200, -1e200, 0.0], [1.0, -1.0, 0.0]),
+                                         ([0.0, -1.7e308, 1.7e308], [0.0, -1.0, 1.0])])
+    def test_finite_vector_whose_square_overflows(self, v, unit):
+        # its squared norm is inf; it is scaled down, not refused
+        assert np.array_equal(geoq.unit_vector(v), geoq.unit_vector(unit))
+        assert np.array_equal(geoq.SphericalCircle(axis=np.array(v), rho=0.3).axis,
+                              geoq.unit_vector(unit))
 
 
 class TestAntipode:
