@@ -208,38 +208,24 @@ def _spiral_cuts(lam, turn, on_curve, quadrant, pitch, emb: SphericalEmbedding):
     cut = np.take(key, u, axis=0) != np.take(key, w, axis=0)
     del key
     cut[:, emb.max_edge_length() / (TWO_PI * np.abs(pitch)) >= 60] = True
-    if 4 * np.count_nonzero(cut) <= cut.size:
-        # the flat (vertex, row) index of each candidate edge's ends
-        cand = np.flatnonzero(cut)
-        edge = cand // n
-        row = cand - edge * n
-        iu, iw = np.take(u, edge), np.take(w, edge)
-        for i in (iu, iw):
-            i *= n    # in place: two arrays fewer per candidate
-            i += row
-        del edge, row
-
-        def at_ends(a):
-            return np.take(a, iu), np.take(a, iw)
-    else:    # most edges are candidates: whole rows cost less to gather
-        cand = None
-
-        def at_ends(a):
-            return np.take(a, u, axis=0), np.take(a, w, axis=0)
+    # the flat (vertex, row) index of each candidate edge's ends
+    cand = np.flatnonzero(cut)
+    edge = cand // n
+    row = cand - edge * n
+    iu, iw = np.take(u, edge), np.take(w, edge)
+    for i in (iu, iw):
+        i *= n    # in place: two arrays fewer per candidate
+        i += row
+    del edge, row
     # lambda unwrapped along an edge moves the turn at w by one where it
     # passes the cut of arctan2; h passes a multiple of 2 pi between u and w
     # exactly when the turns at the ends then differ
-    at_u, dlam = at_ends(lam)
-    dlam -= at_u
-    at_u, at_w = at_ends(turn)
-    hit = at_u != at_w + (dlam > np.pi) - (dlam < -np.pi)
-    at_u, at_w = at_ends(on_curve)
-    hit &= ~(at_u | at_w)
-    del at_u, at_w
-    np.abs(dlam, out=dlam)    # in place: a block's float array is 2 MB
+    dlam = np.take(lam, iw)
+    dlam -= np.take(lam, iu)
+    hit = np.take(turn, iu) != np.take(turn, iw) + (dlam > np.pi) - (dlam < -np.pi)
+    hit &= ~(np.take(on_curve, iu) | np.take(on_curve, iw))
+    np.abs(dlam, out=dlam)
     hit |= (dlam >= np.pi - POLE_TOL) & (dlam <= np.pi + POLE_TOL)
-    if cand is None:
-        return hit
     cut.ravel()[cand[~hit]] = False
     return cut
 

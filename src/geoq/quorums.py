@@ -161,8 +161,9 @@ def quorum_family(kind: QuorumSystemKind, role: str, node, hash_point,
     at `hash_point`, one at each mixing angle in psis: the one map from
     (kind, role) to a curve. The node is checked, and its basis (circles)
     or frame (spirals) built, once for all of them, so a spiral family
-    holds one frame. Pure strategies ignore psi and shared reads ignore the
-    node, which may then be None."""
+    holds one frame. Pure strategies ignore psi. A shared read's curve does
+    not depend on the node, which may then be None; a node that is given is
+    checked all the same."""
     if not is_mixed(kind, role):  # also validates the role
         if (kind.name, role) in (("QL", "read"), ("QLd", "write")):
             curve = latitude_circle(hash_point, node)
@@ -174,6 +175,8 @@ def quorum_family(kind: QuorumSystemKind, role: str, node, hash_point,
         make = (_circles_at(node, kind.r_w) if write != kind.dual
                 else spirals_for(node, kind.a))
     else:
+        if not write and node is not None:
+            require_unit(node)
         make = _circles_at(node if write else hash_point, np.pi / 2)
     return [make(psi) for psi in psis]
 
@@ -193,7 +196,7 @@ def mixing_angles(k: int) -> np.ndarray:
 
 def _draw(kind: QuorumSystemKind, role: str, node, data: DataType, rng) -> SphericalCurve:
     """One access's curve; draws psi uniformly only for a mixed strategy.
-    The curve's constructor checks the node."""
+    `quorum_family` and the curve constructors it calls check the node."""
     psi = rng.uniform(0.0, 2.0 * np.pi) if is_mixed(kind, role) else 0.0
     return quorum_curve(kind, role, node, data.hash_point, psi)
 

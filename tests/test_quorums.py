@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geoq
-from geoq.errors import OutOfRange
+from geoq.errors import DegenerateInput, OutOfRange
 from geoq.quorums import (KIND_NAMES, ROLES, _circles_at, is_mixed, is_read_shared,
                           mixing_angles, quorum_curve, quorum_family)
 from geoq.sphere import SphericalCircle, SphericalSpiral, perpendicular_basis
@@ -200,6 +200,23 @@ class TestReadQuorum:
         same = curves[0].shape == curves[1].shape and np.allclose(*curves)
         assert is_read_shared(kind) == same
         assert is_read_shared(kind) == (kind.name in ("QG", "QGm"))
+
+    @pytest.mark.parametrize("kind", [
+        geoq.QuorumSystemKind("QG"),
+        geoq.QuorumSystemKind("QGm"),
+        geoq.QuorumSystemKind("QL"),
+        geoq.QuorumSystemKind("QLd"),
+        geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2),
+        geoq.QuorumSystemKind.geoquorum(0.2 * np.pi, 0.2, dual=True),
+    ])
+    @pytest.mark.parametrize("node", [[np.nan, 0, 0], [2, 0, 0], [0, 0, 0]])
+    def test_an_access_refuses_a_node_off_the_sphere(self, kind, node):
+        # also a shared read, whose curve does not depend on the reader
+        for access in (geoq.write_quorum, geoq.read_quorum):
+            with pytest.raises(DegenerateInput):
+                access(kind, node, _data(), np.random.default_rng(13))
+        with pytest.raises(DegenerateInput):
+            quorum_family(kind, "read", node, _data().hash_point, mixing_angles(4))
 
 
 _psi = st.floats(0.0, 2 * np.pi, exclude_max=True)
